@@ -13,8 +13,10 @@ theory is real.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,27 +27,41 @@ class ChaosError(ValueError):
 
 def _enumerate_indices(d: int, N: int):
     """Multi-indices alpha in N^d with |alpha| <= N, sorted by (|alpha|, lex)."""
+    # stars and bars: d bars among N + d slots; alpha_j is the j-th gap
+    idx = (tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
+           for bars in itertools.combinations(range(N + d), d))
+    return sorted(idx, key=lambda a: (sum(a), a))
 
-    def rec(slots, remaining):
-        if slots == 1:
-            for k in range(remaining + 1):
-                yield (k,)
-            return
-        for k in range(remaining + 1):
-            for rest in rec(slots - 1, remaining - k):
-                yield (k,) + rest
 
-    return sorted(rec(d, N), key=lambda a: (sum(a), a))
+@dataclass(frozen=True)
+class Ladders:
+    """Per-slot raise/lower index arrays of a chaos basis.
+
+    Slot i raises position ``src[j]`` (degree < N) to ``up[i, j]``, the
+    position of alpha + e_i; lowering sends ``up[i, j]`` back to ``src[j]``
+    with weight ``rank[i, j] = alpha_i + 1``.  ``top`` holds the degree-N
+    positions; slot i pushes weighted squared norm ``top_weight[i, j] =
+    prod (alpha + e_i)!`` of ``top[j]`` past the truncation.
+    """
+
+    src: np.ndarray
+    up: np.ndarray
+    rank: np.ndarray
+    top: np.ndarray
+    top_weight: np.ndarray
 
 
 class ChaosBasis:
     """Immutable multi-indexed Hermite basis of degree <= N in d variables."""
 
-    __slots__ = ("d", "N", "indices", "index_map", "norms", "degrees")
+    __slots__ = ("d", "N", "indices", "index_map", "norms", "degrees",
+                 "__dict__")  # __dict__ holds the cached properties
 
     def __init__(self, d: int, N: int):
         if d < 1 or N < 0:
             raise ChaosError("need d >= 1 and N >= 0")
+        if N >= 170:
+            raise ChaosError("N >= 170 refused: (N+1)! overflows a float")
         if math.comb(N + d, d) > 10**6:
             raise ChaosError("basis too large: C(N+d, d) exceeds 10^6")
         object.__setattr__(self, "d", d)
@@ -78,6 +94,34 @@ class ChaosBasis:
     def __hash__(self):
         return hash((self.d, self.N))
 
+    @cached_property
+    def ladders(self) -> Ladders:
+        """Read-only ladder index arrays, O(d * |basis|) in size."""
+        idx = np.array(self.indices, dtype=float)
+        src = np.flatnonzero(self.degrees < self.N)
+        top = np.flatnonzero(self.degrees == self.N)
+        up = np.array(
+            [[self.index_map[a[:i] + (a[i] + 1,) + a[i + 1:]]
+              for a in map(self.indices.__getitem__, src)]
+             for i in range(self.d)], dtype=np.intp)
+        lad = Ladders(src, up, idx[src].T + 1.0, top,
+                      self.norms[top] * (idx[top].T + 1.0))
+        for arr in vars(lad).values():
+            arr.setflags(write=False)
+        return lad
+
+    @cached_property
+    def number_matrix(self) -> np.ndarray:
+        """``t_star_matrix @ t_matrix``, composed once per basis."""
+        M = t_star_matrix(self) @ t_matrix(self)
+        M.setflags(write=False)
+        return M
+
+    @cached_property
+    def hermite_terms(self) -> tuple:
+        """``hermite_monomials`` of each basis element, by position."""
+        return tuple(tuple(hermite_monomials(a)) for a in self.indices)
+
     def unit(self, alpha) -> "ChaosVector":
         """The basis vector H_alpha."""
         coeffs = np.zeros(len(self), dtype=complex)
@@ -101,10 +145,6 @@ class ChaosVector:
         if c.shape != (len(self.basis),):
             raise ChaosError("coefficient length does not match basis")
         object.__setattr__(self, "coeffs", c)
-
-    def degree(self) -> int:
-        nz = np.flatnonzero(np.abs(self.coeffs) > 0)
-        return int(self.basis.degrees[nz].max()) if nz.size else 0
 
     def __add__(self, other):
         self._same(other)
@@ -152,51 +192,34 @@ def zero_vector(basis: ChaosBasis) -> ChaosVector:
 def mult_phi(i: int, F: ChaosVector):
     """Multiplication by Phi(e_i) via the three-term recurrence.
 
-    ``x He_n = He_{n+1} + n He_{n-1}`` applied in slot i.  Exact for
-    inputs of degree <= N - 1; mass pushed past degree N is dropped and
-    its weighted norm returned as the truncation loss.
+    ``x He_n = He_{n+1} + n He_{n-1}`` in slot i, one scatter along the
+    basis' cached ladders.  Exact below degree N; mass pushed past degree
+    N is dropped and its weighted norm returned as the truncation loss.
     """
     basis = F.basis
     if not 0 <= i < basis.d:
         raise ChaosError(f"slot {i} out of range for d = {basis.d}")
+    lad = basis.ladders
+    c = F.coeffs
     out = np.zeros(len(basis), dtype=complex)
-    lost_sq = 0.0
-    for pos, alpha in enumerate(basis.indices):
-        c = F.coeffs[pos]
-        if c == 0:
-            continue
-        up = list(alpha)
-        up[i] += 1
-        up = tuple(up)
-        if sum(up) <= basis.N:
-            out[basis.index_map[up]] += c
-        else:
-            lost_sq += abs(c) ** 2 * math.prod(math.factorial(k) for k in up)
-        if alpha[i] > 0:
-            down = list(alpha)
-            down[i] -= 1
-            out[basis.index_map[tuple(down)]] += alpha[i] * c
-    return ChaosVector(basis, out), math.sqrt(lost_sq)
+    out[lad.up[i]] = c[lad.src]
+    out[lad.src] += lad.rank[i] * c[lad.up[i]]
+    dropped = np.abs(c[lad.top])
+    lost = math.sqrt((dropped * dropped) @ lad.top_weight[i])
+    return ChaosVector(basis, out), lost
 
 
 def T_apply(F: ChaosVector) -> ChaosField:
     """Chaos-coordinate derivative: component i sends H_a to a_i H_{a - e_i}.
 
-    Degree drops by one, so the truncated section is exact.
+    One gather along the basis' cached lowering ladders.  Degree drops by
+    one, so the truncated section is exact.
     """
     basis = F.basis
-    comps = []
-    for i in range(basis.d):
-        out = np.zeros(len(basis), dtype=complex)
-        for pos, alpha in enumerate(basis.indices):
-            c = F.coeffs[pos]
-            if c == 0 or alpha[i] == 0:
-                continue
-            down = list(alpha)
-            down[i] -= 1
-            out[basis.index_map[tuple(down)]] += alpha[i] * c
-        comps.append(ChaosVector(basis, out))
-    return ChaosField(tuple(comps))
+    lad = basis.ladders
+    out = np.zeros((basis.d, len(basis)), dtype=complex)
+    out[:, lad.src] = lad.rank * F.coeffs[lad.up]
+    return ChaosField(tuple(ChaosVector(basis, row) for row in out))
 
 
 def Tk_apply(F: ChaosVector, k) -> ChaosVector:
@@ -204,12 +227,8 @@ def Tk_apply(F: ChaosVector, k) -> ChaosVector:
     k = np.asarray(k, dtype=float)
     if k.shape != (F.basis.d,):
         raise ChaosError("k must have one entry per direction")
-    field = T_apply(F)
-    out = zero_vector(F.basis)
-    for i in range(F.basis.d):
-        if k[i]:
-            out = out + k[i] * field.components[i]
-    return out
+    terms = (k[i] * c for i, c in enumerate(T_apply(F).components) if k[i])
+    return sum(terms, zero_vector(F.basis))
 
 
 def S_apply(G: ChaosVector, k):
@@ -228,24 +247,20 @@ def S_apply(G: ChaosVector, k):
             prod, li = mult_phi(i, G)
             out = out + k[i] * prod
             lost += abs(k[i]) * li
-    out = out - Tk_apply(G, k)
-    return out, lost
+    return out - Tk_apply(G, k), lost
 
 
 def t_matrix(basis: ChaosBasis) -> np.ndarray:
     """Matrix of the derivative in natural coordinates, stacked over slots.
 
-    Row block i holds component i; shape (d * |basis|, |basis|).
+    Row block i holds component i; shape (d * |basis|, |basis|), filled
+    in one scatter from the basis' cached lowering ladders.
     """
     B = len(basis)
+    lad = basis.ladders
     M = np.zeros((basis.d * B, B), dtype=complex)
-    for pos, alpha in enumerate(basis.indices):
-        for i in range(basis.d):
-            if alpha[i] == 0:
-                continue
-            down = list(alpha)
-            down[i] -= 1
-            M[i * B + basis.index_map[tuple(down)], pos] = alpha[i]
+    rows = np.arange(basis.d)[:, None] * B + lad.src
+    M[rows, lad.up] = lad.rank
     return M
 
 
@@ -260,10 +275,10 @@ def t_star_matrix(basis: ChaosBasis) -> np.ndarray:
 def number_operator(F: ChaosVector) -> ChaosVector:
     """Apply the weighted-adjoint composition of the derivative with itself.
 
-    Acts as multiplication of each chaos level n by n.
+    Acts as multiplication of each chaos level n by n; the matrix is
+    composed once per basis (``ChaosBasis.number_matrix``).
     """
-    Nmat = t_star_matrix(F.basis) @ t_matrix(F.basis)
-    return ChaosVector(F.basis, Nmat @ F.coeffs)
+    return ChaosVector(F.basis, F.basis.number_matrix @ F.coeffs)
 
 
 def exp_vector(k, basis: ChaosBasis):
@@ -373,11 +388,10 @@ def hermite_monomials(alpha):
 def chaos_monomials(F: ChaosVector):
     """Monomial form of a chaos vector (real coefficients assumed)."""
     acc = {}
-    for pos, alpha in enumerate(F.basis.indices):
-        c = F.coeffs[pos].real
-        if c == 0.0:
-            continue
-        for mc, exps in hermite_monomials(alpha):
+    real = F.coeffs.real
+    for pos in np.flatnonzero(real).tolist():
+        c = real[pos]
+        for mc, exps in F.basis.hermite_terms[pos]:
             acc[exps] = acc.get(exps, 0.0) + c * mc
     return [(c, e) for e, c in acc.items() if c != 0.0]
 
@@ -415,26 +429,20 @@ def pair_sections(basis: ChaosBasis, max_degree: int | None = None):
     if m < 1:
         raise ChaosError("need max_degree >= 1 for a nontrivial section")
     sn = np.sqrt(basis.norms)
-    h1_pos = [p for p in range(len(basis)) if basis.degrees[p] <= m]
-    h2_slots = [
-        (i, p)
-        for i in range(basis.d)
-        for p in range(len(basis))
-        if basis.degrees[p] <= m - 1
-    ]
+    h1_pos = np.flatnonzero(basis.degrees <= m).tolist()
+    low = np.flatnonzero(basis.degrees <= m - 1)
+    h2_slots = [(i, q) for i in range(basis.d) for q in low.tolist()]
     A = np.zeros((len(h2_slots), len(h1_pos)), dtype=complex)
     for col, p in enumerate(h1_pos):
-        alpha = basis.indices[p]
-        fld = T_apply(basis.unit(alpha))
-        for row, (i, q) in enumerate(h2_slots):
-            A[row, col] = fld.components[i].coeffs[q] * sn[q] / sn[p]
+        fld = T_apply(basis.unit(basis.indices[p])).components
+        A[:, col] = np.concatenate(
+            [c.coeffs[low] * sn[low] / sn[p] for c in fld])
     B = np.zeros((len(h1_pos), len(h2_slots)), dtype=complex)
     for col, (i, q) in enumerate(h2_slots):
         k = np.zeros(basis.d)
         k[i] = 1.0
         img, _ = S_apply(basis.unit(basis.indices[q]), k)
-        for row, p in enumerate(h1_pos):
-            B[row, col] = img.coeffs[p] * sn[p] / sn[q]
+        B[:, col] = img.coeffs[h1_pos] * sn[h1_pos] / sn[q]
     return A, B, h1_pos, h2_slots
 
 

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import network, pairs, suites
+from . import chaos, network, pairs, suites
 from .core import DEFAULT_TOL
 from .report import FORMATS, Report, emit
 
@@ -193,7 +193,7 @@ def main(argv=None) -> int:
             report = suites.run_suite(config, _default_tol())
             return _deliver(report, args.format, args.output)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+    except (UsageError, chaos.ChaosError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -102,22 +102,13 @@ def check_pair(spec: SymmetricPairSpec, tol: float = DEFAULT_TOL) -> PairReport:
     Linear tag:      max |<A e_j, e_k> - <e_j, B e_k>|.
     Conjugate tag:   max |<A e_j, e_k> - conj(<e_j, B e_k>)|.
     Both reduce to the entrywise deviation of B from the adjoint of A.
+    Column j of ``AE`` is A e_j; entry (j, k) of ``BE`` is <e_j, B e_k>.
     """
-    n1, n2 = spec.dim_h1, spec.dim_h2
-    A, B = spec.A, spec.B
-    residual = 0.0
-    for j in range(n1):
-        phi = np.zeros(n1)
-        phi[j] = 1.0
-        Aphi = A.apply(phi)
-        for k in range(n2):
-            psi = np.zeros(n2)
-            psi[k] = 1.0
-            lhs = np.vdot(Aphi, psi)
-            rhs = np.vdot(phi, B.apply(psi))
-            if spec.linearity == CONJUGATE:
-                rhs = np.conj(rhs)
-            residual = max(residual, abs(lhs - rhs))
+    AE = spec.A.apply(np.eye(spec.dim_h1))
+    BE = spec.B.apply(np.eye(spec.dim_h2))
+    if spec.linearity == CONJUGATE:
+        BE = np.conj(BE)
+    residual = np.max(np.abs(AE.conj().T - BE), initial=0.0)
     return PairReport("check_pair", float(residual), tol)
 
 

@@ -6,6 +6,7 @@ import pytest
 from sympairs.chaos import (
     ChaosError,
     ChaosField,
+    ChaosVector,
     S_apply,
     T_apply,
     Tk_apply,
@@ -25,6 +26,55 @@ from sympairs.chaos import (
     t_star_matrix,
     zero_vector,
 )
+
+
+def mult_phi_loop(i, F):
+    """Reference oracle: mult_phi as a plain loop over basis coefficients."""
+    basis = F.basis
+    out = np.zeros(len(basis), dtype=complex)
+    lost_sq = 0.0
+    for pos, alpha in enumerate(basis.indices):
+        c = F.coeffs[pos]
+        if c == 0:
+            continue
+        up = list(alpha)
+        up[i] += 1
+        up = tuple(up)
+        if sum(up) <= basis.N:
+            out[basis.index_map[up]] += c
+        else:
+            lost_sq += abs(c) ** 2 * math.prod(math.factorial(k) for k in up)
+        if alpha[i] > 0:
+            down = list(alpha)
+            down[i] -= 1
+            out[basis.index_map[tuple(down)]] += alpha[i] * c
+    return out, math.sqrt(lost_sq)
+
+
+def T_apply_loop(F):
+    """Reference oracle: T_apply as a plain loop over basis coefficients."""
+    basis = F.basis
+    comps = []
+    for i in range(basis.d):
+        out = np.zeros(len(basis), dtype=complex)
+        for pos, alpha in enumerate(basis.indices):
+            c = F.coeffs[pos]
+            if c == 0 or alpha[i] == 0:
+                continue
+            down = list(alpha)
+            down[i] -= 1
+            out[basis.index_map[tuple(down)]] += alpha[i] * c
+        comps.append(out)
+    return comps
+
+
+LADDER_SIZES = ((1, 8), (2, 6), (3, 5), (4, 4))
+
+
+def random_vector(basis, rng):
+    # full support, so the degree-N coefficients feed the truncation loss
+    n = len(basis)
+    return ChaosVector(basis, rng.normal(size=n) + 1j * rng.normal(size=n))
 
 
 def poly_product(p, q):
@@ -50,6 +100,57 @@ def test_basis_validation():
         basis_build(0, 3)
     with pytest.raises(ChaosError):
         basis_build(30, 30)
+    # (N+1)! overflows a float from N = 170 on
+    with pytest.raises(ChaosError, match="N >= 170"):
+        basis_build(1, 170)
+
+
+@pytest.mark.parametrize("d,N", LADDER_SIZES)
+def test_mult_phi_matches_loop_oracle(d, N):
+    b = basis_build(d, N)
+    rng = np.random.default_rng(100 * d + N)
+    for _ in range(3):
+        F = random_vector(b, rng)
+        for i in range(d):
+            out, lost = mult_phi(i, F)
+            ref, ref_lost = mult_phi_loop(i, F)
+            assert np.array_equal(out.coeffs, ref)
+            assert ref_lost > 0.0
+            assert abs(lost - ref_lost) <= 1e-12 * ref_lost
+
+
+@pytest.mark.parametrize("d,N", LADDER_SIZES)
+def test_T_apply_and_t_matrix_match_loop_oracle(d, N):
+    b = basis_build(d, N)
+    rng = np.random.default_rng(100 * d + N)
+    F = random_vector(b, rng)
+    ref = T_apply_loop(F)
+    for comp, want in zip(T_apply(F).components, ref):
+        assert np.array_equal(comp.coeffs, want)
+    cols = [np.concatenate(T_apply_loop(b.unit(a))) for a in b.indices]
+    assert np.array_equal(t_matrix(b), np.column_stack(cols))
+
+
+def test_ladders_are_lazy_and_kept():
+    b = basis_build(3, 4)
+    assert "ladders" not in vars(b)
+    mult_phi(0, b.unit((0, 0, 0)))
+    lad = vars(b)["ladders"]
+    T_apply(b.unit((1, 0, 0)))
+    t_matrix(b)
+    assert b.ladders is lad
+    for arr in vars(lad).values():
+        assert not arr.flags.writeable
+
+
+def test_number_matrix_cached_per_basis():
+    b = basis_build(2, 4)
+    assert "number_matrix" not in vars(b)
+    number_operator(b.unit((1, 0)))
+    M = b.number_matrix
+    assert M is vars(b)["number_matrix"] and not M.flags.writeable
+    assert np.array_equal(M, t_star_matrix(b) @ t_matrix(b))
+    assert basis_build(2, 4).number_matrix is not M
 
 
 def test_h1_inner_is_weighted():
@@ -274,3 +375,14 @@ def test_h2_inner_consistency():
     f1 = ChaosField((b.unit((1, 0)), zero_vector(b)))
     f2 = ChaosField((b.unit((1, 0)), b.unit((0, 1))))
     assert h2_inner(f1, f2) == 1.0
+
+
+def test_exp_inner_product_record_at_truncation_edge():
+    # at (4, 5) |ip - exp(|k|^2)| equals the tail bound in exact
+    # arithmetic, so only the truncated series gives a rounding-free check
+    from sympairs.suites import suite_malliavin
+
+    rec = next(r for r in suite_malliavin(4, 5)
+               if r.check == "exp_inner_product")
+    assert rec.passed and rec.tol == 1e-10
+    assert rec.message.startswith("tail_bound=")

@@ -71,6 +71,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_malliavin_oversized_N_refused(capsys):
+    # refused in ChaosBasis before any basis is enumerated
+    assert cli.main(["check", "malliavin", "--d", "1", "--N", "400"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_sympair_tol_env(tmp_path, capsys, monkeypatch):
     good = tmp_path / "good.json"
     write_pair_file(good)
