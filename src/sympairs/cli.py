@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import chaos, network, pairs, suites
-from .core import DEFAULT_TOL
+from .core import DEFAULT_TOL, OperatorError
 from .report import FORMATS, Report, emit
 
 
@@ -21,17 +22,20 @@ class UsageError(Exception):
     pass
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("SYMPAIR_TOL")
-    if raw is None:
-        return DEFAULT_TOL
+def _tol(raw, name: str, zero_ok: bool = False) -> float:
+    """A finite tolerance: NaN fails every check and inf passes every one."""
     try:
         tol = float(raw)
-    except ValueError:
-        raise UsageError(f"SYMPAIR_TOL is not a number: {raw!r}")
-    if tol <= 0:
-        raise UsageError("SYMPAIR_TOL must be positive")
+    except (TypeError, ValueError):
+        raise UsageError(f"{name} is not a number: {raw!r}")
+    if not math.isfinite(tol) or tol < 0 or (tol == 0 and not zero_ok):
+        bound = "nonnegative" if zero_ok else "positive"
+        raise UsageError(f"{name} must be finite and {bound}")
     return tol
+
+
+def _default_tol() -> float:
+    return _tol(os.environ.get("SYMPAIR_TOL", DEFAULT_TOL), "SYMPAIR_TOL")
 
 
 def _read_file(path: str) -> str:
@@ -106,9 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_report(args) -> Report:
-    tol = args.tol if args.tol is not None else _default_tol()
-    if tol <= 0:
-        raise UsageError("--tol must be positive")
+    tol = _tol(args.tol, "--tol") if args.tol is not None else _default_tol()
     report = Report()
     if args.kind == "pair":
         spec, file_tol = pairs.pair_from_json(_load_json(args.input))
@@ -164,10 +166,24 @@ def _validate_config(config) -> dict:
     for entry in config.get("suites", []):
         if not isinstance(entry, dict) or entry.get("kind") not in valid:
             raise UsageError(f"bad suite entry: {entry!r}")
+        params = entry.get("params", {})
+        if not isinstance(params, dict):
+            raise UsageError(f"suite params must be an object: {params!r}")
+        # the conversions run_suite applies to numeric params
+        for key, conv in (("d", int), ("N", int), ("n", int),
+                          ("nmax", int), ("r", float)):
+            try:
+                conv(params.get(key, 0))
+            except (TypeError, ValueError, OverflowError):
+                raise UsageError(f"param {key!r} is not a number: "
+                                 f"{params[key]!r}")
+        for key in ("graph", "graph_file"):
+            if not isinstance(params.get(key, ""), str):
+                raise UsageError(f"param {key!r} must be a string")
         # tol = 0 is allowed: it makes strict residual checks fail,
         # which is a check failure (exit 1), not a usage error
-        if "tol" in entry and float(entry["tol"]) < 0:
-            raise UsageError("suite tol must be nonnegative")
+        if "tol" in entry:
+            _tol(entry["tol"], "suite tol", zero_ok=True)
     return config
 
 
@@ -193,7 +209,8 @@ def main(argv=None) -> int:
             report = suites.run_suite(config, _default_tol())
             return _deliver(report, args.format, args.output)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, chaos.ChaosError) as exc:
+    except (UsageError, chaos.ChaosError, network.NetworkError,
+            OperatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,16 +2,20 @@
 
 Finite networks get exact linear-solve machinery (energy form, graph
 Laplacian, energy kernel, dipoles) with the quotient by constants
-realized by pinning the representative to vanish at the origin.  The
-half-line recurrence machinery exhibits the genuine defect vector
-``Laplacian psi = -psi`` that no finite matrix section can produce, and
-the two-sided model carries nonconstant finite-energy harmonics.
+realized by pinning the representative to vanish at the origin.  A
+network caches read-only edge arrays, Laplacian and kernel matrix (one
+pinned-Laplacian solve) on first use.  Energy is only ever the incidence
+form ``energy_gram`` over the edges, never the Laplacian, so identities
+pairing the two compare independent computations.  The half-line
+recurrence machinery exhibits the genuine defect vector ``Laplacian psi
+= -psi`` that no finite matrix section can produce, and the two-sided
+model carries nonconstant finite-energy harmonics.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +31,8 @@ class FiniteNetwork:
     every vertex has positive net conductance.
     """
 
-    __slots__ = ("vertices", "index", "cond", "origin")
+    __slots__ = ("vertices", "index", "cond", "origin",
+                 "__dict__")  # __dict__ holds the cached properties
 
     def __init__(self, vertices, edges, origin):
         vertices = tuple(vertices)
@@ -41,21 +46,18 @@ class FiniteNetwork:
         for x, y, c in edges:
             if x == y:
                 raise NetworkError(f"self-loop at {x!r} (c_xx must be 0)")
-            if c <= 0:
-                raise NetworkError(f"conductance on ({x!r}, {y!r}) must be > 0")
+            if not 0 < c < np.inf:
+                raise NetworkError(
+                    f"conductance on ({x!r}, {y!r}) must be finite and > 0")
             cond[index[x], index[y]] = c
             cond[index[y], index[x]] = c
         if n > 1 and np.any(cond.sum(axis=1) == 0):
             raise NetworkError("isolated vertex (zero net conductance)")
-        # connectivity by breadth-first search
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            for j in np.flatnonzero(cond[i]):
-                if j not in seen:
-                    seen.add(int(j))
-                    queue.append(int(j))
+        seen, stack = {0}, [0]  # connectivity by depth-first search
+        while stack:
+            new = set(np.flatnonzero(cond[stack.pop()]).tolist()) - seen
+            seen |= new
+            stack.extend(new)
         if len(seen) != n:
             raise NetworkError("network is not connected")
         cond.setflags(write=False)
@@ -74,14 +76,52 @@ class FiniteNetwork:
         """Total conductance c(x) at a vertex."""
         return float(self.cond[self.index[x]].sum())
 
+    @cached_property
+    def edges(self) -> tuple:
+        """Read-only edge arrays ``(iu, ju, c)``, one entry per edge iu < ju."""
+        iu, ju = np.nonzero(np.triu(self.cond))
+        out = (iu, ju, self.cond[iu, ju])
+        for arr in out:
+            arr.setflags(write=False)
+        return out
+
+    @cached_property
     def laplacian_matrix(self) -> np.ndarray:
-        return np.diag(self.cond.sum(axis=1)) - self.cond
+        """Read-only ``diag(c(x)) - cond``."""
+        L = np.diag(self.cond.sum(axis=1)) - self.cond
+        L.setflags(write=False)
+        return L
+
+    @cached_property
+    def kernel_matrix(self) -> np.ndarray:
+        """Read-only K whose column x is the energy kernel v_x, from one
+        pinned-Laplacian solve; the origin's row and column are zero."""
+        n, o = len(self), self.index[self.origin]
+        keep = np.arange(n) != o
+        K = np.zeros((n, n))
+        try:
+            K[np.ix_(keep, keep)] = np.linalg.solve(
+                self.laplacian_matrix[np.ix_(keep, keep)], np.eye(n - 1)
+            )
+        except np.linalg.LinAlgError as exc:
+            raise NetworkError(
+                "singular pinned Laplacian on a connected network "
+                "(internal inconsistency)"
+            ) from exc
+        K.setflags(write=False)
+        return K
 
     def delta(self, x) -> "EnergyVector":
         """Dirac mass at x as an energy-space representative."""
         vals = np.zeros(len(self))
         vals[self.index[x]] = 1.0
         return EnergyVector(self, vals)
+
+    def delta_matrix(self) -> np.ndarray:
+        """Columns are the pinned Dirac masses ``delta(x)``, in vertex order."""
+        P = np.eye(len(self))
+        P[:, self.index[self.origin]] -= 1.0
+        return P
 
 
 @dataclass(frozen=True)
@@ -122,43 +162,40 @@ class EnergyVector:
             raise NetworkError("energy vectors live on different networks")
 
 
+def energy_gram(net: FiniteNetwork, U: np.ndarray,
+                V: np.ndarray) -> np.ndarray:
+    """``[<U[:, a], V[:, b]>_E]``: sums c (u(x)-u(y)) (v(x)-v(y)) once per
+    edge, never via the Laplacian, in edge blocks so that no temporary
+    holds more than max(n^2, columns) entries, whatever the edge count."""
+    iu, ju, c = net.edges
+    G = np.zeros((U.shape[1], V.shape[1]))
+    block = max(len(net) ** 2 // max(U.shape[1], V.shape[1], 1), 1)
+    for s in range(0, len(c), block):
+        a, b = iu[s:s + block], ju[s:s + block]
+        G += (U[a] - U[b]).T @ (c[s:s + block, None] * (V[a] - V[b]))
+    return G
+
+
 def energy(u: EnergyVector, v: EnergyVector) -> float:
     """Dirichlet form (1/2) sum c_xy (u(x)-u(y)) (v(x)-v(y))."""
     u._same(v)
-    du = u.values[:, None] - u.values[None, :]
-    dv = v.values[:, None] - v.values[None, :]
-    return float(0.5 * np.sum(u.network.cond * du * dv))
+    return float(
+        energy_gram(u.network, u.values[:, None], v.values[:, None])[0, 0]
+    )
 
 
 def laplacian(u: EnergyVector) -> np.ndarray:
     """Pointwise (Delta u)(x) = sum_y c_xy (u(x) - u(y)), in vertex order."""
-    return u.network.laplacian_matrix() @ u.values
+    return u.network.laplacian_matrix @ u.values
 
 
 def energy_kernel(net: FiniteNetwork, x) -> EnergyVector:
     """Reproducing element v_x: solves Delta v = delta_x - delta_o, v(o) = 0.
 
     Satisfies ``<v_x, u>_E = u(x) - u(o)`` for every u; v_o is the zero
-    representative.
+    representative.  A column of ``net.kernel_matrix``.
     """
-    o = net.index[net.origin]
-    if net.index[x] == o:
-        return EnergyVector(net, np.zeros(len(net)))
-    L = net.laplacian_matrix()
-    rhs = np.zeros(len(net))
-    rhs[net.index[x]] = 1.0
-    rhs[o] = -1.0
-    keep = [i for i in range(len(net)) if i != o]
-    try:
-        sol = np.linalg.solve(L[np.ix_(keep, keep)], rhs[keep])
-    except np.linalg.LinAlgError as exc:
-        raise NetworkError(
-            "singular pinned Laplacian on a connected network "
-            "(internal inconsistency)"
-        ) from exc
-    vals = np.zeros(len(net))
-    vals[keep] = sol
-    return EnergyVector(net, vals)
+    return EnergyVector(net, net.kernel_matrix[:, net.index[x]])
 
 
 def dipole(net: FiniteNetwork, x, y) -> EnergyVector:
@@ -174,17 +211,9 @@ def pair_K_Delta_check(net: FiniteNetwork, tol: float = 1e-10) -> float:
     ``max |<Delta u, phi>_2 - <u, K phi>_E|`` over the basis pairs
     u = v_x (x != o), phi = delta_y.
     """
-    worst = 0.0
-    kernels = [
-        energy_kernel(net, x) for x in net.vertices if x != net.origin
-    ]
-    for u in kernels:
-        lap_u = laplacian(u)
-        for y in net.vertices:
-            lhs = float(lap_u[net.index[y]])
-            rhs = energy(u, net.delta(y))
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    K = net.kernel_matrix
+    lap = (net.laplacian_matrix @ K).T
+    return float(np.max(np.abs(lap - energy_gram(net, K, net.delta_matrix()))))
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +236,22 @@ class ConductanceSequence:
             raise NetworkError(f"unknown kind {self.kind!r}")
         if self.rule not in ("geometric", "constant"):
             raise NetworkError(f"unknown rule {self.rule!r}")
+        if not self.param > 0:
+            raise NetworkError("conductance parameter must be > 0")
 
     def c(self, n: int) -> float:
-        """Conductance of the edge (n, n+1)."""
+        """Conductance of the edge (n, n+1); refused past the float range."""
         if self.kind == HALFLINE and n < 0:
             raise NetworkError("half-line sequences start at n = 0")
         if self.rule == "constant":
             return self.param
-        if self.kind == HALFLINE:
-            return self.param**n
-        return self.param ** max(n, -n - 1)
+        k = n if self.kind == HALFLINE else max(n, -n - 1)
+        try:
+            return self.param**k
+        except OverflowError:
+            raise NetworkError(
+                f"conductance {self.param!r}**{k} overflows a float"
+            ) from None
 
 
 def geometric_halfline(r: float) -> ConductanceSequence:
@@ -271,6 +306,7 @@ def defect_recurrence(seq: ConductanceSequence, nmax: int,
         raise NetworkError("defect_recurrence needs a half-line sequence")
     if nmax < 3:
         raise NetworkError("need nmax >= 3")
+    seq.c(nmax - 1)  # refuse an overflowing nmax before allocating
     psi = np.zeros(nmax + 1)
     psi[0] = psi0
     overflow = False
@@ -287,31 +323,22 @@ def defect_recurrence(seq: ConductanceSequence, nmax: int,
     # pointwise residuals of Delta psi + psi at computed interior nodes,
     # plus a backward-error scale: once psi flattens at machine precision
     # the raw residual picks up c(n) times rounding noise, so each node
-    # is judged relative to the magnitudes of the terms actually summed
-    residuals = np.zeros(nmax + 1)
-    scales = np.ones(nmax + 1)
-    residuals[0] = seq.c(0) * (psi[0] - psi[1]) + psi[0]
-    scales[0] = 1.0 + seq.c(0) * (abs(psi[0]) + abs(psi[1])) + abs(psi[0])
-    for n in range(1, nmax):
-        cp, cn = seq.c(n - 1), seq.c(n)
-        residuals[n] = (
-            cp * (psi[n] - psi[n - 1]) + cn * (psi[n] - psi[n + 1]) + psi[n]
-        )
-        scales[n] = (
-            1.0
-            + cp * (abs(psi[n]) + abs(psi[n - 1]))
-            + cn * (abs(psi[n]) + abs(psi[n + 1]))
-            + abs(psi[n])
-        )
+    # is judged relative to the magnitudes of the terms actually summed;
+    # c(-1) = 0 and psi(-1) = psi(0) turn node 0 into the boundary node
+    cn = np.array([seq.c(n) for n in range(nmax)])
+    cp, prev = np.r_[0.0, cn[:-1]], np.r_[psi[0], psi[:nmax - 1]]
+    here, nxt = psi[:nmax], psi[1:]
+    residuals, scales = np.zeros(nmax + 1), np.ones(nmax + 1)
+    residuals[:nmax] = cp * (here - prev) + cn * (here - nxt) + here
+    scales[:nmax] = (1.0 + cp * (abs(here) + abs(prev))
+                     + cn * (abs(here) + abs(nxt)) + abs(here))
     if overflow or not np.all(np.isfinite(residuals[:nmax])):
         rel_residual = float("nan")
     else:
         rel_residual = float(
             np.max(np.abs(residuals[:nmax]) / scales[:nmax])
         )
-    increments = np.array(
-        [seq.c(n) * (psi[n + 1] - psi[n]) ** 2 for n in range(nmax)]
-    )
+    increments = cn * np.diff(psi) ** 2
     partials = np.cumsum(increments)
     thresholds = {
         "tail_ratio": TAIL_RATIO,
@@ -326,12 +353,9 @@ def defect_recurrence(seq: ConductanceSequence, nmax: int,
     elif partials[-1] > BLOWUP_FACTOR * partials[2]:
         verdict = DIVERGES
     else:
-        quarter = max(nmax // 4, 1)
-        tail = increments[-quarter:]
-        ratios = [
-            tail[i] / tail[i - 1] for i in range(1, len(tail)) if tail[i - 1] > 0
-        ]
-        ratio_ok = all(r < TAIL_RATIO for r in ratios) if ratios else True
+        tail = increments[-max(nmax // 4, 1):]
+        a, b = tail[:-1], tail[1:]
+        ratio_ok = bool(np.all(b[a > 0] / a[a > 0] < TAIL_RATIO))
         stagnated = increments[-1] < STAGNATION * partials[-1]
         verdict = CONVERGES if (ratio_ok and stagnated) else INCONCLUSIVE
     # residual(n) = Delta psi(n) + psi(n), so Delta psi = residual - psi
@@ -431,7 +455,7 @@ def parse_graph(text: str) -> FiniteNetwork:
     """
     edges = []
     origin = None
-    order = []
+    order = {}  # vertices in order of first mention
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -446,11 +470,9 @@ def parse_graph(text: str) -> FiniteNetwork:
             raise NetworkError(f"line {lineno}: expected 'x y c'")
         x, y, c = parts[0], parts[1], float(parts[2])
         edges.append((x, y, c))
-        for v in (x, y):
-            if v not in order:
-                order.append(v)
+        order.update(dict.fromkeys((x, y)))
     if not edges:
         raise NetworkError("no edges in graph input")
     if origin is None:
-        origin = order[0]
+        origin = next(iter(order))
     return FiniteNetwork(order, edges, origin)

@@ -247,73 +247,34 @@ def suite_modular(n: int, rho, t_list, tol: float = DEFAULT_TOL):
 
 
 def suite_network(net: network.FiniteNetwork, tol: float = DEFAULT_TOL):
-    recs = []
-    worst = 0.0
-    for x in net.vertices:
-        dx = net.delta(x)
-        worst = max(worst, abs(network.energy(dx, dx) - net.net_conductance(x)))
-    recs.append(
-        make_record("network", "dirac_energy", "Remark 5.8", worst,
-                    max(tol, 1e-12))
+    # energy side via energy_gram (incidence form), other side via the
+    # Laplacian or point values; K's zero column v_o adds zero residuals.
+    # Each residual matrix is reduced as soon as it is formed.
+    K, P, o = net.kernel_matrix, net.delta_matrix(), net.index[net.origin]
+    LK = net.laplacian_matrix @ K
+    expect = np.eye(len(net))  # Delta v_x = delta_x - delta_o
+    expect[o] -= 1.0
+    E = network.energy_gram
+    tol_k = max(tol, 1e-10)
+    checks = (
+        ("dirac_energy", "Remark 5.8", max(tol, 1e-12),
+         abs(np.diag(E(net, P, P)) - net.cond.sum(axis=1)).max()),
+        ("kernel_laplacian", "Eq (5.11)", tol_k, abs(LK - expect).max()),
+        # probes u are the Diracs and the kernels: <v_x, u>_E = u(x) - u(o)
+        ("reproducing_property", "Eq (5.5)", tol_k,
+         np.max([abs(E(net, K, U) - (U - U[o])).max() for U in (P, K)])),
+        ("dirac_pairing", "Lemma 5.15", tol_k, abs(E(net, P, K) - LK).max()),
+        ("pair_identity", "Thm 5.17", tol_k,
+         network.pair_K_Delta_check(net, tol)),
     )
-
-    kernels = {
-        x: network.energy_kernel(net, x) for x in net.vertices if x != net.origin
-    }
-    worst = 0.0
-    o = net.index[net.origin]
-    for x, vx in kernels.items():
-        lap = network.laplacian(vx)
-        expect = np.zeros(len(net))
-        expect[net.index[x]] = 1.0
-        expect[o] = -1.0
-        worst = max(worst, float(np.max(np.abs(lap - expect))))
-    recs.append(
-        make_record("network", "kernel_laplacian", "Eq (5.11)", worst,
-                    max(tol, 1e-10))
-    )
-
-    probes = [net.delta(y) for y in net.vertices] + list(kernels.values())
-    worst = 0.0
-    for x, vx in kernels.items():
-        for u in probes:
-            lhs = network.energy(vx, u)
-            rhs = u(x) - u(net.origin)
-            worst = max(worst, abs(lhs - rhs))
-    recs.append(
-        make_record("network", "reproducing_property", "Eq (5.5)", worst,
-                    max(tol, 1e-10))
-    )
-
-    worst = 0.0
-    for x in net.vertices:
-        dx = net.delta(x)
-        for u in kernels.values():
-            lhs = network.energy(dx, u)
-            rhs = network.laplacian(u)[net.index[x]]
-            worst = max(worst, abs(lhs - rhs))
-    recs.append(
-        make_record("network", "dirac_pairing", "Lemma 5.15", worst,
-                    max(tol, 1e-10))
-    )
-
-    res = network.pair_K_Delta_check(net, tol)
-    recs.append(
-        make_record("network", "pair_identity", "Thm 5.17", res,
-                    max(tol, 1e-10))
-    )
-    return recs
+    return [make_record("network", name, anchor, res, t)
+            for name, anchor, t, res in checks]
 
 
 def suite_defect(rule: str, r: float, nmax: int, expect: str | None = None,
                  tol: float = DEFAULT_TOL):
     recs = []
-    if rule == "geometric":
-        seq = network.geometric_halfline(r)
-    elif rule == "constant":
-        seq = network.constant_halfline(r)
-    else:
-        raise network.NetworkError(f"unknown rule {rule!r}")
+    seq = network.ConductanceSequence(network.HALFLINE, rule, r)
     result = network.defect_recurrence(seq, nmax)
     res = 0.0 if result.overflow else result.rel_residual
     recs.append(

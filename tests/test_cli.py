@@ -186,3 +186,60 @@ def test_default_config_is_valid():
     assert cli._validate_config(cfg) is cfg
     rep = run_suite(cfg)
     assert rep.all_passed
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_math_domain_errors_exit_2(tmp_path, capsys):
+    graph = tmp_path / "split.txt"
+    graph.write_text("a b 1\nc d 1\n")
+    for argv in (["check", "network", "-g", str(graph)],  # NetworkError
+                 ["check", "defect", "--nmax", "2"],  # NetworkError
+                 ["check", "modular", "--n", "0"]):  # ModularError
+        assert cli.main(argv) == 2
+        assert_one_line_error(capsys)
+
+
+def test_defect_overflow_no_traceback(tmp_path, capsys):
+    assert cli.main(["check", "defect", "--nmax", "2000"]) == 2
+    assert_one_line_error(capsys)
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({
+        "suites": [{"kind": "defect", "params": {"nmax": 2000}}]
+    }))
+    assert cli.main(["run", "-c", str(cfg)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [r["check"] for r in out["records"]] == ["suite_error"]
+
+
+@pytest.mark.parametrize("entry", [
+    {"kind": "malliavin", "params": {"d": None, "N": 4}},
+    {"kind": "defect", "params": {"nmax": [80]}},
+    {"kind": "defect", "params": {"r": "abc"}},
+    {"kind": "malliavin", "params": [2, 4]},
+    {"kind": "network", "params": {"graph": None}},
+    {"kind": "malliavin", "tol": "abc", "params": {"d": 1, "N": 4}},
+    {"kind": "malliavin", "tol": None, "params": {"d": 1, "N": 4}},
+    {"kind": "malliavin", "tol": float("nan"), "params": {"d": 1, "N": 4}},
+])
+def test_bad_batch_config_exit_2(tmp_path, capsys, entry):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"suites": [entry]}))
+    assert cli.main(["run", "-c", str(cfg)]) == 2
+    assert_one_line_error(capsys)
+
+
+def test_non_finite_tol_refused(capsys, monkeypatch):
+    for raw in ("nan", "inf"):
+        assert cli.main(["check", "defect", "--tol", raw]) == 2
+        assert_one_line_error(capsys)
+        monkeypatch.setenv("SYMPAIR_TOL", raw)
+        assert cli.main(["check", "defect"]) == 2
+        assert_one_line_error(capsys)
+        assert cli.main(["run", "-c", "default"]) == 2
+        assert_one_line_error(capsys)
+        monkeypatch.delenv("SYMPAIR_TOL")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympairs.network import (
     CONVERGES,
@@ -12,6 +14,7 @@ from sympairs.network import (
     defect_recurrence,
     dipole,
     energy,
+    energy_gram,
     energy_kernel,
     geometric_halfline,
     harmonic_flux,
@@ -24,6 +27,7 @@ from sympairs.network import (
     twosided_geometric,
     twosided_window_network,
 )
+from sympairs.suites import run_suite, suite_network
 
 P3_TEXT = """
 # path a - b - c with unit conductances
@@ -54,8 +58,9 @@ def test_parse_graph_examples():
 def test_parse_graph_errors():
     with pytest.raises(NetworkError):
         parse_graph("a a 1\n")
-    with pytest.raises(NetworkError):
-        parse_graph("a b -1\n")
+    for c in ("-1", "0", "nan", "inf"):
+        with pytest.raises(NetworkError):
+            parse_graph(f"a b {c}\n")
     with pytest.raises(NetworkError):
         parse_graph("a b 1\nc d 1\n")
     with pytest.raises(NetworkError):
@@ -275,3 +280,168 @@ def test_finite_network_validation():
         FiniteNetwork("ab", [("a", "b", 1.0)], "c")
     with pytest.raises(NetworkError):
         FiniteNetwork("aab", [("a", "b", 1.0)], "a")
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles for the batched network layer: the double-difference
+# energy and the per-vertex pinned solve that the cached data replaced.
+
+
+def energy_oracle(net, u, v):
+    """(1/2) sum c_xy (u(x)-u(y)) (v(x)-v(y)) over the full conductance
+    matrix, and the same sum of absolute terms (the rounding scale)."""
+    du = u[:, None] - u[None, :]
+    dv = v[:, None] - v[None, :]
+    terms = net.cond * du * dv
+    return 0.5 * np.sum(terms), 0.5 * np.sum(np.abs(terms))
+
+
+def kernel_oracle(net, x):
+    """v_x from its own solve of the pinned Laplacian."""
+    o = net.index[net.origin]
+    vals = np.zeros(len(net))
+    if net.index[x] == o:
+        return vals
+    L = np.diag(net.cond.sum(axis=1)) - net.cond
+    keep = [i for i in range(len(net)) if i != o]
+    rhs = np.zeros(len(net))
+    rhs[net.index[x]] = 1.0
+    vals[keep] = np.linalg.solve(L[np.ix_(keep, keep)], rhs[keep])
+    return vals
+
+
+def tree_plus_chords(rng, n, chords):
+    """Connected graph: random spanning tree plus chords, c in [0.1, 2]."""
+    edges = {}
+    for i in range(1, n):
+        edges[(int(rng.integers(0, i)), i)] = rng.uniform(0.1, 2.0)
+    for _ in range(chords):
+        i, j = sorted(int(v) for v in rng.integers(0, n, size=2))
+        if i != j:
+            edges[(i, j)] = rng.uniform(0.1, 2.0)
+    return [(i, j, float(c)) for (i, j), c in edges.items()]
+
+
+@st.composite
+def connected_networks(draw):
+    n = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    edges = tree_plus_chords(rng, n, draw(st.integers(0, 2 * n)))
+    origin = draw(st.integers(0, n - 1))
+    return FiniteNetwork(range(n), edges, origin), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_networks(), st.integers(1, 90), st.integers(1, 90))
+def test_energy_gram_matches_double_difference(net_rng, ku, kv):
+    # up to 90 columns, so dense draws take the edge-block path
+    net, rng = net_rng
+    U = rng.normal(size=(len(net), ku))
+    V = rng.normal(size=(len(net), kv))
+    G = energy_gram(net, U, V)
+    for a in range(ku):
+        for b in range(0, kv, 7):
+            ref, scale = energy_oracle(net, U[:, a], V[:, b])
+            assert abs(G[a, b] - ref) <= 1e-12 * max(scale, 1e-300)
+    u = EnergyVector(net, U[:, 0])
+    v = EnergyVector(net, V[:, 0])
+    ref, scale = energy_oracle(net, u.values, v.values)
+    assert abs(energy(u, v) - ref) <= 1e-12 * max(scale, 1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_networks())
+def test_kernel_matrix_and_suite_on_random_networks(net_rng):
+    net, _ = net_rng
+    K = net.kernel_matrix
+    scale = np.max(np.abs(K))
+    for x in net.vertices:
+        ref = kernel_oracle(net, x)
+        assert np.max(np.abs(K[:, net.index[x]] - ref)) <= 1e-12 * scale
+    recs = suite_network(net)
+    assert [r.check for r in recs] == [
+        "dirac_energy", "kernel_laplacian", "reproducing_property",
+        "dirac_pairing", "pair_identity",
+    ]
+    assert all(r.passed for r in recs), [(r.check, r.residual) for r in recs]
+
+
+def test_network_data_is_lazy_cached_and_read_only():
+    net = cycle4()
+    assert energy(net.delta("a"), net.delta("b")) == -1.0
+    # the energy form needs only the edge arrays, never the solve
+    assert "edges" in net.__dict__ and "kernel_matrix" not in net.__dict__
+    iu, ju, c = net.edges
+    assert np.all(iu < ju) and len(c) == 4
+    K = net.kernel_matrix
+    assert net.kernel_matrix is K
+    assert net.laplacian_matrix is net.laplacian_matrix
+    for arr in (iu, ju, c, K, net.laplacian_matrix):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    with pytest.raises(AttributeError):
+        net.kernel_matrix = K
+    P = net.delta_matrix()
+    for x in net.vertices:
+        assert np.array_equal(P[:, net.index[x]], net.delta(x).values)
+
+
+def test_suite_network_300_vertices():
+    rng = np.random.default_rng(300)
+    net = FiniteNetwork(range(300), tree_plus_chords(rng, 300, 150), 0)
+    recs = suite_network(net)
+    assert len(recs) == 5
+    assert all(r.passed and r.residual < 1e-12 for r in recs)
+
+
+def residual_oracle(seq, psi, nmax):
+    """Per-node residuals and scales of defect_recurrence, as a loop."""
+    residuals = np.zeros(nmax + 1)
+    scales = np.ones(nmax + 1)
+    residuals[0] = seq.c(0) * (psi[0] - psi[1]) + psi[0]
+    scales[0] = 1.0 + seq.c(0) * (abs(psi[0]) + abs(psi[1])) + abs(psi[0])
+    for n in range(1, nmax):
+        cp, cn = seq.c(n - 1), seq.c(n)
+        residuals[n] = (
+            cp * (psi[n] - psi[n - 1]) + cn * (psi[n] - psi[n + 1]) + psi[n]
+        )
+        scales[n] = (
+            1.0
+            + cp * (abs(psi[n]) + abs(psi[n - 1]))
+            + cn * (abs(psi[n]) + abs(psi[n + 1]))
+            + abs(psi[n])
+        )
+    return residuals, scales
+
+
+@pytest.mark.parametrize("seq", [
+    geometric_halfline(2.0), geometric_halfline(1.5), geometric_halfline(0.8),
+    constant_halfline(1.0), constant_halfline(3.0),
+])
+@pytest.mark.parametrize("nmax", [3, 10, 80])
+def test_defect_residuals_match_loop_oracle(seq, nmax):
+    res = defect_recurrence(seq, nmax, psi0=1.5)
+    residuals, scales = residual_oracle(seq, res.psi, nmax)
+    assert np.array_equal(res.residuals, residuals)
+    if not res.overflow:
+        expect = np.max(np.abs(residuals[:nmax]) / scales[:nmax])
+        assert res.rel_residual == expect
+
+
+def test_defect_overflow_refused():
+    # 2.0**1024 is past the float range; nmax = 1024 still fits
+    assert defect_recurrence(geometric_halfline(2.0), 1024).verdict == CONVERGES
+    with pytest.raises(NetworkError, match="overflows"):
+        defect_recurrence(geometric_halfline(2.0), 1025)
+    with pytest.raises(NetworkError, match="overflows"):
+        geometric_halfline(2.0).c(2000)
+    with pytest.raises(NetworkError, match="overflows"):
+        twosided_window_network(twosided_geometric(2.0), 1100)
+    for bad in (0.0, -2.0, float("nan")):
+        with pytest.raises(NetworkError):
+            geometric_halfline(bad)
+    rep = run_suite({"suites": [{"kind": "defect",
+                                 "params": {"nmax": 2000}}]})
+    assert [r.check for r in rep.records] == ["suite_error"]
+    assert not rep.all_passed and "overflows" in rep.records[0].message
