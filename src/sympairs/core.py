@@ -92,16 +92,18 @@ class OperatorMatrix:
 
     @staticmethod
     def from_json(text: str) -> "OperatorMatrix":
-        obj = json.loads(text) if isinstance(text, str) else text
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        entries = obj["entries"]
-        if len(entries) != rows * cols:
-            raise OperatorError(
-                f"expected {rows * cols} entries, got {len(entries)}"
-            )
-        data = np.array(
-            [complex(re, im) for re, im in entries], dtype=complex
-        ).reshape(rows, cols)
+        try:
+            obj = json.loads(text) if isinstance(text, str) else text
+            rows, cols = int(obj["rows"]), int(obj["cols"])
+            data = [complex(re, im) for re, im in obj["entries"]]
+        except (TypeError, ValueError, KeyError):
+            raise OperatorError("matrix JSON must be an object with integer "
+                                "rows, cols and [re, im] entries") from None
+        if min(rows, cols) < 1 or len(data) != rows * cols:
+            raise OperatorError(f"{rows}x{cols} matrix with {len(data)} "
+                                "entries; need rows, cols >= 1 and "
+                                "rows*cols entries")
+        data = np.array(data, dtype=complex).reshape(rows, cols)
         return OperatorMatrix(data, obj.get("linearity", LINEAR))
 
 

@@ -88,17 +88,19 @@ def commutant(alg: AlgebraSpec, tol: float = 1e-10):
     """Orthonormal basis of everything commuting with all generators.
 
     Solves the stacked linear system ``g X - X g = 0`` over all
-    generators by singular value thresholding.
+    generators by singular value thresholding.  The stack is folded one
+    generator block at a time into its m^2 x m^2 R factor, which has the
+    same singular values and right singular vectors as the stack.
     """
     if not alg.generators:
         raise ModularError("empty generator list")
     m = alg.dim_ambient
-    blocks = []
+    eye = np.eye(m)
+    R = np.zeros((0, m * m), dtype=complex)
     for g in alg.generators:
-        G = g.matrix
-        blocks.append(np.kron(G, np.eye(m)) - np.kron(np.eye(m), G.T))
-    stacked = np.vstack(blocks)
-    u, s, vh = np.linalg.svd(stacked)
+        block = np.kron(g.matrix, eye) - np.kron(eye, g.matrix.T)
+        R = np.linalg.qr(np.vstack([R, block]), mode="r")
+    _, s, vh = np.linalg.svd(R)
     scale = s[0] if s.size and s[0] > 0 else 1.0
     rank = int(np.sum(s > tol * scale))
     return [
@@ -107,13 +109,23 @@ def commutant(alg: AlgebraSpec, tol: float = 1e-10):
     ]
 
 
-def span_residual(x: np.ndarray, basis) -> float:
-    """Distance (trace norm of the remainder) of x from an orthonormal span."""
-    rem = x.astype(complex).copy()
-    for b in basis:
-        B = b.matrix if isinstance(b, OperatorMatrix) else b
-        rem -= np.trace(B.conj().T @ rem) * B
-    return float(np.linalg.norm(rem))
+def _stack(mats) -> np.ndarray:
+    """Matrices (or OperatorMatrix) as one (k, m, m) complex array."""
+    return np.array([b.matrix if isinstance(b, OperatorMatrix) else b
+                     for b in mats], dtype=complex)
+
+
+def span_residual(x, basis) -> float:
+    """Distance (Frobenius norm of the remainder) from an orthonormal span.
+
+    ``x`` is one matrix, a (k, m, m) stack or a sequence of matrices;
+    for several matrices the worst distance is returned.
+    """
+    X = x if isinstance(x, np.ndarray) else _stack(x)
+    X = X.reshape(-1, X.shape[-1] ** 2)
+    V = _stack(basis).reshape(len(basis), X.shape[1])
+    rem = X - (X @ V.conj().T) @ V
+    return float(np.max(np.linalg.norm(rem, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +140,14 @@ class StandardForm:
     alg: AlgebraSpec
 
 
-def _left_mult(x: np.ndarray) -> np.ndarray:
-    # row-major vec: vec(x a) = (x kron I) vec(a)
-    n = x.shape[0]
-    return np.kron(x, np.eye(n))
+#: largest n accepted: the commutant solves are n^4 x n^4 (n = 5 takes
+#: seconds, n = 6 would take minutes)
+MAX_N = 5
+
+
+def _check_n(n: int) -> None:
+    if not 1 <= n <= MAX_N:
+        raise ModularError(f"matrix size n={n} is outside 1..{MAX_N}")
 
 
 def standard_form(n: int, rho) -> StandardForm:
@@ -139,13 +155,18 @@ def standard_form(n: int, rho) -> StandardForm:
 
     Ambient space: n x n matrices with trace inner product; algebra
     generators: left multiplications by matrix units; vector: rho^{1/2}.
-    rho must be positive definite with unit trace, so the vector is both
-    cyclic and separating (``m xi = 0`` for algebra m forces m = 0).
+    rho must be Hermitian and positive definite with unit trace, so the
+    vector is both cyclic and separating (``m xi = 0`` for algebra m
+    forces m = 0).
     """
+    _check_n(n)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (n, n):
         raise ModularError(f"rho must be {n}x{n}")
-    if abs(np.trace(rho) - 1.0) > 1e-10:
+    # written as "not <=" so that NaN entries are refused too
+    if not np.max(np.abs(rho - rho.conj().T)) <= 1e-10:
+        raise ModularError("rho must be finite and Hermitian")
+    if not abs(np.trace(rho) - 1.0) <= 1e-10:
         raise ModularError("rho must have unit trace")
     w, U = np.linalg.eigh(rho)
     if w[0] <= 1e-12:
@@ -155,17 +176,16 @@ def standard_form(n: int, rho) -> StandardForm:
         )
     root = (U * np.sqrt(w)) @ U.conj().T
     xi = root.reshape(-1)
-    units = []
-    for i in range(n):
-        for j in range(n):
-            E = np.zeros((n, n), dtype=complex)
-            E[i, j] = 1.0
-            units.append(OperatorMatrix(_left_mult(E), LINEAR))
-    alg = algebra_from_generators(units)
+    # left multiplications by the matrix units E_ij; with row-major vec,
+    # vec(x a) = (x kron I) vec(a)
+    eye = np.eye(n)
+    alg = algebra_from_generators([np.kron(np.outer(eye[i], eye[j]), eye)
+                                   for i in range(n) for j in range(n)])
     return StandardForm(n, rho, xi, alg)
 
 
 def tracial_rho(n: int) -> np.ndarray:
+    _check_n(n)
     return np.eye(n) / n
 
 
@@ -220,6 +240,8 @@ class ModularData:
     F: OperatorMatrix
     Delta: OperatorMatrix
     J: OperatorMatrix
+    comm: tuple  # orthonormal commutant basis
+    cond: float  # condition number of the build_S solve
 
 
 def modular_delta(S: OperatorMatrix, tol: float = DEFAULT_TOL) -> OperatorMatrix:
@@ -252,12 +274,12 @@ def modular_J(S: OperatorMatrix, Delta: OperatorMatrix) -> OperatorMatrix:
 
 
 def modular_data(sf: StandardForm, tol: float = DEFAULT_TOL) -> ModularData:
-    comm = commutant(sf.alg)
-    S, _ = build_S(sf.alg, sf.xi)
+    comm = tuple(commutant(sf.alg))
+    S, cond = build_S(sf.alg, sf.xi)
     F, _ = build_F(comm, sf.xi)
     Delta = modular_delta(S, tol)
     J = modular_J(S, Delta)
-    return ModularData(sf.xi, S, F, Delta, J)
+    return ModularData(sf.xi, S, F, Delta, J, comm, cond)
 
 
 def conjugation_action_matrix(rho) -> np.ndarray:
@@ -274,35 +296,28 @@ def check_commutation(J: OperatorMatrix, alg: AlgebraSpec, comm_basis,
     ``Mj conj(x) conj(Mj)``.  Returns the worst trace-norm remainder.
     """
     Mj = J.matrix
-    worst = 0.0
-    for x in alg.basis:
-        sandwich = Mj @ np.conj(x.matrix) @ np.conj(Mj)
-        worst = max(worst, span_residual(sandwich, comm_basis))
-    return worst
+    sandwich = Mj @ np.conj(_stack(alg.basis)) @ np.conj(Mj)
+    return span_residual(sandwich, comm_basis)
 
 
 def check_sxs_commutes(S: OperatorMatrix, alg: AlgebraSpec) -> float:
     """Max commutator norm of S x S against the algebra basis."""
-    Ms = S.matrix
-    worst = 0.0
-    for x in alg.basis:
-        sx = Ms @ np.conj(x.matrix) @ np.conj(Ms)
-        for y in alg.basis:
-            comm_norm = np.linalg.norm(sx @ y.matrix - y.matrix @ sx)
-            worst = max(worst, float(comm_norm))
-    return worst
+    Ms, Y = S.matrix, _stack(alg.basis)
+    SX = (Ms @ np.conj(Y) @ np.conj(Ms))[:, None]
+    comm = SX @ Y - Y @ SX  # [S x_i S, y_j] for every pair (i, j)
+    return float(np.max(np.linalg.norm(comm, axis=(2, 3))))
 
 
 def modular_flow_check(Delta: OperatorMatrix, alg: AlgebraSpec, t_list,
                        tol: float = DEFAULT_TOL) -> float:
     """Max residual of expanding Delta^{it} x Delta^{-it} in the algebra."""
+    X = _stack(alg.basis)
     worst = 0.0
     for t in t_list:
         U = unitary_power(Delta, float(t), tol)
         Uinv = unitary_power(Delta, -float(t), tol)
-        for x in alg.basis:
-            flowed = U.matrix @ x.matrix @ Uinv.matrix
-            worst = max(worst, span_residual(flowed, alg.basis))
+        flowed = U.matrix @ X @ Uinv.matrix
+        worst = max(worst, span_residual(flowed, alg.basis))
     return worst
 
 
@@ -334,27 +349,19 @@ def antilinear_defect_dimension(F: OperatorMatrix, alg: AlgebraSpec, xi,
     """
     C = adjoint(F).matrix
     n = C.shape[0]
-    re, im = C.real, C.imag
-    # z = a + ib, F* z = C conj(z): real system for C conj(z) + z = 0
-    rows = [np.block([[re + np.eye(n), im], [im, -re + np.eye(n)]])]
-    xi = np.asarray(xi, dtype=complex)
-    for b in alg.basis:
-        skew = b.matrix - b.matrix.conj().T
-        # m = c b over complex c has skew part spanning both directions
-        for k in (skew, 1j * (b.matrix + b.matrix.conj().T)):
-            v = k @ xi
-            if np.linalg.norm(v) < 1e-14:
-                continue
-            # <v, z> = 0: real and imaginary parts as rows over (a, b)
-            rows.append(
-                np.array(
-                    [
-                        np.concatenate([v.real, v.imag]),
-                        np.concatenate([-v.imag, v.real]),
-                    ]
-                )
-            )
-    R = np.vstack(rows)
+    re, im, eye = C.real, C.imag, np.eye(n)
+    # m = c b over complex c has skew part spanning both directions
+    B = _stack(alg.basis)
+    Bh = B.conj().transpose(0, 2, 1)
+    V = np.concatenate([B - Bh, 1j * (B + Bh)]) @ np.asarray(xi, dtype=complex)
+    V = V[np.linalg.norm(V, axis=1) >= 1e-14]
+    R = np.vstack([
+        # z = a + ib, F* z = C conj(z): real system for C conj(z) + z = 0
+        np.block([[re + eye, im], [im, -re + eye]]),
+        # <v, z> = 0: real and imaginary parts as rows over (a, b)
+        np.hstack([V.real, V.imag]),
+        np.hstack([-V.imag, V.real]),
+    ])
     s = np.linalg.svd(R, compute_uv=False)
     scale = s[0] if s.size and s[0] > 0 else 1.0
     rank = int(np.sum(s > tol * scale))

@@ -14,6 +14,7 @@ network module instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,7 +255,15 @@ def pair_from_json(obj) -> tuple:
 
     if isinstance(obj, str):
         obj = _json.loads(obj)
+    if not isinstance(obj, dict) or "A" not in obj or "B" not in obj:
+        raise PairError("pair JSON must be an object with matrices A and B")
     A = OperatorMatrix.from_json(obj["A"])
     B = OperatorMatrix.from_json(obj["B"])
-    tol = float(obj.get("tol", DEFAULT_TOL))
+    try:
+        tol = float(obj.get("tol", DEFAULT_TOL))
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not 0 <= tol < math.inf:  # NaN fails too
+        raise PairError(f"pair tol is not a finite number >= 0: "
+                        f"{obj['tol']!r}")
     return SymmetricPairSpec(A, B), tol

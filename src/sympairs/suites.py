@@ -166,84 +166,51 @@ def suite_malliavin(d: int, N: int, tol: float = DEFAULT_TOL):
 
 
 def suite_modular(n: int, rho, t_list, tol: float = DEFAULT_TOL):
-    recs = []
     sf = modular.standard_form(n, rho)
-    comm = modular.commutant(sf.alg)
-
-    cyc = modular.cyclic_check(sf.alg, sf.xi)
-    sep = modular.separating_check(sf.alg, sf.xi)
-    recs.append(
-        make_record("modular", "cyclic_separating", "Def 4.2",
-                    0.0 if (cyc and sep) else 1.0, 0.5,
-                    message=f"cyclic={cyc} separating={sep}")
-    )
-
+    md = modular.modular_data(sf, tol)
+    S, F, Mj, cond, alg = md.S, md.F, md.J.matrix, md.cond, sf.alg
+    eye = np.eye(Mj.shape[0])
+    tol9, tol_j = max(tol, 1e-9), max(tol, 1e-12 * cond + 1e-12)
+    cyc = modular.cyclic_check(alg, sf.xi)
+    sep = modular.separating_check(alg, sf.xi)
     # double commutant returns the algebra
-    comm_alg = modular.algebra_from_generators(comm)
-    comm2 = modular.commutant(comm_alg)
-    worst = max(
-        modular.span_residual(b.matrix, comm2) for b in sf.alg.basis
-    )
-    dim_dev = abs(len(comm2) - len(sf.alg.basis))
-    recs.append(
-        make_record("modular", "double_commutant", "Thm 4.10",
-                    worst + dim_dev, max(tol, 1e-9))
-    )
-
-    S, cond_s = modular.build_S(sf.alg, sf.xi)
-    F, _ = modular.build_F(comm, sf.xi)
-    res = pairs.check_pair(pairs.SymmetricPairSpec(S, F), tol)
-    recs.append(
-        make_record("modular", "pair_identity", "Thm 4.6", res.residual, tol,
-                    message=f"solve_cond={cond_s:.1e}")
-    )
-
-    ssq = compose(S, S).matrix
-    dev = float(np.max(np.abs(ssq - np.eye(ssq.shape[0]))))
-    recs.append(make_record("modular", "involution_squares", "Thm 4.10",
-                            dev, max(tol, 1e-9 * cond_s)))
-
-    Delta = modular.modular_delta(S, tol)
-    J = modular.modular_J(S, Delta)
-    root = sqrt_psd(Delta)
-    recon = float(np.max(np.abs(S.matrix - J.matrix @ np.conj(root.matrix))))
-    recs.append(make_record("modular", "polar_reconstruction", "Eq (4.9)",
-                            recon, tol))
-
-    Mj = J.matrix
-    iso = float(np.max(np.abs(Mj.conj().T @ Mj - np.eye(Mj.shape[0]))))
-    recs.append(make_record("modular", "conjugation_isometry", "Remark 2.8",
-                            iso, max(tol, 1e-12 * cond_s + 1e-12)))
-    invo = float(np.max(np.abs(Mj @ np.conj(Mj) - np.eye(Mj.shape[0]))))
-    recs.append(make_record("modular", "conjugation_involution", "Eq (4.9)",
-                            invo, max(tol, 1e-12 * cond_s + 1e-12)))
-
+    comm2 = modular.commutant(modular.algebra_from_generators(md.comm))
+    double = modular.span_residual(alg.basis, comm2) \
+        + abs(len(comm2) - len(alg.basis))
+    pair_res = pairs.check_pair(pairs.SymmetricPairSpec(S, F), tol).residual
+    root = sqrt_psd(md.Delta).matrix
     oracle = modular.conjugation_action_matrix(sf.rho)
-    dev = float(np.max(np.abs(Delta.matrix - oracle)))
-    recs.append(make_record("modular", "delta_conjugation_oracle", "Eq (4.8)",
-                            dev, max(tol, 1e-9)))
-
-    worst = modular.check_sxs_commutes(S, sf.alg)
-    recs.append(make_record("modular", "sandwich_commutes", "Eq (4.11)",
-                            worst, max(tol, 1e-9)))
-    worst = modular.check_commutation(J, sf.alg, comm, tol)
-    recs.append(make_record("modular", "conjugation_swaps_commutant",
-                            "Thm 4.10", worst, max(tol, 1e-9)))
-
+    checks = [
+        ("cyclic_separating", "Def 4.2", 0.0 if (cyc and sep) else 1.0, 0.5,
+         f"cyclic={cyc} separating={sep}"),
+        ("double_commutant", "Thm 4.10", double, tol9, ""),
+        ("pair_identity", "Thm 4.6", pair_res, tol, f"solve_cond={cond:.1e}"),
+        ("involution_squares", "Thm 4.10",
+         abs(compose(S, S).matrix - eye).max(), max(tol, 1e-9 * cond), ""),
+        ("polar_reconstruction", "Eq (4.9)",
+         abs(S.matrix - Mj @ np.conj(root)).max(), tol, ""),
+        ("conjugation_isometry", "Remark 2.8",
+         abs(Mj.conj().T @ Mj - eye).max(), tol_j, ""),
+        ("conjugation_involution", "Eq (4.9)",
+         abs(Mj @ np.conj(Mj) - eye).max(), tol_j, ""),
+        ("delta_conjugation_oracle", "Eq (4.8)",
+         abs(md.Delta.matrix - oracle).max(), tol9, ""),
+        ("sandwich_commutes", "Eq (4.11)",
+         modular.check_sxs_commutes(S, alg), tol9, ""),
+        ("conjugation_swaps_commutant", "Thm 4.10",
+         modular.check_commutation(md.J, alg, md.comm, tol), tol9, ""),
+    ]
     if t_list:
-        worst = modular.modular_flow_check(Delta, sf.alg, t_list, tol)
-        recs.append(make_record("modular", "modular_flow", "Eq (4.10)",
-                                worst, max(tol, 1e-9)))
-
-    ok, dev, pair_res = modular.maximality_check(S, F, tol)
-    recs.append(make_record("modular", "maximality", "Thm 4.11", dev, tol))
-
-    zdim = modular.antilinear_defect_dimension(F, sf.alg, sf.xi)
-    recs.append(
-        make_record("modular", "defect_equation_trivial", "Eq (4.15)",
-                    float(zdim), 0.5, message=f"real_dim={zdim}")
-    )
-    return recs
+        checks.append(("modular_flow", "Eq (4.10)", modular.modular_flow_check(
+            md.Delta, alg, t_list, tol), tol9, ""))
+    zdim = modular.antilinear_defect_dimension(F, alg, sf.xi)
+    checks += [
+        ("maximality", "Thm 4.11", modular.maximality_check(S, F, tol)[1],
+         tol, ""),
+        ("defect_equation_trivial", "Eq (4.15)", float(zdim), 0.5,
+         f"real_dim={zdim}"),
+    ]
+    return [make_record("modular", *check) for check in checks]
 
 
 def suite_network(net: network.FiniteNetwork, tol: float = DEFAULT_TOL):
@@ -362,9 +329,8 @@ def run_suite(config: dict, default_tol: float = DEFAULT_TOL) -> Report:
                 n = int(params["n"])
                 rho = modular.tracial_rho(n) if rho == "tracial" \
                     else _parse_rho(rho)
-                report.extend(
-                    suite_modular(n, rho, params.get("t_list", []), tol)
-                )
+                t_list = _parse_t_list(params.get("t_list", []))
+                report.extend(suite_modular(n, rho, t_list, tol))
             elif kind == "network":
                 net = network.parse_graph(params["graph"])
                 report.extend(suite_network(net, tol))
@@ -390,13 +356,23 @@ def run_suite(config: dict, default_tol: float = DEFAULT_TOL) -> Report:
 
 
 def _parse_rho(obj) -> np.ndarray:
-    rows = []
-    for row in obj:
-        vals = []
-        for cell in row:
-            if isinstance(cell, (list, tuple)):
-                vals.append(complex(cell[0], cell[1]))
-            else:
-                vals.append(complex(cell))
-        rows.append(vals)
-    return np.array(rows, dtype=complex)
+    """Density matrix from JSON rows; a cell is a number or [re, im]."""
+    try:
+        if not all(isinstance(row, list) for row in obj):
+            raise TypeError
+        return np.array([[complex(c[0], c[1]) if isinstance(c, (list, tuple))
+                          else complex(c) for c in row] for row in obj],
+                        dtype=complex)
+    except (TypeError, ValueError, IndexError):
+        raise modular.ModularError(
+            "rho must be a list of equal rows of numbers or [re, im] pairs"
+        ) from None
+
+
+def _parse_t_list(obj) -> list:
+    try:
+        if isinstance(obj, list):
+            return [float(t) for t in obj]
+    except (TypeError, ValueError):
+        pass
+    raise modular.ModularError(f"t_list must be a list of numbers: {obj!r}")

@@ -243,3 +243,46 @@ def test_non_finite_tol_refused(capsys, monkeypatch):
         assert cli.main(["run", "-c", "default"]) == 2
         assert_one_line_error(capsys)
         monkeypatch.delenv("SYMPAIR_TOL")
+
+
+UNIT = {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("pair", {"A": None, "B": UNIT}),
+    ("pair", {"A": [1], "B": UNIT}),
+    ("pair", {"A": UNIT, "B": UNIT, "tol": None}),
+    ("pair", {"A": UNIT}),
+    ("pair", {"A": {"rows": 0, "cols": 0, "entries": []},
+              "B": {"rows": 0, "cols": 0, "entries": []}}),
+    ("modular", {"n": 2, "rho": None}),
+    ("modular", {"n": 2, "rho": 1.5}),
+    ("modular", {"n": 2, "rho": [[0.5, 0.0], [0.5]]}),  # ragged
+    ("modular", {"n": 2, "rho": [[0.5, 0.1], [0.0, 0.5]]}),  # not Hermitian
+    ("modular", {"n": 2, "t_list": 1.5}),
+    ("modular", {"n": 6}),  # oversized: refused before any work
+])
+def test_malformed_json_no_traceback(tmp_path, capsys, kind, params):
+    # run: one failed suite_error record, exit 1
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"suites": [{"kind": kind, "params": params}]}))
+    assert cli.main(["run", "-c", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    records = json.loads(captured.out)["records"]
+    assert [(r["check"], r["pass"]) for r in records] == [
+        ("suite_error", False)]
+    # check: the same input is a usage error, exit 2 with one line
+    path = tmp_path / "in.json"
+    if kind == "pair":
+        path.write_text(json.dumps(params))
+        argv = ["check", "pair", "-i", str(path)]
+    elif "rho" in params:
+        path.write_text(json.dumps(params["rho"]))
+        argv = ["check", "modular", "--rho", str(path)]
+    elif "t_list" in params:
+        return  # check takes --t as text, parsed by the CLI itself
+    else:
+        argv = ["check", "modular", "--n", str(params["n"])]
+    assert cli.main(argv) == 2
+    assert_one_line_error(capsys)

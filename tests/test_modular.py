@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sympairs import modular
 from sympairs.core import CONJUGATE, OperatorMatrix, adjoint, sqrt_psd
 from sympairs.modular import (
+    AlgebraSpec,
     ModularError,
     algebra_from_generators,
     antilinear_defect_dimension,
@@ -23,6 +27,7 @@ from sympairs.modular import (
     standard_form,
     tracial_rho,
 )
+from sympairs.suites import suite_modular
 
 
 def random_rho(rng, n):
@@ -248,3 +253,166 @@ def test_build_F_is_S_adjoint():
     S, _ = build_S(sf.alg, sf.xi)
     F, _ = build_F(comm, sf.xi)
     assert np.max(np.abs(adjoint(F).matrix - S.matrix)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the stacked full-SVD solve and the per-element loops
+# that commutant, span_residual and check_sxs_commutes replace
+
+
+def commutant_oracle(gens, m, tol=1e-10):
+    """Rows vec(X) spanning the null space of the full stacked system."""
+    eye = np.eye(m)
+    stacked = np.vstack([np.kron(G, eye) - np.kron(eye, G.T) for G in gens])
+    _, s, vh = np.linalg.svd(stacked)
+    scale = s[0] if s.size and s[0] > 0 else 1.0
+    return vh[int(np.sum(s > tol * scale)):].conj()
+
+
+def span_residual_oracle(x, basis):
+    rem = x.astype(complex).copy()
+    for b in basis:
+        rem -= np.trace(b.matrix.conj().T @ rem) * b.matrix
+    return float(np.linalg.norm(rem))
+
+
+def sxs_oracle(S, alg):
+    worst = 0.0
+    for x in alg.basis:
+        sx = S.matrix @ np.conj(x.matrix) @ np.conj(S.matrix)
+        for y in alg.basis:
+            worst = max(worst, float(np.linalg.norm(
+                sx @ y.matrix - y.matrix @ sx)))
+    return worst
+
+
+def projector(rows):
+    rows = np.asarray(rows).reshape(len(rows), -1)
+    return rows.T @ rows.conj()
+
+
+@st.composite
+def generator_sets(draw):
+    """1-4 generators on C^m, m = a*b: X (x) 1_b for random complex X
+    (not closed under adjoints), 0/1 diagonal X, or a block diagonal
+    X1 (+) X2, so the commutant ranges from the scalars to M_b-sized."""
+    m = draw(st.integers(2, 9))
+    count = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["kron", "projection", "direct_sum"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    gens = []
+    for _ in range(count):
+        if kind == "direct_sum":
+            X = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+            X[:a, a:] = 0.0
+            X[a:, :a] = 0.0
+        else:
+            X = rng.normal(size=(a, a)) + 1j * rng.normal(size=(a, a))
+            if kind == "projection":
+                X = np.diag(rng.integers(0, 2, size=a).astype(complex))
+            X = np.kron(X, np.eye(m // a))
+        gens.append(X)
+    return m, gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_sets())
+def test_commutant_matches_full_svd_oracle(m_gens):
+    m, gens = m_gens
+    # commutant reads only the generators, so no *-closure is imposed
+    alg = AlgebraSpec(m, tuple(OperatorMatrix(g) for g in gens), ())
+    comm = commutant(alg)
+    ref = commutant_oracle(gens, m)
+    assert len(comm) == len(ref)
+    assert np.max(np.abs(projector([b.matrix for b in comm])
+                         - projector(ref))) <= 1e-12
+    for b in comm:
+        for G in gens:
+            assert np.max(np.abs(G @ b.matrix - b.matrix @ G)) <= 1e-10
+
+
+def test_commutant_single_generator_and_adjoint_free_set():
+    # one Jordan block: its commutant is the polynomials in it
+    N = np.diag(np.ones(3), 1)
+    alg = AlgebraSpec(4, (OperatorMatrix(N),), ())
+    assert len(commutant(alg)) == 4
+    # the upper-triangular unit E_01 alone, with no adjoint in the set
+    E = np.zeros((2, 2))
+    E[0, 1] = 1.0
+    comm = commutant(AlgebraSpec(2, (OperatorMatrix(E),), ()))
+    assert np.max(np.abs(projector([b.matrix for b in comm])
+                         - projector(commutant_oracle([E], 2)))) <= 1e-12
+
+
+def test_batched_checks_match_loop_oracles():
+    rng = np.random.default_rng(23)
+    # a complex orthonormal span: 5 orthonormal 3x3 matrices
+    G = rng.normal(size=(9, 5)) + 1j * rng.normal(size=(9, 5))
+    Q, _ = np.linalg.qr(G)
+    basis = [OperatorMatrix(q.reshape(3, 3)) for q in Q.T]
+    X = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    ref = max(span_residual_oracle(x, basis) for x in X)
+    assert abs(span_residual(X, basis) - ref) <= 1e-12
+    assert abs(span_residual(X[0], basis)
+               - span_residual_oracle(X[0], basis)) <= 1e-12
+    for n in (2, 3):
+        sf = standard_form(n, random_rho(rng, n))
+        md = modular_data(sf)
+        # the algebra basis as a stack, a list and one matrix at a time
+        comm2 = commutant(algebra_from_generators(md.comm))
+        ref = max(span_residual_oracle(b.matrix, comm2) for b in sf.alg.basis)
+        assert abs(span_residual(sf.alg.basis, comm2) - ref) <= 1e-12
+        for b in sf.alg.basis[:3]:
+            assert abs(span_residual(b.matrix, md.comm)
+                       - span_residual_oracle(b.matrix, md.comm)) <= 1e-12
+        assert abs(check_sxs_commutes(md.S, sf.alg)
+                   - sxs_oracle(md.S, sf.alg)) <= 1e-12
+        Mj = md.J.matrix
+        ref = max(span_residual_oracle(Mj @ np.conj(x.matrix) @ np.conj(Mj),
+                                       md.comm) for x in sf.alg.basis)
+        assert abs(check_commutation(md.J, sf.alg, md.comm) - ref) <= 1e-12
+
+
+def test_modular_data_carries_commutant_and_cond():
+    sf = standard_form(3, np.diag([0.5, 0.3, 0.2]))
+    md = modular_data(sf)
+    assert isinstance(md.comm, tuple) and len(md.comm) == 9
+    S, cond = build_S(sf.alg, sf.xi)
+    assert md.cond == cond and np.array_equal(md.S.matrix, S.matrix)
+    assert projector([b.matrix for b in md.comm]) == pytest.approx(
+        projector([b.matrix for b in commutant(sf.alg)]), abs=1e-12)
+
+
+def test_suite_modular_n4_passes():
+    recs = suite_modular(4, random_rho(np.random.default_rng(24), 4),
+                         [0.5, 1.0, 3.0])
+    assert len(recs) == 13
+    assert all(r.passed for r in recs), [(r.check, r.residual) for r in recs]
+
+
+def test_non_hermitian_rho_refused():
+    rho = np.array([[0.5, 0.1], [0.0, 0.5]])
+    with pytest.raises(ModularError, match="Hermitian"):
+        standard_form(2, rho)
+    with pytest.raises(ModularError, match="Hermitian"):
+        standard_form(2, np.array([[np.nan, 0.0], [0.0, 0.5]]))
+    # a rounding-level asymmetry is accepted
+    rho = np.array([[0.5, 1e-13], [0.0, 0.5]])
+    assert len(standard_form(2, rho).alg.basis) == 4
+
+
+def test_oversized_n_refused_before_any_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the size guard let an oversized n through")
+
+    monkeypatch.setattr(modular, "algebra_from_generators", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    for n in (6, 10**9):
+        with pytest.raises(ModularError, match=r"outside 1\.\.5"):
+            tracial_rho(n)
+        # rho stays a placeholder: the guard runs before rho is read
+        with pytest.raises(ModularError, match=r"outside 1\.\.5"):
+            standard_form(n, None)
+    with pytest.raises(ModularError, match=r"outside 1\.\.5"):
+        standard_form(0, np.zeros((0, 0)))
