@@ -51,6 +51,11 @@ class Ladders:
     top_weight: np.ndarray
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 class ChaosBasis:
     """Immutable multi-indexed Hermite basis of degree <= N in d variables."""
 
@@ -69,14 +74,10 @@ class ChaosBasis:
         idx = tuple(_enumerate_indices(d, N))
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "index_map", {a: i for i, a in enumerate(idx)})
-        norms = np.array(
-            [math.prod(math.factorial(k) for k in a) for a in idx], dtype=float
-        )
-        norms.setflags(write=False)
-        object.__setattr__(self, "norms", norms)
-        degs = np.array([sum(a) for a in idx], dtype=int)
-        degs.setflags(write=False)
-        object.__setattr__(self, "degrees", degs)
+        object.__setattr__(self, "norms", _frozen(np.array(
+            [math.prod(math.factorial(k) for k in a) for a in idx], dtype=float)))
+        object.__setattr__(self, "degrees", _frozen(
+            np.array([sum(a) for a in idx], dtype=int)))
 
     def __setattr__(self, name, value):
         raise AttributeError("ChaosBasis is immutable")
@@ -85,19 +86,43 @@ class ChaosBasis:
         return len(self.indices)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ChaosBasis)
-            and self.d == other.d
-            and self.N == other.N
-        )
+        return isinstance(other, ChaosBasis) and \
+            (self.d, self.N) == (other.d, other.N)
 
     def __hash__(self):
         return hash((self.d, self.N))
 
     @cached_property
+    def alphas(self) -> np.ndarray:
+        """The multi-indices as a read-only (|basis|, d) integer array."""
+        return _frozen(np.array(self.indices, dtype=np.intp)
+                       .reshape(len(self), self.d))
+
+    @cached_property
+    def binom(self) -> np.ndarray:
+        """``binom[s, r] = C(s + r, r)`` for s <= 2N, r <= d (Pascal rows)."""
+        c = np.ones((2 * self.N + 1, self.d + 1), dtype=np.int64)
+        for s in range(1, 2 * self.N + 1):
+            c[s] = np.cumsum(c[s - 1])
+        return _frozen(c)
+
+    @cached_property
+    def linearisation(self) -> np.ndarray:
+        """Per-slot ``lin[m, n, k] = k! C(m,k) C(n,k)`` (0 if k > m or n),
+        so ``He_m He_n = sum_k lin[m, n, k] He_{m+n-2k}``; exact integers
+        below 2^53, inf from 2^1023 on."""
+        lin = np.zeros((self.N + 1,) * 3)
+        for m, n in itertools.product(range(self.N + 1), repeat=2):
+            v = 1
+            for k in range(min(m, n) + 1):
+                lin[m, n, k] = v if v < 2**1023 else math.inf
+                v = v * (m - k) * (n - k) // (k + 1)
+        return _frozen(lin)
+
+    @cached_property
     def ladders(self) -> Ladders:
         """Read-only ladder index arrays, O(d * |basis|) in size."""
-        idx = np.array(self.indices, dtype=float)
+        idx = self.alphas.astype(float)
         src = np.flatnonzero(self.degrees < self.N)
         top = np.flatnonzero(self.degrees == self.N)
         up = np.array(
@@ -107,15 +132,13 @@ class ChaosBasis:
         lad = Ladders(src, up, idx[src].T + 1.0, top,
                       self.norms[top] * (idx[top].T + 1.0))
         for arr in vars(lad).values():
-            arr.setflags(write=False)
+            _frozen(arr)
         return lad
 
     @cached_property
     def number_matrix(self) -> np.ndarray:
         """``t_star_matrix @ t_matrix``, composed once per basis."""
-        M = t_star_matrix(self) @ t_matrix(self)
-        M.setflags(write=False)
-        return M
+        return _frozen(t_star_matrix(self) @ t_matrix(self))
 
     @cached_property
     def hermite_terms(self) -> tuple:
@@ -199,8 +222,7 @@ def mult_phi(i: int, F: ChaosVector):
     basis = F.basis
     if not 0 <= i < basis.d:
         raise ChaosError(f"slot {i} out of range for d = {basis.d}")
-    lad = basis.ladders
-    c = F.coeffs
+    lad, c = basis.ladders, F.coeffs
     out = np.zeros(len(basis), dtype=complex)
     out[lad.up[i]] = c[lad.src]
     out[lad.src] += lad.rank[i] * c[lad.up[i]]
@@ -215,18 +237,22 @@ def T_apply(F: ChaosVector) -> ChaosField:
     One gather along the basis' cached lowering ladders.  Degree drops by
     one, so the truncated section is exact.
     """
-    basis = F.basis
-    lad = basis.ladders
+    basis, lad = F.basis, F.basis.ladders
     out = np.zeros((basis.d, len(basis)), dtype=complex)
     out[:, lad.src] = lad.rank * F.coeffs[lad.up]
     return ChaosField(tuple(ChaosVector(basis, row) for row in out))
 
 
+def _direction(basis: ChaosBasis, k) -> np.ndarray:
+    k = np.asarray(k, dtype=float)
+    if k.shape != (basis.d,):
+        raise ChaosError("k must have one entry per direction")
+    return k
+
+
 def Tk_apply(F: ChaosVector, k) -> ChaosVector:
     """Contraction <T(F), k> of the derivative against a direction k."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != (F.basis.d,):
-        raise ChaosError("k must have one entry per direction")
+    k = _direction(F.basis, k)
     terms = (k[i] * c for i, c in enumerate(T_apply(F).components) if k[i])
     return sum(terms, zero_vector(F.basis))
 
@@ -237,17 +263,23 @@ def S_apply(G: ChaosVector, k):
     Raises the chaos degree by at most one; exact for inputs of degree
     <= N - 1.  Returns the result and the truncation loss.
     """
-    k = np.asarray(k, dtype=float)
-    if k.shape != (G.basis.d,):
-        raise ChaosError("k must have one entry per direction")
-    out = zero_vector(G.basis)
-    lost = 0.0
-    for i in range(G.basis.d):
-        if k[i]:
-            prod, li = mult_phi(i, G)
-            out = out + k[i] * prod
-            lost += abs(k[i]) * li
-    return out - Tk_apply(G, k), lost
+    k = _direction(G.basis, k)
+    prods = [(k[i], *mult_phi(i, G)) for i in range(G.basis.d) if k[i]]
+    out = sum((ki * prod for ki, prod, _ in prods), zero_vector(G.basis))
+    return out - Tk_apply(G, k), sum(abs(ki) * li for ki, _, li in prods)
+
+
+#: largest d*B x B complex matrix (t_matrix, phi_matrix) a basis may build
+MAX_MATRIX_BYTES = 2**28
+
+
+def matrix_preflight(d: int, N: int) -> None:
+    """Refuse from d and N alone, before any index is enumerated, a basis
+    whose d*B x B complex matrices exceed MAX_MATRIX_BYTES."""
+    nbytes = 16 * d * math.comb(N + d, d) ** 2 if d > 0 and 0 <= N < 170 else 0
+    if nbytes > MAX_MATRIX_BYTES:  # bad d or N are left to ChaosBasis
+        raise ChaosError(f"d={d}, N={N} refused: a d*B x B matrix needs "
+                         f"{nbytes / 2**30:.3g} GiB (limit 256 MiB)")
 
 
 def t_matrix(basis: ChaosBasis) -> np.ndarray:
@@ -256,12 +288,24 @@ def t_matrix(basis: ChaosBasis) -> np.ndarray:
     Row block i holds component i; shape (d * |basis|, |basis|), filled
     in one scatter from the basis' cached lowering ladders.
     """
+    matrix_preflight(basis.d, basis.N)
     B = len(basis)
     lad = basis.ladders
     M = np.zeros((basis.d * B, B), dtype=complex)
     rows = np.arange(basis.d)[:, None] * B + lad.src
     M[rows, lad.up] = lad.rank
     return M
+
+
+def phi_matrix(basis: ChaosBasis) -> np.ndarray:
+    """(d, |basis|, |basis|) stack of the matrices of ``mult_phi(i, .)``
+    (mass past degree N dropped), filled in one scatter along the ladders."""
+    matrix_preflight(basis.d, basis.N)
+    lad, slot = basis.ladders, np.arange(basis.d)[:, None]
+    X = np.zeros((basis.d, len(basis), len(basis)), dtype=complex)
+    X[slot, lad.up, lad.src] = 1.0
+    X[slot, lad.src, lad.up] = lad.rank
+    return X
 
 
 def t_star_matrix(basis: ChaosBasis) -> np.ndarray:
@@ -289,14 +333,10 @@ def exp_vector(k, basis: ChaosBasis):
     ``exp(<k1, k2>)``.  Returns the vector and a bound on the squared
     norm of the discarded tail (a warning-level quantity, not fatal).
     """
-    k = np.asarray(k, dtype=float)
-    if k.shape != (basis.d,):
-        raise ChaosError("k must have one entry per direction")
-    coeffs = np.zeros(len(basis), dtype=complex)
-    for pos, alpha in enumerate(basis.indices):
-        coeffs[pos] = math.prod(
-            k[i] ** alpha[i] / math.factorial(alpha[i]) for i in range(basis.d)
-        )
+    k = _direction(basis, k)
+    coeffs = np.array([math.prod(k[i] ** a / math.factorial(a)
+                                 for i, a in enumerate(alpha))
+                       for alpha in basis.indices], dtype=complex)
     ksq = float(k @ k)
     tail = math.exp(ksq) - sum(ksq**n / math.factorial(n) for n in range(basis.N + 1))
     return ChaosVector(basis, coeffs), max(tail, 0.0)
@@ -370,50 +410,82 @@ def hermite_coefficients(n: int):
 
 def hermite_monomials(alpha):
     """Monomial form of H_alpha: list of (coefficient, exponents)."""
-    terms = [(1.0, tuple([0] * len(alpha)))]
-    for i, ni in enumerate(alpha):
-        coeffs = hermite_coefficients(ni)
-        new_terms = []
-        for c, exps in terms:
-            for p, cp in enumerate(coeffs):
-                if cp == 0.0:
-                    continue
-                e = list(exps)
-                e[i] += p
-                new_terms.append((c * cp, tuple(e)))
-        terms = new_terms
-    return terms
+    slots = [[(c, p) for p, c in enumerate(hermite_coefficients(n)) if c]
+             for n in alpha]
+    return [(math.prod(c for c, _ in term), tuple(p for _, p in term))
+            for term in itertools.product(*slots)]
 
 
 def chaos_monomials(F: ChaosVector):
-    """Monomial form of a chaos vector (real coefficients assumed)."""
+    """Monomial form of a chaos vector (real coefficients when F is real)."""
     acc = {}
-    real = F.coeffs.real
-    for pos in np.flatnonzero(real).tolist():
-        c = real[pos]
+    c = F.coeffs if F.coeffs.imag.any() else F.coeffs.real
+    for pos in np.flatnonzero(c).tolist():
         for mc, exps in F.basis.hermite_terms[pos]:
-            acc[exps] = acc.get(exps, 0.0) + c * mc
-    return [(c, e) for e, c in acc.items() if c != 0.0]
+            acc[exps] = acc.get(exps, 0.0) + c[pos] * mc
+    return [(v, e) for e, v in acc.items() if v != 0.0]
+
+
+def _rank(basis: ChaosBasis, gamma) -> np.ndarray:
+    """(degree, lex) positions of the rows of ``gamma`` (degree <= 2N;
+    from |basis| on, past N) in the combinatorial number system: degree n
+    starts at C(n-1+d, d) and slot i adds C(s_i + r, r) - C(s_{i+1} + r, r)
+    tuples smaller there (s_i = |gamma[i:]|, r = d-1-i)."""
+    c, d = basis.binom, basis.d
+    s = np.cumsum(gamma[:, ::-1], axis=1)[:, ::-1]
+    r = np.arange(d - 1, 0, -1)
+    pos = c[s[:, 0], d] - c[s[:, 0], d - 1]
+    return pos + (c[s[:, :-1], r] - c[s[:, 1:], r]).sum(axis=1)
+
+
+def _product_terms(basis: ChaosBasis, p: int, cols):
+    """Terms of H_p * H_q, q in ``cols``: one per k <= min(p, q) slotwise,
+    as (column j of q, multi-index p + q - 2k, prod_i lin[p_i, q_i, k_i])."""
+    a, qs = basis.alphas[p], basis.alphas[cols]
+    ks = np.indices(tuple(a + 1)).reshape(basis.d, -1).T  # the box k <= p
+    col, kk = np.nonzero((ks[None] <= qs[:, None]).all(axis=2))
+    q, k = qs[col], ks[kk]
+    return col, a + q - 2 * k, basis.linearisation[a, q, k].prod(axis=1)
+
+
+def product_columns(basis: ChaosBasis, p: int, cols) -> np.ndarray:
+    """Columns ``cols`` of the matrix of multiplication by H_p, exact up
+    to degree N: column j holds H_p * H_q for q = cols[j]."""
+    col, gamma, coef = _product_terms(basis, p, cols)
+    keep = gamma.sum(axis=1) <= basis.N
+    out = np.zeros((len(basis), len(cols)), dtype=complex)
+    out[_rank(basis, gamma[keep]), col[keep]] = coef[keep]
+    return out
 
 
 def multiply(F: ChaosVector, G: ChaosVector):
-    """Pointwise product F * G via iterated multiplication by coordinates.
+    """Exact pointwise product F * G, complex F and G included.
 
-    F is expanded into monomials; each power of a coordinate is applied
-    to G through the three-term recurrence.  Returns the product and the
-    accumulated truncation loss.
+    Basis elements multiply slot by slot by the Hermite linearisation
+    ``He_m He_n = sum_k k! C(m,k) C(n,k) He_{m+n-2k}``.  Returns the
+    product truncated at degree N and ``lost``, the exact weighted norm
+    of the part of F * G above degree N (inf past the float range).
     """
     F._same(G)
-    out = zero_vector(F.basis)
-    lost = 0.0
-    for coeff, exps in chaos_monomials(F):
-        term = G
-        for i, p in enumerate(exps):
-            for _ in range(p):
-                term, li = mult_phi(i, term)
-                lost += abs(coeff) * li
-        out = out + coeff * term
-    return out, lost
+    basis, cols = F.basis, np.flatnonzero(G.coeffs)
+    terms = [(p, *_product_terms(basis, p, cols))
+             for p in np.flatnonzero(F.coeffs)]
+    gamma = np.concatenate([t[2] for t in terms]
+                           or [np.zeros((0, basis.d), dtype=np.intp)])
+    vals = np.concatenate([F.coeffs[p] * G.coeffs[cols[j]] * w
+                           for p, j, _, w in terms] or [np.zeros(0)])
+    pos, first, inv = np.unique(_rank(basis, gamma), return_index=True,
+                                return_inverse=True)
+    acc = np.zeros(len(pos), dtype=complex)
+    np.add.at(acc, inv, vals)
+    out, high = np.zeros(len(basis), dtype=complex), pos >= len(basis)
+    out[pos[~high]] = acc[~high]
+    high &= acc != 0  # a zero times an inf weight (past 170!) is nan
+    fact = np.array([math.factorial(n) if n <= 170 else math.inf
+                     for n in range(2 * basis.N + 1)], dtype=float)
+    with np.errstate(over="ignore"):
+        weight = fact[gamma[first[high]]].prod(axis=1)
+    return ChaosVector(basis, out), math.sqrt(np.abs(acc[high]) ** 2 @ weight)
 
 
 def pair_sections(basis: ChaosBasis, max_degree: int | None = None):
@@ -421,55 +493,20 @@ def pair_sections(basis: ChaosBasis, max_degree: int | None = None):
 
     Domains are restricted so truncation edges never enter: the H1 side
     keeps degrees <= max_degree (default N - 1) and the H2 side keeps
-    per-component degrees <= max_degree - 1.  Columns are built by
-    applying the actual operators to basis vectors and rescaling into
-    orthonormal coordinates.  Returns (A, B, h1_positions, h2_slots).
+    per-component degrees <= max_degree - 1.  A is cut from ``t_matrix``
+    and B from the divergence ``phi_matrix - t_matrix`` (``S_apply`` on
+    basis vectors), both rescaled into orthonormal coordinates.  Returns
+    (A, B, h1_positions, h2_slots).
     """
     m = basis.N - 1 if max_degree is None else max_degree
     if m < 1:
         raise ChaosError("need max_degree >= 1 for a nontrivial section")
-    sn = np.sqrt(basis.norms)
-    h1_pos = np.flatnonzero(basis.degrees <= m).tolist()
+    d, n, sn = basis.d, len(basis), np.sqrt(basis.norms)
+    h1 = np.flatnonzero(basis.degrees <= m)
     low = np.flatnonzero(basis.degrees <= m - 1)
-    h2_slots = [(i, q) for i in range(basis.d) for q in low.tolist()]
-    A = np.zeros((len(h2_slots), len(h1_pos)), dtype=complex)
-    for col, p in enumerate(h1_pos):
-        fld = T_apply(basis.unit(basis.indices[p])).components
-        A[:, col] = np.concatenate(
-            [c.coeffs[low] * sn[low] / sn[p] for c in fld])
-    B = np.zeros((len(h1_pos), len(h2_slots)), dtype=complex)
-    for col, (i, q) in enumerate(h2_slots):
-        k = np.zeros(basis.d)
-        k[i] = 1.0
-        img, _ = S_apply(basis.unit(basis.indices[q]), k)
-        B[:, col] = img.coeffs[h1_pos] * sn[h1_pos] / sn[q]
-    return A, B, h1_pos, h2_slots
-
-
-def gram_schmidt_reduce(gramian, target: int = 0, tol: float = 1e-12):
-    """Orthonormalize a frame given only its Gramian, target vector first.
-
-    Returns (C, kept): C has one row per retained frame vector, giving
-    its expansion in the original vectors, with row 0 the normalized
-    target.  Dependent vectors (norm below tol after projection) are
-    dropped and excluded from ``kept``.
-    """
-    G = np.asarray(gramian, dtype=float)
-    n = G.shape[0]
-    if G.shape != (n, n) or np.max(np.abs(G - G.T)) > 1e-10:
-        raise ChaosError("gramian must be symmetric and square")
-    w = np.linalg.eigvalsh(G)
-    if w.size and w[0] < -1e-10 * max(1.0, w[-1]):
-        raise ChaosError("gramian must be positive semidefinite")
-    order = [target] + [i for i in range(n) if i != target]
-    rows, kept = [], []
-    for idx in order:
-        c = np.zeros(n)
-        c[idx] = 1.0
-        for r in rows:
-            c = c - (r @ G @ c) * r
-        norm_sq = float(c @ G @ c)
-        if norm_sq > tol:
-            rows.append(c / math.sqrt(norm_sq))
-            kept.append(idx)
-    return np.array(rows), kept
+    T = t_matrix(basis).reshape(d, n, n)
+    A = T[:, low][:, :, h1] * sn[low][:, None] / sn[h1]
+    S = (phi_matrix(basis) - T)[:, h1][:, :, low] * sn[h1][:, None] / sn[low]
+    h2_slots = [(i, q) for i in range(d) for q in low.tolist()]
+    return (A.reshape(-1, len(h1)), S.transpose(1, 0, 2).reshape(len(h1), -1),
+            h1.tolist(), h2_slots)

@@ -177,6 +177,10 @@ def _validate_config(config) -> dict:
             except (TypeError, ValueError, OverflowError):
                 raise UsageError(f"param {key!r} is not a number: "
                                  f"{params[key]!r}")
+        if params.get("expect") not in (None, network.CONVERGES,
+                                        network.DIVERGES):
+            raise UsageError(f"param 'expect' must be {network.CONVERGES} or "
+                             f"{network.DIVERGES}: {params['expect']!r}")
         for key in ("graph", "graph_file"):
             if not isinstance(params.get(key, ""), str):
                 raise UsageError(f"param {key!r} must be a string")

@@ -19,8 +19,6 @@ CONJUGATE = "conjugate"
 
 #: default tolerance for identity-style residual checks
 DEFAULT_TOL = 1e-10
-#: default tolerance for eigenvalue comparisons
-EIG_TOL = 1e-9
 
 
 class OperatorError(ValueError):

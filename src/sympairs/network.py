@@ -330,15 +330,17 @@ def defect_recurrence(seq: ConductanceSequence, nmax: int,
     here, nxt = psi[:nmax], psi[1:]
     residuals, scales = np.zeros(nmax + 1), np.ones(nmax + 1)
     residuals[:nmax] = cp * (here - prev) + cn * (here - nxt) + here
-    scales[:nmax] = (1.0 + cp * (abs(here) + abs(prev))
-                     + cn * (abs(here) + abs(nxt)) + abs(here))
+    with np.errstate(over="ignore"):  # an inf scale leaves its node unjudged
+        scales[:nmax] = (1.0 + cp * (abs(here) + abs(prev))
+                         + cn * (abs(here) + abs(nxt)) + abs(here))
     if overflow or not np.all(np.isfinite(residuals[:nmax])):
         rel_residual = float("nan")
     else:
         rel_residual = float(
             np.max(np.abs(residuals[:nmax]) / scales[:nmax])
         )
-    increments = cn * np.diff(psi) ** 2
+    with np.errstate(over="ignore"):  # inf energy is a DIVERGES verdict
+        increments = cn * np.diff(psi) ** 2
     partials = np.cumsum(increments)
     thresholds = {
         "tail_ratio": TAIL_RATIO,
@@ -360,8 +362,9 @@ def defect_recurrence(seq: ConductanceSequence, nmax: int,
         verdict = CONVERGES if (ratio_ok and stagnated) else INCONCLUSIVE
     # residual(n) = Delta psi(n) + psi(n), so Delta psi = residual - psi
     lap_vals = residuals[:nmax] - psi[:nmax]
-    l2_psi = float(np.sqrt(np.sum(psi[:nmax] ** 2)))
-    l2_lap = float(np.sqrt(np.sum(lap_vals**2)))
+    with np.errstate(over="ignore"):  # inf norms are reported as such
+        l2_psi = float(np.sqrt(np.sum(psi[:nmax] ** 2)))
+        l2_lap = float(np.sqrt(np.sum(lap_vals**2)))
     return DefectResult(
         psi, residuals, rel_residual, partials, verdict, overflow,
         l2_psi, l2_lap, thresholds,

@@ -25,144 +25,99 @@ from .report import Record, Report, make_record, verdict_record
 
 
 def suite_pair(spec: pairs.SymmetricPairSpec, tol: float = DEFAULT_TOL):
-    recs = []
-    res = pairs.check_pair(spec, tol)
-    anchor = "Eq (2.3)" if spec.linearity == CONJUGATE else "Eq (2.1)"
-    recs.append(make_record("pair", "pair_identity", anchor, res.residual, tol))
+    res = pairs.check_pair(spec, tol).residual
     block = pairs.build_L(spec)
-    defect = pairs.symmetry_defect(block)
-    recs.append(
-        make_record("pair", "block_symmetry", "Thm 2.17", defect,
-                    2.0 * res.residual + tol)
-    )
-    lstar = pairs.build_Lstar(spec)
-    dev = float(np.max(np.abs(lstar.L.matrix - adjoint(block.L).matrix)))
-    recs.append(make_record("pair", "block_adjoint", "Cor 2.18", dev, 1e-12))
+    lstar = pairs.build_Lstar(spec).L.matrix
     _, dA, dB = pairs.is_maximal(spec, tol)
-    recs.append(
+    return [
+        make_record("pair", "pair_identity",
+                    "Eq (2.3)" if spec.linearity == CONJUGATE else "Eq (2.1)",
+                    res, tol),
+        make_record("pair", "block_symmetry", "Thm 2.17",
+                    pairs.symmetry_defect(block), 2.0 * res + tol),
+        make_record("pair", "block_adjoint", "Cor 2.18",
+                    np.max(np.abs(lstar - adjoint(block.L).matrix)), 1e-12),
         make_record("pair", "maximality", "Lemma 2.10", min(dA, dB), tol,
-                    message=f"|A-B*|={dA:.3e} |B-A*|={dB:.3e}",
-                    passed=True)
-    )
-    return recs
+                    message=f"|A-B*|={dA:.3e} |B-A*|={dB:.3e}", passed=True),
+    ]
+
+
+def _derivation_residual(basis: chaos.ChaosBasis) -> float:
+    """Worst weighted column norm of [T_i, M_p] - M_{T_i H_p} (Eq 3.14).
+
+    Columns of degree <= N - 1 - deg p (a prefix of the basis) for each
+    p of degree <= N - 1; T_i is a row or column gather along the ladders.
+    """
+    d, lad, N = basis.d, basis.ladders, basis.N
+    down = np.zeros((d, len(basis)), dtype=np.intp)  # position of alpha - e_i
+    down[np.arange(d)[:, None], lad.up] = lad.src
+    worst = 0.0
+    for p in np.flatnonzero(basis.degrees <= N - 1):
+        cols = np.arange(math.comb(N - 1 - int(basis.degrees[p]) + d, d))
+        Mp = chaos.product_columns(basis, p, cols)
+        inside = lad.up < len(cols)
+        for i in range(d):
+            R = np.zeros_like(Mp)
+            R[lad.src] = lad.rank[i][:, None] * Mp[lad.up[i]]
+            up, src = lad.up[i][inside[i]], lad.src[inside[i]]
+            R[:, up] -= lad.rank[i][inside[i]] * Mp[:, src]
+            if basis.alphas[p, i]:
+                R -= basis.alphas[p, i] * chaos.product_columns(
+                    basis, down[i, p], cols)
+            worst = max(worst, math.sqrt(np.max(basis.norms @ abs(R) ** 2)))
+    return worst
 
 
 def suite_malliavin(d: int, N: int, tol: float = DEFAULT_TOL):
-    recs = []
+    chaos.matrix_preflight(d, N)
     basis = chaos.basis_build(d, N)
-    sub = [p for p in range(len(basis)) if basis.degrees[p] <= N - 1]
-
+    B, norms = len(basis), basis.norms
+    sub = np.flatnonzero(basis.degrees <= N - 1)
     # symmetric-pair identity for the derivative/divergence sections
-    A, B, _, _ = chaos.pair_sections(basis)
-    spec = pairs.SymmetricPairSpec(OperatorMatrix(A), OperatorMatrix(B))
-    res = pairs.check_pair(spec, tol)
-    recs.append(
-        make_record("malliavin", "pair_identity", "Eq (3.15)", res.residual, tol)
-    )
-    _, dA, _ = pairs.is_maximal(spec, tol)
-    recs.append(
-        make_record("malliavin", "section_maximality", "Thm 3.13", dA, tol)
-    )
-
-    # integration by parts against the constant function
-    ones, _ = chaos.exp_vector(np.zeros(d), basis)
-    worst = 0.0
-    for p in sub:
-        F = basis.unit(basis.indices[p])
-        fld = chaos.T_apply(F)
-        for i in range(d):
-            lhs = chaos.h1_inner(fld.components[i], ones)
-            phi_i, _ = chaos.mult_phi(i, ones)
-            rhs = chaos.h1_inner(F, phi_i)
-            worst = max(worst, abs(lhs - rhs))
-    recs.append(make_record("malliavin", "ibp_identity", "Eq (3.11)", worst, tol))
-
-    # derivation property on basis pairs with compatible total degree
-    worst = 0.0
-    for p in sub:
-        for q in sub:
-            if basis.degrees[p] + basis.degrees[q] > N - 1:
-                continue
-            H = basis.unit(basis.indices[p])
-            K = basis.unit(basis.indices[q])
-            prod, _ = chaos.multiply(H, K)
-            lhs = chaos.T_apply(prod)
-            th, tk = chaos.T_apply(H), chaos.T_apply(K)
-            for i in range(d):
-                a, _ = chaos.multiply(K, th.components[i])
-                b, _ = chaos.multiply(H, tk.components[i])
-                diff = lhs.components[i] - a - b
-                worst = max(
-                    worst, abs(chaos.h1_inner(diff, diff)) ** 0.5
-                )
-    recs.append(
-        make_record("malliavin", "derivation_identity", "Eq (3.14)", worst, tol)
-    )
-
+    A, Bs, _, _ = chaos.pair_sections(basis)
+    spec = pairs.SymmetricPairSpec(OperatorMatrix(A), OperatorMatrix(Bs))
+    # integration by parts against the constant function:
+    # <T_i H_p, 1> = <H_p, Phi_i 1> for every slot i and p in sub
+    Tmat, X = chaos.t_matrix(basis), chaos.phi_matrix(basis)
+    ones = chaos.exp_vector(np.zeros(d), basis)[0].coeffs
+    ibp = abs((ones * norms) @ Tmat.conj().reshape(d, B, B)
+              - (X @ ones) * norms)[:, sub].max()
     # annihilation + creation = coordinate multiplication
-    Tmat = chaos.t_matrix(basis)
-    Tstar = chaos.t_star_matrix(basis)
-    Bsize = len(basis)
-    worst = 0.0
-    for i in range(d):
-        Tk = Tmat[i * Bsize:(i + 1) * Bsize, :]
-        Tk_star = Tstar[:, i * Bsize:(i + 1) * Bsize]
-        Mk = np.column_stack([chaos.mult_phi(i, basis.unit(a))[0].coeffs
-                              for a in basis.indices])
-        dev = np.max(np.abs((Tk + Tk_star)[:, sub] - Mk[:, sub]))
-        worst = max(worst, float(dev))
-    recs.append(
-        make_record("malliavin", "mult_split", "Cor 3.14", worst, tol)
-    )
-
+    Tstar = chaos.t_star_matrix(basis).reshape(B, d, B).transpose(1, 0, 2)
+    split = abs(Tmat.reshape(d, B, B) + Tstar - X)[:, :, sub].max()
     # kernel of the derivative section is the constants
     ns = np.linalg.svd(Tmat, compute_uv=False)
     kdim = int(np.sum(ns <= 1e-10 * max(ns[0], 1.0)))
-    recs.append(
-        make_record("malliavin", "kernel_dimension", "Cor 3.18",
-                    abs(kdim - 1), 0.5, message=f"dim={kdim}")
-    )
-
-    # number operator acts as multiplication by the level
-    worst = 0.0
-    for p in range(Bsize):
-        F = basis.unit(basis.indices[p])
-        out = chaos.number_operator(F)
-        expect = float(basis.degrees[p]) * F
-        diff = out - expect
-        worst = max(worst, float(np.max(np.abs(diff.coeffs))))
-    recs.append(
-        make_record("malliavin", "number_operator", "Cor 3.18", worst, tol)
-    )
-
-    # exponential vectors: inner product and eigen-style identity
-    k = np.zeros(d)
-    k[0] = 0.5
+    # exponential vectors: inner product and eigen-style identity, with
+    # the degree-N truncation of exp(|k|^2) summed independently in 1-D
+    k = np.eye(d)[0] * 0.5
     e1, tail1 = chaos.exp_vector(k, basis)
-    ip = chaos.h1_inner(e1, e1).real
-    # degree-N truncation of exp(|k|^2), summed independently in 1-D
     ksq = float(k @ k)
     series = math.fsum(ksq**n / math.factorial(n) for n in range(N + 1))
-    recs.append(
-        make_record("malliavin", "exp_inner_product", "Eq (3.3)",
-                    abs(ip - series), tol,
-                    message=f"tail_bound={tail1:.3e}")
-    )
-    num = chaos.number_operator(e1)
-    mult = chaos.zero_vector(basis)
-    for i in range(d):
-        if k[i]:
-            mi, _ = chaos.mult_phi(i, e1)
-            mult = mult + k[i] * mi
-    expect = mult - ksq * e1
-    diff = num - expect
-    resid = abs(chaos.h1_inner(diff, diff)) ** 0.5
+    diff = chaos.number_operator(e1) - (
+        k[0] * chaos.mult_phi(0, e1)[0] - ksq * e1)
     edge_tol = max(tol, (N + 2) * (tail1 ** 0.5))
-    recs.append(
-        make_record("malliavin", "exp_number_identity", "Cor 3.17",
-                    resid, edge_tol, message=f"edge_tol={edge_tol:.3e}")
-    )
-    return recs
+    checks = [
+        ("pair_identity", "Eq (3.15)", pairs.check_pair(spec, tol).residual,
+         tol, ""),
+        ("section_maximality", "Thm 3.13", pairs.is_maximal(spec, tol)[1],
+         tol, ""),
+        ("ibp_identity", "Eq (3.11)", ibp, tol, ""),
+        ("derivation_identity", "Eq (3.14)", _derivation_residual(basis),
+         tol, ""),
+        ("mult_split", "Cor 3.14", split, tol, ""),
+        ("kernel_dimension", "Cor 3.18", abs(kdim - 1), 0.5, f"dim={kdim}"),
+        # the number operator acts as multiplication by the level
+        ("number_operator", "Cor 3.18",
+         abs(basis.number_matrix - np.diag(basis.degrees)).max(), tol, ""),
+        ("exp_inner_product", "Eq (3.3)",
+         abs(chaos.h1_inner(e1, e1).real - series), tol,
+         f"tail_bound={tail1:.3e}"),
+        ("exp_number_identity", "Cor 3.17",
+         abs(chaos.h1_inner(diff, diff)) ** 0.5, edge_tol,
+         f"edge_tol={edge_tol:.3e}"),
+    ]
+    return [make_record("malliavin", *check) for check in checks]
 
 
 def suite_modular(n: int, rho, t_list, tol: float = DEFAULT_TOL):
@@ -240,25 +195,20 @@ def suite_network(net: network.FiniteNetwork, tol: float = DEFAULT_TOL):
 
 def suite_defect(rule: str, r: float, nmax: int, expect: str | None = None,
                  tol: float = DEFAULT_TOL):
-    recs = []
     seq = network.ConductanceSequence(network.HALFLINE, rule, r)
     result = network.defect_recurrence(seq, nmax)
-    res = 0.0 if result.overflow else result.rel_residual
-    recs.append(
-        make_record("defect", "recurrence_residual", "Eq (5.14)",
-                    res, max(tol, 1e-12),
-                    message=f"overflow={result.overflow}")
-    )
     msg = (
         f"energy={result.energy_partials[-1]:.6e} "
         f"l2_psi={result.l2_psi:.3e} l2_lap_psi={result.l2_lap_psi:.3e}"
         if not result.overflow else "overflow"
     )
-    recs.append(
+    return [
+        make_record("defect", "recurrence_residual", "Eq (5.14)",
+                    0.0 if result.overflow else result.rel_residual,
+                    max(tol, 1e-12), message=f"overflow={result.overflow}"),
         verdict_record("defect", "energy_verdict", "Thm 5.18",
-                       result.verdict, expect, message=msg)
-    )
-    return recs
+                       result.verdict, expect, message=msg),
+    ]
 
 
 def default_config() -> dict:
@@ -306,6 +256,10 @@ def default_config() -> dict:
     }
 
 
+#: params a batch entry of each kind cannot run without
+REQUIRED = {"malliavin": ("d", "N"), "modular": ("n",), "network": ("graph",)}
+
+
 def run_suite(config: dict, default_tol: float = DEFAULT_TOL) -> Report:
     """Execute every configured suite, converting math errors to failures."""
     report = Report()
@@ -315,6 +269,9 @@ def run_suite(config: dict, default_tol: float = DEFAULT_TOL) -> Report:
         params = entry.get("params", {})
         tol = float(entry.get("tol", default_tol))
         try:
+            missing = [k for k in REQUIRED.get(kind, ()) if k not in params]
+            if missing:
+                raise ValueError(f"{kind}: missing param {missing[0]!r}")
             if kind == "pair":
                 spec, file_tol = pairs.pair_from_json(params)
                 if "tol" in params:

@@ -1,8 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sympairs import chaos
 from sympairs.chaos import (
     ChaosError,
     ChaosField,
@@ -14,7 +18,6 @@ from sympairs.chaos import (
     chaos_monomials,
     exp_vector,
     gaussian_expectation,
-    gram_schmidt_reduce,
     h1_inner,
     h2_inner,
     hermite_coefficients,
@@ -22,6 +25,8 @@ from sympairs.chaos import (
     multiply,
     number_operator,
     pair_sections,
+    phi_matrix,
+    product_columns,
     t_matrix,
     t_star_matrix,
     zero_vector,
@@ -68,7 +73,50 @@ def T_apply_loop(F):
     return comps
 
 
+def multiply_monomial(F, G):
+    """Reference oracle: F * G by iterated multiplication by coordinates.
+
+    F is expanded into monomials and each power of a coordinate is
+    applied to G through ``mult_phi``.  Every intermediate step drops
+    what passes degree N, so it is exact only when deg F + deg G <= N.
+    """
+    out = zero_vector(F.basis)
+    for coeff, exps in chaos_monomials(F):
+        term = G
+        for i, p in enumerate(exps):
+            for _ in range(p):
+                term, _ = mult_phi(i, term)
+        out = out + coeff * term
+    return out
+
+
+def embed(F, basis):
+    """F as a vector of a larger basis over the same d."""
+    c = np.zeros(len(basis), dtype=complex)
+    c[:len(F.basis)] = F.coeffs  # the (degree, lex) order is nested in N
+    return ChaosVector(basis, c)
+
+
+def leibniz_loop_residual(basis, product):
+    """Reference oracle: the Eq 3.14 residual as a loop over basis pairs."""
+    worst = 0.0
+    sub = [p for p in range(len(basis)) if basis.degrees[p] <= basis.N - 1]
+    for p in sub:
+        for q in sub:
+            if basis.degrees[p] + basis.degrees[q] > basis.N - 1:
+                continue
+            H, K = basis.unit(basis.indices[p]), basis.unit(basis.indices[q])
+            lhs = T_apply(product(H, K))
+            th, tk = T_apply(H), T_apply(K)
+            for i in range(basis.d):
+                diff = (lhs.components[i] - product(K, th.components[i])
+                        - product(H, tk.components[i]))
+                worst = max(worst, abs(h1_inner(diff, diff)) ** 0.5)
+    return worst
+
+
 LADDER_SIZES = ((1, 8), (2, 6), (3, 5), (4, 4))
+PRODUCT_SIZES = ((1, 8), (2, 6), (3, 5))
 
 
 def random_vector(basis, rng):
@@ -320,6 +368,206 @@ def test_multiply_matches_hermite_product():
     assert np.max(np.abs(out.coeffs - expect.coeffs)) < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PRODUCT_SIZES), st.integers(0, 8),
+       st.integers(0, 2**32 - 1))
+def test_multiply_matches_monomial_oracle(size, split, seed):
+    # real F of degree <= a and G of degree <= N - a: the oracle is exact
+    d, N = size
+    a = min(split, N)
+    b = basis_build(d, N)
+    rng = np.random.default_rng(seed)
+    F = ChaosVector(b, rng.normal(size=len(b)) * (b.degrees <= a))
+    G = ChaosVector(b, rng.normal(size=len(b)) * (b.degrees <= N - a))
+    out, lost = multiply(F, G)
+    ref = multiply_monomial(F, G)
+    assert lost == 0.0
+    assert np.max(np.abs(out.coeffs - ref.coeffs)) <= \
+        1e-10 * max(1.0, np.max(np.abs(ref.coeffs)))
+
+
+@pytest.mark.parametrize("d,N", PRODUCT_SIZES)
+def test_multiply_truncation_and_lost_against_double_degree_oracle(d, N):
+    # full support: in the degree-2N basis nothing is truncated, so the
+    # oracle gives the whole product; lost is its weighted norm past N
+    b, big = basis_build(d, N), basis_build(d, 2 * N)
+    rng = np.random.default_rng(7 * d + N)
+    F = ChaosVector(b, rng.normal(size=len(b)))
+    G = ChaosVector(b, rng.normal(size=len(b)))
+    out, lost = multiply(F, G)
+    ref = multiply_monomial(embed(F, big), embed(G, big)).coeffs
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(out.coeffs - ref[:len(b)])) <= 1e-10 * scale
+    tail = ref[len(b):]
+    want = math.sqrt(np.sum(np.abs(tail) ** 2 * big.norms[len(b):]))
+    assert lost > 0.0 and abs(lost - want) <= 1e-10 * want
+    for p in (0, 1, len(b) - 1):
+        cols = product_columns(b, p, np.arange(len(b)))
+        for q in range(len(b)):
+            ref = multiply_monomial(big.unit(b.indices[p]),
+                                    big.unit(b.indices[q])).coeffs
+            assert np.array_equal(cols[:, q], ref[:len(b)])
+
+
+def test_multiply_complex_scalar_either_side():
+    # the monomial route read F.coeffs.real, so 1j*H_1 times 1 gave 0
+    b = basis_build(1, 4)
+    H1, one = b.unit((1,)), b.unit((0,))
+    for F, G in ((1j * H1, one), (one, 1j * H1)):
+        out, lost = multiply(F, G)
+        assert np.array_equal(out.coeffs, (1j * H1).coeffs) and lost == 0.0
+
+
+@pytest.mark.parametrize("d,N", PRODUCT_SIZES)
+def test_multiply_commutes_on_complex_vectors(d, N):
+    b = basis_build(d, N)
+    rng = np.random.default_rng(d + 10 * N)
+    for _ in range(3):
+        F, G = random_vector(b, rng), random_vector(b, rng)
+        fg, lost_fg = multiply(F, G)
+        gf, lost_gf = multiply(G, F)
+        scale = np.max(np.abs(fg.coeffs))
+        assert np.max(np.abs(fg.coeffs - gf.coeffs)) <= 1e-12 * scale
+        assert abs(lost_fg - lost_gf) <= 1e-12 * lost_fg
+
+
+def test_triple_moments_against_wick_oracle():
+    # <H_a H_b, H_c> = E[H_a H_b H_c]; truncation never touches degree <= N
+    b = basis_build(2, 3)
+    G = np.eye(2)
+    for x in b.indices:
+        for y in b.indices:
+            prod, _ = multiply(b.unit(x), b.unit(y))
+            pxy = poly_product(chaos_monomials(b.unit(x)),
+                               chaos_monomials(b.unit(y)))
+            for z in b.indices:
+                want = gaussian_expectation(
+                    poly_product(pxy, chaos_monomials(b.unit(z))), G)
+                assert abs(h1_inner(b.unit(z), prod) - want) < 1e-9
+    # complex coefficients reach the oracle through chaos_monomials
+    rng = np.random.default_rng(5)
+    F, K = random_vector(b, rng), random_vector(b, rng)
+    prod, _ = multiply(F, K)
+    pfk = poly_product(chaos_monomials(F), chaos_monomials(K))
+    for z in b.indices:
+        want = gaussian_expectation(
+            poly_product(pfk, chaos_monomials(b.unit(z))), G)
+        assert abs(h1_inner(b.unit(z), prod) - want) < 1e-9
+
+
+def test_chaos_monomials_keep_imaginary_parts():
+    b = basis_build(1, 2)
+    assert chaos_monomials(1j * b.unit((1,))) == [(1j, (1,))]
+    assert chaos_monomials(b.unit((2,))) == [(-1.0, (0,)), (1.0, (2,))]
+
+
+def test_rank_matches_index_map():
+    # ranks past degree N follow the same order: check them on the
+    # degree-2N basis, whose first |basis| indices are the basis itself
+    for d in range(1, 6):
+        for N in range(0, 8):
+            b, big = basis_build(d, N), basis_build(d, 2 * N)
+            assert np.array_equal(chaos._rank(b, big.alphas),
+                                  np.arange(len(big)))
+            assert [b.index_map[a] for a in b.indices] == list(range(len(b)))
+
+
+def test_linearisation_table_is_lazy_and_exact():
+    b = basis_build(2, 6)
+    assert "linearisation" not in vars(b)
+    multiply(b.unit((1, 0)), b.unit((1, 0)))
+    lin = vars(b)["linearisation"]
+    assert not lin.flags.writeable and lin.shape == (7, 7, 7)
+    for m in range(7):
+        for n in range(7):
+            for k in range(7):
+                want = math.factorial(k) * math.comb(m, k) * math.comb(n, k)
+                assert lin[m, n, k] == want
+
+
+def test_phi_matrix_columns_are_mult_phi():
+    b = basis_build(3, 4)
+    X = phi_matrix(b)
+    for i in range(3):
+        for p, a in enumerate(b.indices):
+            assert np.array_equal(X[i][:, p], mult_phi(i, b.unit(a))[0].coeffs)
+
+
+def test_matrix_preflight_refuses_before_allocating(monkeypatch):
+    # d=3, N=100: C(103, 3) = 176,851 passes the basis guard, but one
+    # derivative matrix would take 1.5 TB; nothing may be built first
+    def refuse(*args):
+        raise AssertionError("basis built before the byte check")
+
+    monkeypatch.setattr(chaos, "basis_build", refuse)
+    monkeypatch.setattr(chaos, "_enumerate_indices", refuse)
+    with pytest.raises(ChaosError, match="GiB"):
+        t_matrix(SimpleNamespace(d=3, N=100))
+    from sympairs.suites import suite_malliavin
+
+    with pytest.raises(ChaosError, match="refused"):
+        suite_malliavin(3, 100)
+
+
+@pytest.mark.parametrize("d,N", ((1, 6), (2, 5), (3, 4)))
+def test_derivation_identity_matches_leibniz_loop(d, N):
+    from sympairs.suites import suite_malliavin
+
+    rec = next(r for r in suite_malliavin(d, N)
+               if r.check == "derivation_identity")
+    assert rec.passed
+    assert rec.residual == leibniz_loop_residual(basis_build(d, N),
+                                                 multiply_monomial) == 0.0
+
+
+def test_each_linearisation_level_obeys_leibniz(monkeypatch):
+    # T(He_{m+n-2k}) matches both Leibniz terms level by level, so Eq 3.14
+    # cannot see a dropped or rescaled level (k = 0 alone is the Wick
+    # product); the product itself is pinned by the oracle tests above
+    from sympairs.suites import suite_malliavin
+
+    real = chaos.basis_build
+
+    def drop_level_0(d, N):
+        b = real(d, N)
+        lin = b.linearisation.copy()
+        lin[:, :, 0] = 0.0
+        vars(b)["linearisation"] = lin
+        return b
+
+    monkeypatch.setattr(chaos, "basis_build", drop_level_0)
+    rec = next(r for r in suite_malliavin(2, 5)
+               if r.check == "derivation_identity")
+    assert rec.passed and rec.residual == 0.0
+
+
+@pytest.mark.parametrize("d,N", ((1, 6), (2, 5)))
+def test_derivation_identity_fails_on_wrong_product(monkeypatch, d, N):
+    # level k = 1 off by one (mn + 1 for mn) breaks the Leibniz rule; the
+    # table stays symmetric, so the loop's product(K, T_i H) and the
+    # matrix form's M_{p - e_i} see the same wrong product
+    from sympairs.suites import suite_malliavin
+
+    real = chaos.basis_build
+
+    def wrong_basis(d, N):
+        b = real(d, N)
+        lin = b.linearisation.copy()
+        lin[:, :, 1] += lin[:, :, 1] > 0
+        vars(b)["linearisation"] = lin
+        return b
+
+    monkeypatch.setattr(chaos, "basis_build", wrong_basis)
+    recs = {r.check: r for r in suite_malliavin(d, N)}
+    rec = recs["derivation_identity"]
+    assert not rec.passed and rec.residual > 1.0
+    loop = leibniz_loop_residual(wrong_basis(d, N),
+                                 lambda F, G: multiply(F, G)[0])
+    assert abs(rec.residual - loop) <= 1e-12 * loop
+    # the other identities do not use the product
+    assert all(r.passed for c, r in recs.items() if c != "derivation_identity")
+
+
 def test_derivation_identity_small():
     b = basis_build(2, 5)
     H = b.unit((1, 1))
@@ -348,26 +596,6 @@ def test_kernel_of_t_section():
     b = basis_build(2, 4)
     s = np.linalg.svd(t_matrix(b), compute_uv=False)
     assert int(np.sum(s <= 1e-10 * s[0])) == 1
-
-
-def test_gram_schmidt_reduce_examples():
-    C, kept = gram_schmidt_reduce(np.eye(3), target=0)
-    assert np.max(np.abs(C - np.eye(3))) < 1e-12
-    assert kept == [0, 1, 2]
-    G = np.array([[1.0, 0.5], [0.5, 1.0]])
-    C, kept = gram_schmidt_reduce(G, target=0)
-    expect = np.array([-0.5, 1.0]) / math.sqrt(0.75)
-    assert np.max(np.abs(C[1] - expect)) < 1e-12
-    # dependent pair keeps one vector
-    G = np.array([[1.0, 1.0], [1.0, 1.0]])
-    C, kept = gram_schmidt_reduce(G, target=0)
-    assert len(kept) == 1
-    # orthonormality of the reduced frame in the Gramian metric
-    G = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]])
-    C, kept = gram_schmidt_reduce(G, target=1)
-    assert kept[0] == 1
-    M = C @ G @ C.T
-    assert np.max(np.abs(M - np.eye(len(kept)))) < 1e-10
 
 
 def test_h2_inner_consistency():

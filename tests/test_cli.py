@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,8 @@ def test_defect_overflow_no_traceback(tmp_path, capsys):
     {"kind": "malliavin", "tol": "abc", "params": {"d": 1, "N": 4}},
     {"kind": "malliavin", "tol": None, "params": {"d": 1, "N": 4}},
     {"kind": "malliavin", "tol": float("nan"), "params": {"d": 1, "N": 4}},
+    {"kind": "defect", "params": {"expect": 5}},
+    {"kind": "defect", "params": {"expect": "converges"}},
 ])
 def test_bad_batch_config_exit_2(tmp_path, capsys, entry):
     cfg = tmp_path / "bad.json"
@@ -286,3 +289,47 @@ def test_malformed_json_no_traceback(tmp_path, capsys, kind, params):
         argv = ["check", "modular", "--n", str(params["n"])]
     assert cli.main(argv) == 2
     assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("kind,params,missing", [
+    ("malliavin", {"d": 2}, "N"),
+    ("malliavin", {"N": 4}, "d"),
+    ("modular", {"rho": "tracial"}, "n"),
+    ("network", {}, "graph"),
+])
+def test_missing_param_names_suite_and_param(kind, params, missing):
+    rep = run_suite({"suites": [{"kind": kind, "params": params}]})
+    [rec] = rep.records
+    assert rec.check == "suite_error" and not rec.passed
+    assert rec.message == f"{kind}: missing param {missing!r}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "defect", "--r", "2", "--nmax", "1023"],
+    ["check", "defect", "--r", "0.5", "--nmax", "3000"],
+])
+def test_defect_float_edge_prints_no_warnings(capsys, argv):
+    # inf scales, energies and norms are handled outcomes, not warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_malliavin_byte_preflight_exit_2(tmp_path, capsys, monkeypatch):
+    # C(103, 3) passes the basis guard, but t_matrix would need 1.5 TB:
+    # refused from d and N alone, before any basis is built
+    from sympairs import chaos
+
+    def refuse(*args):
+        raise AssertionError("basis built before the byte check")
+
+    monkeypatch.setattr(chaos, "basis_build", refuse)
+    assert cli.main(["check", "malliavin", "--d", "3", "--N", "100"]) == 2
+    assert_one_line_error(capsys)
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(
+        {"suites": [{"kind": "malliavin", "params": {"d": 3, "N": 100}}]}))
+    assert cli.main(["run", "-c", str(cfg)]) == 1
+    [rec] = json.loads(capsys.readouterr().out)["records"]
+    assert rec["check"] == "suite_error" and "GiB" in rec["message"]
