@@ -136,6 +136,23 @@ class ChaosBasis:
         return lad
 
     @cached_property
+    def derivative_matrix(self) -> np.ndarray:
+        """``t_matrix`` data, read-only; ``t_matrix`` checks bytes."""
+        B, lad = len(self), self.ladders
+        M = np.zeros((self.d * B, B), dtype=complex)
+        M[np.arange(self.d)[:, None] * B + lad.src, lad.up] = lad.rank
+        return _frozen(M)
+
+    @cached_property
+    def phi_stack(self) -> np.ndarray:
+        """``phi_matrix`` data, read-only; ``phi_matrix`` checks bytes."""
+        lad, slot = self.ladders, np.arange(self.d)[:, None]
+        X = np.zeros((self.d, len(self), len(self)), dtype=complex)
+        X[slot, lad.up, lad.src] = 1.0
+        X[slot, lad.src, lad.up] = lad.rank
+        return _frozen(X)
+
+    @cached_property
     def number_matrix(self) -> np.ndarray:
         """``t_star_matrix @ t_matrix``, composed once per basis."""
         return _frozen(t_star_matrix(self) @ t_matrix(self))
@@ -278,34 +295,29 @@ def matrix_preflight(d: int, N: int) -> None:
     whose d*B x B complex matrices exceed MAX_MATRIX_BYTES."""
     nbytes = 16 * d * math.comb(N + d, d) ** 2 if d > 0 and 0 <= N < 170 else 0
     if nbytes > MAX_MATRIX_BYTES:  # bad d or N are left to ChaosBasis
+        size = (f"{nbytes / 2**30:.3g} GiB" if nbytes < 2**1000  # a float
+                else f"over 2^{nbytes.bit_length() - 1} bytes")
         raise ChaosError(f"d={d}, N={N} refused: a d*B x B matrix needs "
-                         f"{nbytes / 2**30:.3g} GiB (limit 256 MiB)")
+                         f"{size} (limit 256 MiB)")
 
 
 def t_matrix(basis: ChaosBasis) -> np.ndarray:
     """Matrix of the derivative in natural coordinates, stacked over slots.
 
     Row block i holds component i; shape (d * |basis|, |basis|), filled
-    in one scatter from the basis' cached lowering ladders.
+    in one scatter from the basis' cached lowering ladders.  Read-only,
+    cached on the basis (``ChaosBasis.derivative_matrix``).
     """
     matrix_preflight(basis.d, basis.N)
-    B = len(basis)
-    lad = basis.ladders
-    M = np.zeros((basis.d * B, B), dtype=complex)
-    rows = np.arange(basis.d)[:, None] * B + lad.src
-    M[rows, lad.up] = lad.rank
-    return M
+    return basis.derivative_matrix
 
 
 def phi_matrix(basis: ChaosBasis) -> np.ndarray:
     """(d, |basis|, |basis|) stack of the matrices of ``mult_phi(i, .)``
-    (mass past degree N dropped), filled in one scatter along the ladders."""
+    (mass past degree N dropped), filled in one scatter along the ladders.
+    Read-only, cached on the basis (``ChaosBasis.phi_stack``)."""
     matrix_preflight(basis.d, basis.N)
-    lad, slot = basis.ladders, np.arange(basis.d)[:, None]
-    X = np.zeros((basis.d, len(basis), len(basis)), dtype=complex)
-    X[slot, lad.up, lad.src] = 1.0
-    X[slot, lad.src, lad.up] = lad.rank
-    return X
+    return basis.phi_stack
 
 
 def t_star_matrix(basis: ChaosBasis) -> np.ndarray:

@@ -264,24 +264,6 @@ def _fix_phases(basis: np.ndarray) -> np.ndarray:
     return out
 
 
-def null_space(T: OperatorMatrix, tol: float = DEFAULT_TOL):
-    """Orthonormal basis of the numerical kernel, via SVD thresholding.
-
-    Returns the vectors v with ``|Tv| <= tol * |T| * |v|`` as a list of
-    1-d arrays (empty when the kernel is trivial).
-    """
-    _require_linear(T, "null_space")
-    M = T.matrix
-    if M.size == 0 or not np.any(M):
-        basis = np.eye(M.shape[1], dtype=complex)
-        return [basis[:, j] for j in range(M.shape[1])]
-    u, s, vh = np.linalg.svd(M)
-    smax = s[0]
-    rank = int(np.sum(s > tol * smax))
-    basis = _fix_phases(vh[rank:].conj().T)
-    return [basis[:, j] for j in range(basis.shape[1])]
-
-
 def eig_space(T: OperatorMatrix, lam: complex, tol: float = DEFAULT_TOL):
     """Orthonormal basis of the numerical ``lam``-eigenspace of T."""
     _require_linear(T, "eig_space")

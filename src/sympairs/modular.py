@@ -163,8 +163,8 @@ def standard_form(n: int, rho) -> StandardForm:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (n, n):
         raise ModularError(f"rho must be {n}x{n}")
-    # written as "not <=" so that NaN entries are refused too
-    if not np.max(np.abs(rho - rho.conj().T)) <= 1e-10:
+    # finiteness first, so inf - inf never reaches the Hermitian test
+    if not np.isfinite(rho).all() or np.max(abs(rho - rho.conj().T)) > 1e-10:
         raise ModularError("rho must be finite and Hermitian")
     if not abs(np.trace(rho) - 1.0) <= 1e-10:
         raise ModularError("rho must have unit trace")
@@ -311,6 +311,8 @@ def check_sxs_commutes(S: OperatorMatrix, alg: AlgebraSpec) -> float:
 def modular_flow_check(Delta: OperatorMatrix, alg: AlgebraSpec, t_list,
                        tol: float = DEFAULT_TOL) -> float:
     """Max residual of expanding Delta^{it} x Delta^{-it} in the algebra."""
+    if not np.isfinite(t_list).all():
+        raise ModularError(f"modular flow times must be finite: {t_list}")
     X = _stack(alg.basis)
     worst = 0.0
     for t in t_list:
@@ -319,21 +321,6 @@ def modular_flow_check(Delta: OperatorMatrix, alg: AlgebraSpec, t_list,
         flowed = U.matrix @ X @ Uinv.matrix
         worst = max(worst, span_residual(flowed, alg.basis))
     return worst
-
-
-def maximality_check(S: OperatorMatrix, F: OperatorMatrix,
-                     tol: float = DEFAULT_TOL):
-    """Verify F* = S entrywise (conjugate-linear adjoint is the transpose).
-
-    Also reports the symmetric-pair residual of (S, F) under the
-    conjugate-linear pairing convention.  Returns (verdict, adjoint
-    deviation, pair residual).
-    """
-    from .pairs import SymmetricPairSpec, check_pair
-
-    dev = float(np.max(np.abs(adjoint(F).matrix - S.matrix)))
-    pair_res = check_pair(SymmetricPairSpec(S, F), tol).residual
-    return dev < tol, dev, pair_res
 
 
 def antilinear_defect_dimension(F: OperatorMatrix, alg: AlgebraSpec, xi,

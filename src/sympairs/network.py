@@ -1,7 +1,7 @@
 """Energy-space computations on resistance networks.
 
 Finite networks get exact linear-solve machinery (energy form, graph
-Laplacian, energy kernel, dipoles) with the quotient by constants
+Laplacian, energy kernel) with the quotient by constants
 realized by pinning the representative to vanish at the origin.  A
 network caches read-only edge arrays, Laplacian and kernel matrix (one
 pinned-Laplacian solve) on first use.  Energy is only ever the incidence
@@ -198,11 +198,6 @@ def energy_kernel(net: FiniteNetwork, x) -> EnergyVector:
     return EnergyVector(net, net.kernel_matrix[:, net.index[x]])
 
 
-def dipole(net: FiniteNetwork, x, y) -> EnergyVector:
-    """Element with pointwise Laplacian delta_x - delta_y."""
-    return energy_kernel(net, x) - energy_kernel(net, y)
-
-
 def pair_K_Delta_check(net: FiniteNetwork, tol: float = 1e-10) -> float:
     """Pairing residual of the Laplacian against the inclusion operator.
 
@@ -275,6 +270,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 TAIL_RATIO = 0.9
 BLOWUP_FACTOR = 1e6
 STAGNATION = 1e-12
+#: largest half-line recurrence: about a second and 8 MB an array
+MAX_NMAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -304,8 +301,8 @@ def defect_recurrence(seq: ConductanceSequence, nmax: int,
     """
     if seq.kind != HALFLINE:
         raise NetworkError("defect_recurrence needs a half-line sequence")
-    if nmax < 3:
-        raise NetworkError("need nmax >= 3")
+    if not 3 <= nmax <= MAX_NMAX:  # refused before any allocation
+        raise NetworkError(f"need 3 <= nmax <= {MAX_NMAX}, got {nmax}")
     seq.c(nmax - 1)  # refuse an overflowing nmax before allocating
     psi = np.zeros(nmax + 1)
     psi[0] = psi0
@@ -318,7 +315,7 @@ def defect_recurrence(seq: ConductanceSequence, nmax: int,
                 psi[n + 1] = (
                     psi[n] + (cp / cn) * (psi[n] - psi[n - 1]) + psi[n] / cn
                 )
-        except FloatingPointError:
+        except (FloatingPointError, ZeroDivisionError):  # c(n) underflowed
             overflow = True
     # pointwise residuals of Delta psi + psi at computed interior nodes,
     # plus a backward-error scale: once psi flattens at machine precision
@@ -329,8 +326,9 @@ def defect_recurrence(seq: ConductanceSequence, nmax: int,
     cp, prev = np.r_[0.0, cn[:-1]], np.r_[psi[0], psi[:nmax - 1]]
     here, nxt = psi[:nmax], psi[1:]
     residuals, scales = np.zeros(nmax + 1), np.ones(nmax + 1)
-    residuals[:nmax] = cp * (here - prev) + cn * (here - nxt) + here
-    with np.errstate(over="ignore"):  # an inf scale leaves its node unjudged
+    # inf/nan residuals are judged below; an inf scale leaves a node unjudged
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals[:nmax] = cp * (here - prev) + cn * (here - nxt) + here
         scales[:nmax] = (1.0 + cp * (abs(here) + abs(prev))
                          + cn * (abs(here) + abs(nxt)) + abs(here))
     if overflow or not np.all(np.isfinite(residuals[:nmax])):
@@ -339,9 +337,10 @@ def defect_recurrence(seq: ConductanceSequence, nmax: int,
         rel_residual = float(
             np.max(np.abs(residuals[:nmax]) / scales[:nmax])
         )
-    with np.errstate(over="ignore"):  # inf energy is a DIVERGES verdict
+    # inf or nan (0 * inf) energy is a DIVERGES verdict
+    with np.errstate(over="ignore", invalid="ignore"):
         increments = cn * np.diff(psi) ** 2
-    partials = np.cumsum(increments)
+        partials = np.cumsum(increments)
     thresholds = {
         "tail_ratio": TAIL_RATIO,
         "blowup_factor": BLOWUP_FACTOR,
@@ -469,10 +468,12 @@ def parse_graph(text: str) -> FiniteNetwork:
                 raise NetworkError(f"line {lineno}: malformed origin line")
             origin = parts[1]
             continue
-        if len(parts) != 3:
-            raise NetworkError(f"line {lineno}: expected 'x y c'")
-        x, y, c = parts[0], parts[1], float(parts[2])
-        edges.append((x, y, c))
+        try:
+            x, y, c = parts
+            edges.append((x, y, float(c)))
+        except ValueError:
+            raise NetworkError(f"line {lineno}: expected 'x y c' with a "
+                               "numeric c") from None
         order.update(dict.fromkeys((x, y)))
     if not edges:
         raise NetworkError("no edges in graph input")

@@ -614,3 +614,46 @@ def test_exp_inner_product_record_at_truncation_edge():
                if r.check == "exp_inner_product")
     assert rec.passed and rec.tol == 1e-10
     assert rec.message.startswith("tail_bound=")
+
+
+def test_dense_matrices_cached_per_basis():
+    b = basis_build(3, 4)
+    assert "derivative_matrix" not in vars(b) and "phi_stack" not in vars(b)
+    T, X = t_matrix(b), phi_matrix(b)
+    assert T is t_matrix(b) is b.derivative_matrix
+    assert X is phi_matrix(b) is b.phi_stack
+    assert not T.flags.writeable and not X.flags.writeable
+    with pytest.raises(ValueError):
+        T[0, 0] = 1.0
+    assert basis_build(3, 4).derivative_matrix is not T
+
+
+def test_suite_malliavin_builds_each_dense_matrix_once(monkeypatch):
+    from functools import cached_property
+
+    from sympairs.suites import suite_malliavin
+
+    counts = {}
+    for name in ("derivative_matrix", "phi_stack"):
+        def counted(self, build=vars(chaos.ChaosBasis)[name].func, name=name):
+            counts[name] = counts.get(name, 0) + 1
+            return build(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(chaos.ChaosBasis, name)
+        monkeypatch.setattr(chaos.ChaosBasis, name, prop)
+    assert all(r.passed for r in suite_malliavin(3, 5))
+    assert counts == {"derivative_matrix": 1, "phi_stack": 1}
+
+
+@pytest.mark.parametrize("d,N", ((1, 6), (2, 5), (3, 4)))
+def test_section_maximality_is_the_pair_residual(d, N):
+    # Thm 3.13 (B = A*) and Eq 3.15 are one number, max |B - A*|
+    from sympairs.report import canon_float
+    from sympairs.suites import suite_malliavin
+
+    recs = {r.check: r for r in suite_malliavin(d, N)}
+    A, B, _, _ = pair_sections(basis_build(d, N))
+    dev = canon_float(np.max(np.abs(B - A.conj().T)))
+    assert recs["section_maximality"].residual == dev
+    assert recs["pair_identity"].residual == dev

@@ -11,7 +11,6 @@ from sympairs.core import (
     compose,
     eig_space,
     identity,
-    null_space,
     polar_decompose,
     spectrum,
     sqrt_psd,
@@ -237,11 +236,12 @@ def test_unitary_power_rejects_nonpositive():
         unitary_power(OperatorMatrix(np.diag([1.0, 0.0])), 1.0)
 
 
-def test_null_space_examples():
-    assert null_space(identity(4)) == []
-    basis = null_space(OperatorMatrix(np.zeros((3, 3))))
+def test_eig_space_kernel_examples():
+    # lam = 0 gives the kernel, with the threshold still relative to |T|
+    assert eig_space(identity(4), 0.0) == []
+    basis = eig_space(OperatorMatrix(np.zeros((3, 3))), 0.0)
     assert len(basis) == 3
-    basis = null_space(OperatorMatrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
+    basis = eig_space(OperatorMatrix(np.array([[1.0, 1.0], [1.0, 1.0]])), 0.0)
     assert len(basis) == 1
     v = basis[0]
     expect = np.array([1.0, -1.0]) / np.sqrt(2)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,6 @@ from sympairs.modular import (
     commutant,
     conjugation_action_matrix,
     cyclic_check,
-    maximality_check,
     modular_J,
     modular_data,
     modular_delta,
@@ -27,6 +28,8 @@ from sympairs.modular import (
     standard_form,
     tracial_rho,
 )
+from sympairs.pairs import SymmetricPairSpec, check_pair
+from sympairs.report import canon_float
 from sympairs.suites import suite_modular
 
 
@@ -220,23 +223,36 @@ def test_modular_flow_examples():
     assert modular_flow_check(md.Delta, sf.alg, [0.7, 3.0]) < 1e-10
 
 
-def test_maximality_check_examples():
+def test_modular_pair_check_pair_examples():
+    # F* = S (Thm 4.11) is the check_pair residual of the pair (S, F)
     for rho in (tracial_rho(2), np.diag([0.7, 0.3])):
         sf = standard_form(2, rho)
         md = modular_data(sf)
-        ok, dev, pair_res = maximality_check(md.S, md.F)
-        assert ok
-        assert dev < 1e-10
-        assert pair_res < 1e-10
-    # perturbing one entry of F breaks the adjoint relation
+        rep = check_pair(SymmetricPairSpec(md.S, md.F))
+        assert rep.passed and rep.residual < 1e-10
+    # perturbing one entry of F breaks the adjoint relation by that much
     sf = standard_form(2, np.diag([0.7, 0.3]))
     md = modular_data(sf)
     Mf = md.F.matrix.copy()
     Mf[0, 1] += 0.1
     bad = OperatorMatrix(Mf, CONJUGATE)
-    ok, dev, _ = maximality_check(md.S, bad)
-    assert not ok
-    assert dev > 0.05
+    rep = check_pair(SymmetricPairSpec(md.S, bad))
+    assert not rep.passed
+    assert abs(rep.residual - 0.1) < 1e-9
+
+
+def test_suite_maximality_is_the_pair_residual():
+    rng = np.random.default_rng(23)
+    for rho in (tracial_rho(2), np.diag([0.7, 0.3]), random_rho(rng, 3)):
+        n = rho.shape[0]
+        recs = {r.check: r for r in suite_modular(n, rho, [0.5])}
+        assert recs["maximality"] == replace(
+            recs["pair_identity"], check="maximality", anchor="Thm 4.11",
+            message="")
+        # independent oracle: F is conjugate-linear, so S* = S^T
+        md = modular_data(standard_form(n, rho))
+        dev = float(np.max(np.abs(md.F.matrix - md.S.matrix.T)))
+        assert recs["maximality"].residual == canon_float(dev)
 
 
 def test_antilinear_defect_dimension_zero():

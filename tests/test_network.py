@@ -12,7 +12,6 @@ from sympairs.network import (
     NetworkError,
     constant_halfline,
     defect_recurrence,
-    dipole,
     energy,
     energy_gram,
     energy_kernel,
@@ -118,21 +117,6 @@ def test_energy_kernel_reproduces():
         for x in net.vertices:
             vx = energy_kernel(net, x)
             assert abs(energy(vx, u) - (u(x) - u(net.origin))) < 1e-12
-
-
-def test_dipole_examples():
-    net = path3()
-    d = dipole(net, "c", "a")
-    assert np.array_equal(d.values, energy_kernel(net, "c").values)
-    d = dipole(net, "b", "b")
-    assert np.max(np.abs(d.values)) == 0.0
-    d = dipole(net, "c", "b")
-    assert np.array_equal(d.values, [0.0, 0.0, 1.0])
-    lap = laplacian(d)
-    expect = np.zeros(3)
-    expect[net.index["c"]] = 1.0
-    expect[net.index["b"]] = -1.0
-    assert np.max(np.abs(lap - expect)) < 1e-12
 
 
 def test_pair_K_Delta_check_examples():
@@ -445,3 +429,25 @@ def test_defect_overflow_refused():
                                  "params": {"nmax": 2000}}]})
     assert [r.check for r in rep.records] == ["suite_error"]
     assert not rep.all_passed and "overflows" in rep.records[0].message
+
+
+@pytest.mark.parametrize("seq,nmax", [
+    (geometric_halfline(1e-300), 80),  # c(2) underflows to 0
+    (geometric_halfline(1.0), 3000),
+    (constant_halfline(2.0), 3000),
+])
+def test_defect_float_edge_is_overflow_without_warnings(seq, nmax):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = defect_recurrence(seq, nmax)
+    assert res.overflow and res.verdict == DIVERGES
+
+
+def test_defect_nmax_cap():
+    res = defect_recurrence(constant_halfline(1.0), 10**6)
+    assert len(res.psi) == 10**6 + 1
+    for nmax in (2, 10**6 + 1):
+        with pytest.raises(NetworkError, match="nmax"):
+            defect_recurrence(constant_halfline(1.0), nmax)

@@ -2,24 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sympairs.core import CONJUGATE, OperatorMatrix, adjoint, eig_space
+from sympairs.core import CONJUGATE, LINEAR, OperatorMatrix, adjoint, eig_space
 from sympairs.pairs import (
     PairError,
     SymmetricPairSpec,
     build_L,
     build_Lstar,
     check_pair,
-    defect_eig,
     defect_flip,
     deficiency,
     is_maximal,
-    lq_apply,
     pair_from_json,
-    psi_pm,
-    qtilde_isometry_check,
     symmetry_defect,
 )
+from sympairs.report import canon_float
+from sympairs.suites import suite_pair
 
 
 def hermite_sections(max_deg):
@@ -172,54 +172,6 @@ def test_defect_flip_on_synthetic_probe():
         assert resid < 1e-9
 
 
-def test_psi_pm_examples():
-    spec = SymmetricPairSpec(
-        OperatorMatrix(np.array([[1j]])), OperatorMatrix(np.array([[1j]]))
-    )
-    vec, pre, eig, lam = psi_pm(np.array([0.0]), spec, 1)
-    assert np.array_equal(vec, [0.0, 0.0])
-    vec, pre, eig, lam = psi_pm(np.array([1.0]), spec, 1)
-    assert pre < 1e-15
-    assert np.max(np.abs(vec - np.array([1.0, 1.0]))) < 1e-15
-    assert eig < 1e-15
-    assert lam == -1j
-    # the flipped sign lands in the other defect space
-    vec, pre, eig, lam = psi_pm(np.array([1.0]), spec, -1)
-    assert eig < 1e-15
-    assert lam == 1j
-
-
-def test_lq_apply_examples():
-    spec = SymmetricPairSpec(
-        OperatorMatrix(np.array([[1j]])), OperatorMatrix(np.array([[1j]]))
-    )
-    x = np.array([2.0])
-    y = np.array([3.0])
-    z = np.array([0.0])
-    out = lq_apply(spec, x, y, z, z)
-    L = build_L(spec).L
-    assert np.max(np.abs(out - L.apply(np.concatenate([x, y])))) < 1e-15
-    u = np.array([1.0 + 1j])
-    out = lq_apply(spec, z, z, u, u)
-    Bs = adjoint(spec.B)
-    assert np.max(np.abs(out - np.concatenate([z, 2 * Bs.apply(u)]))) < 1e-15
-    out = lq_apply(spec, z, z, np.array([1.0]), np.array([1.0]))
-    assert np.max(np.abs(out - np.array([0.0, -2j]))) < 1e-15
-
-
-def test_qtilde_isometry_examples():
-    spec = hermite_sections(4)
-    u = np.array([1.0, 0.5, 0.0, 0.0, 0.25])
-    assert qtilde_isometry_check(spec, u, u) == 0.0
-    assert qtilde_isometry_check(spec, u, -u) == 0.0
-    zero_b = SymmetricPairSpec(
-        OperatorMatrix(np.zeros((2, 2))), OperatorMatrix(np.zeros((2, 2)))
-    )
-    w = np.array([1.0, 2.0])
-    expect = 3.0 * np.linalg.norm(w) ** 2
-    assert abs(qtilde_isometry_check(zero_b, w, 2 * w) - expect) < 1e-12
-
-
 def test_is_maximal_examples():
     M = np.array([[1.0, 0.5], [0.5, 2.0]])
     spec = SymmetricPairSpec(OperatorMatrix(M), OperatorMatrix(M))
@@ -238,16 +190,52 @@ def test_is_maximal_examples():
     assert check_pair(spec).residual > 0.5
 
 
-def test_defect_eig_examples():
-    M = np.array([[1.0, 0.5], [0.5, 2.0]])
-    spec = SymmetricPairSpec(OperatorMatrix(M), OperatorMatrix(M))
-    assert defect_eig(spec) == []
-    toy = SymmetricPairSpec(
-        OperatorMatrix(np.array([[1j]])), OperatorMatrix(np.array([[1j]]))
-    )
-    basis = defect_eig(toy)
-    assert len(basis) == 1
-    assert abs(abs(basis[0][0]) - 1.0) < 1e-12
+def test_check_pair_conjugate_adjoint_is_transpose():
+    A = np.array([[1j, 2.0]])
+    spec = SymmetricPairSpec(OperatorMatrix(A, CONJUGATE),
+                             OperatorMatrix(A.T, CONJUGATE))
+    assert check_pair(spec).residual == 0.0
+    spec = SymmetricPairSpec(OperatorMatrix(A, CONJUGATE),
+                             OperatorMatrix(A.conj().T, CONJUGATE))
+    assert check_pair(spec).residual == 2.0
+
+
+def adjoint_deviation_oracle(A, B, linearity):
+    """max |B - A*| with the tag-aware adjoint, straight from the matrices."""
+    Astar = A.T if linearity == CONJUGATE else A.conj().T
+    return float(np.max(np.abs(B - Astar)))
+
+
+@st.composite
+def random_pairs(draw):
+    """(A, B, tag): B is A* exactly or plus a perturbation of drawn size."""
+    n1, n2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    linearity = draw(st.sampled_from([LINEAR, CONJUGATE]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(n2, n1)) + 1j * rng.normal(size=(n2, n1))
+    B = A.T if linearity == CONJUGATE else A.conj().T
+    scale = draw(st.sampled_from([0.0, 1e-13, 1e-9, 1e-6, 1.0]))
+    B = B + scale * (rng.normal(size=B.shape) + 1j * rng.normal(size=B.shape))
+    return A, B, linearity
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_pairs())
+def test_suite_pair_records_carry_one_adjoint_deviation(pair):
+    A, B, linearity = pair
+    spec = SymmetricPairSpec(OperatorMatrix(A, linearity),
+                             OperatorMatrix(B, linearity))
+    dev = adjoint_deviation_oracle(A, B, linearity)
+    # |A - B*| has the same entries, conjugated and transposed
+    assert adjoint_deviation_oracle(B, A, linearity) == dev
+    assert check_pair(spec).residual == dev
+    assert is_maximal(spec)[1:] == (dev, dev)
+    recs = {r.check: r for r in suite_pair(spec, 1e-10)}
+    for check in ("pair_identity", "block_symmetry", "maximality"):
+        assert recs[check].residual == canon_float(dev), check
+    assert recs["pair_identity"].passed == (canon_float(dev) <= 1e-10)
+    assert recs["maximality"].message == f"|A-B*|={dev:.3e} |B-A*|={dev:.3e}"
+    assert recs["block_adjoint"].residual == 0.0
 
 
 def test_pair_from_json_round_trip():
