@@ -62,7 +62,15 @@ def _hs_orthonormalize(mats, tol=1e-10):
 
 
 def algebra_from_generators(generators, tol: float = 1e-10) -> AlgebraSpec:
-    """Close the span of the generators under adjoints and products."""
+    """Close the span of the generators under adjoints and products.
+
+    Each round forms every product of the current basis and first tests
+    whether the span is already closed.  A projection residual of
+    Frobenius norm <= tol bounds every new singular value of the stacked
+    span and products below the SVD rank threshold ``tol * s[0]``
+    (``s[0] >= 1``), so the SVD would add nothing; it runs only when the
+    residual is larger.
+    """
     gens = [np.asarray(g.matrix if isinstance(g, OperatorMatrix) else g,
                        dtype=complex) for g in generators]
     if not gens:
@@ -72,8 +80,12 @@ def algebra_from_generators(generators, tol: float = 1e-10) -> AlgebraSpec:
         [np.eye(m, dtype=complex)] + gens + [g.conj().T for g in gens], tol
     )
     while True:
-        products = [a @ b for a in current for b in current]
-        new = _hs_orthonormalize(current + products, tol)
+        B = np.array(current)
+        products = (B[:, None] @ B[None]).reshape(-1, m, m)
+        P, V = products.reshape(-1, m * m), B.reshape(-1, m * m)
+        if np.linalg.norm(P - (P @ V.conj().T) @ V) <= tol:
+            break
+        new = _hs_orthonormalize(current + list(products), tol)
         if len(new) == len(current):
             break
         current = new
@@ -84,29 +96,88 @@ def algebra_from_generators(generators, tol: float = 1e-10) -> AlgebraSpec:
     )
 
 
-def commutant(alg: AlgebraSpec, tol: float = 1e-10):
-    """Orthonormal basis of everything commuting with all generators.
+#: relative tolerance of the structural commutant: eigenvalue gaps of the
+#: generic Hermitian element, links between its eigenspaces and the final
+#: commutator check are each measured against the norm of what they test
+CLUSTER_TOL = 1e-8
 
-    Solves the stacked linear system ``g X - X g = 0`` over all
-    generators by singular value thresholding.  The stack is folded one
-    generator block at a time into its m^2 x m^2 R factor, which has the
-    same singular values and right singular vectors as the stack.
+#: fixed seed of the generic algebra elements, so bases are reproducible
+_GENERIC_SEED = 2010
+
+
+def commutant(alg: AlgebraSpec, tol: float = CLUSTER_TOL):
+    """Orthonormal basis of the commutant of the *-algebra in ``alg.basis``.
+
+    Built from the block structure of the algebra (Murota, Kanno, Kojima
+    & Kojima, Japan J. Indust. Appl. Math. 27, 2010).  Up to a unitary
+    the algebra is a direct sum of blocks M_p (x) 1_d; a generic
+    Hermitian element H has p eigenspaces of dimension d in each block.
+    A second generic element K couples two eigenspaces exactly when they
+    lie in the same block, and there ``V_a^H K V_b`` is a scalar times a
+    unitary whose polar factor aligns the two eigenbases.  The commutant
+    of a block is spanned by ``(1/sqrt p) sum_a W_a E_ij W_a^H``.  This is
+    O(m^3), against O(m^6) for the Sylvester system.
+
+    The result is checked, never trusted: every element must commute
+    with the generators (and so with their adjoints, see below), and the
+    blocks must account for the whole algebra (sum of p^2 = dim; with
+    the double commutant theorem this makes the span all of M').
+    Otherwise ModularError.
     """
     if not alg.generators:
         raise ModularError("empty generator list")
+    if not alg.basis:
+        raise ModularError("commutant: the algebra has no basis")
     m = alg.dim_ambient
-    eye = np.eye(m)
-    R = np.zeros((0, m * m), dtype=complex)
-    for g in alg.generators:
-        block = np.kron(g.matrix, eye) - np.kron(eye, g.matrix.T)
-        R = np.linalg.qr(np.vstack([R, block]), mode="r")
-    _, s, vh = np.linalg.svd(R)
-    scale = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > tol * scale))
-    return [
-        OperatorMatrix(vh[j].conj().reshape(m, m), LINEAR)
-        for j in range(rank, vh.shape[0])
-    ]
+    B = _stack(alg.basis)
+    rng = np.random.default_rng(_GENERIC_SEED)
+    c = rng.normal(size=(2, len(B))) + 1j * rng.normal(size=(2, len(B)))
+    C, K = np.tensordot(c, B, axes=1)
+    w, V = np.linalg.eigh((C + C.conj().T) / 2)
+    cuts = np.flatnonzero(np.diff(w) > tol * max(abs(w[0]), abs(w[-1])))
+    starts = np.concatenate([[0], cuts + 1])
+    size = np.diff(np.concatenate([starts, [m]]))
+    # Frobenius norms of the blocks V_a^H K V_b between eigenspaces
+    KV = V.conj().T @ K @ V
+    couple = np.add.reduceat(np.add.reduceat(abs(KV) ** 2, starts, axis=0),
+                             starts, axis=1) ** 0.5
+    linked = couple > tol * np.linalg.norm(K)
+    seen = np.zeros(len(starts), dtype=bool)
+    dim, out = 0, []  # dim: sum of p^2, the algebra the blocks span
+    for root in range(len(starts)):
+        if seen[root]:
+            continue
+        # breadth-first over linked eigenspaces, aligning each to its parent
+        seen[root] = True
+        d, queue = size[root], [root]
+        W = {root: V[:, starts[root]:starts[root] + d]}
+        for a in queue:
+            for b in np.flatnonzero(linked[a] & ~seen):
+                if size[b] != d:
+                    raise ModularError(
+                        "commutant: linked eigenspaces of unequal size")
+                seen[b] = True
+                queue.append(b)
+                Vb = V[:, starts[b]:starts[b] + d]
+                u, _, vh = np.linalg.svd(Vb.conj().T @ K @ W[a])
+                W[b] = Vb @ (u @ vh)
+        Ws = np.array([W[a] for a in queue])
+        dim += len(queue) ** 2
+        out.append(np.einsum("axi,ayj->ijxy", Ws, Ws.conj()).reshape(-1, m, m)
+                   / np.sqrt(len(queue)))
+    X = np.concatenate(out)
+    # the span is closed under adjoints (X_ji = X_ij^H up to rounding), and
+    # [G^H, X] = -[G, X^H]^H, so commuting with every generator is
+    # commuting with its adjoint too
+    G = _stack(alg.generators)
+    worst = np.max(np.linalg.norm(G[:, None] @ X - X @ G[:, None],
+                                  axis=(2, 3)))
+    if dim != len(B) or not worst <= tol * np.max(np.linalg.norm(
+            G, axis=(1, 2))):
+        raise ModularError(
+            f"commutant: structure check failed (block dimension {dim} "
+            f"vs algebra {len(B)}, commutator {worst:.1e})")
+    return [OperatorMatrix(x, LINEAR) for x in X]
 
 
 def _stack(mats) -> np.ndarray:
@@ -140,8 +211,9 @@ class StandardForm:
     alg: AlgebraSpec
 
 
-#: largest n accepted: the commutant solves are n^4 x n^4 (n = 5 takes
-#: seconds, n = 6 would take minutes)
+#: largest n accepted.  suite_modular takes about 5 ms at n = 3, 25 ms at
+#: n = 4 and 0.1 s at n = 5 (one BLAS thread); a larger n needs a byte
+#: preflight for the n^8-entry product stack of algebra_from_generators.
 MAX_N = 5
 
 
@@ -189,16 +261,20 @@ def tracial_rho(n: int) -> np.ndarray:
     return np.eye(n) / n
 
 
+def _cyclic_separating(alg: AlgebraSpec, xi, tol: float = 1e-10):
+    """(cyclic, separating) from one rank of the orbit {b xi : b in basis}."""
+    rank = np.linalg.matrix_rank(_stack(alg.basis) @ xi, tol=tol)
+    return rank == alg.dim_ambient, rank == len(alg.basis)
+
+
 def cyclic_check(alg: AlgebraSpec, xi, tol: float = 1e-10) -> bool:
     """xi is cyclic iff {b xi : b in basis} spans the ambient space."""
-    cols = np.column_stack([b.matrix @ xi for b in alg.basis])
-    return np.linalg.matrix_rank(cols, tol=tol) == alg.dim_ambient
+    return _cyclic_separating(alg, xi, tol)[0]
 
 
 def separating_check(alg: AlgebraSpec, xi, tol: float = 1e-10) -> bool:
     """xi is separating iff b -> b xi is injective on the algebra span."""
-    cols = np.column_stack([b.matrix @ xi for b in alg.basis])
-    return np.linalg.matrix_rank(cols, tol=tol) == len(alg.basis)
+    return _cyclic_separating(alg, xi, tol)[1]
 
 
 def _solve_involution(basis, xi, name: str):
@@ -308,11 +384,21 @@ def check_sxs_commutes(S: OperatorMatrix, alg: AlgebraSpec) -> float:
     return float(np.max(np.linalg.norm(comm, axis=(2, 3))))
 
 
+#: largest |t| accepted by modular_flow_check.  The flow residual grows
+#: like 5e-17 |t| cond(Delta) against the suite's fixed 1e-9 tolerance:
+#: random n = 3..5 density matrices with cond(rho) up to 230 reach 4e-10
+#: at |t| = 1e3 and fail a true identity at 1e4.
+MAX_FLOW_T = 1e3
+
+
 def modular_flow_check(Delta: OperatorMatrix, alg: AlgebraSpec, t_list,
                        tol: float = DEFAULT_TOL) -> float:
     """Max residual of expanding Delta^{it} x Delta^{-it} in the algebra."""
     if not np.isfinite(t_list).all():
         raise ModularError(f"modular flow times must be finite: {t_list}")
+    if np.any(np.abs(t_list) > MAX_FLOW_T):
+        raise ModularError(
+            f"modular flow times must satisfy |t| <= {MAX_FLOW_T:g}: {t_list}")
     X = _stack(alg.basis)
     worst = 0.0
     for t in t_list:

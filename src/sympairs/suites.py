@@ -125,8 +125,7 @@ def suite_modular(n: int, rho, t_list, tol: float = DEFAULT_TOL):
     S, F, Mj, cond, alg = md.S, md.F, md.J.matrix, md.cond, sf.alg
     eye = np.eye(Mj.shape[0])
     tol9, tol_j = max(tol, 1e-9), max(tol, 1e-12 * cond + 1e-12)
-    cyc = modular.cyclic_check(alg, sf.xi)
-    sep = modular.separating_check(alg, sf.xi)
+    cyc, sep = modular._cyclic_separating(alg, sf.xi)
     # double commutant returns the algebra
     comm2 = modular.commutant(modular.algebra_from_generators(md.comm))
     double = modular.span_residual(alg.basis, comm2) \

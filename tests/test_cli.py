@@ -373,3 +373,22 @@ def test_defect_nmax_cap_refused_before_work(capsys, monkeypatch):
             "--nmax", str(10**9)]
     assert cli.main(argv) == 2
     assert_one_line_error(capsys)
+
+
+def test_modular_flow_time_cap(capsys, tmp_path):
+    # past the cap the flow residual outgrows its fixed tolerance on a
+    # true identity (t = 1e6 gave 1.08e-9 against 1e-9), so it is refused
+    from sympairs.modular import MAX_FLOW_T
+
+    for t in ("1e6", f"-{2 * MAX_FLOW_T:g}"):
+        assert cli.main(["check", "modular", "--n", "2", f"--t={t}"]) == 2
+        assert_one_line_error(capsys)
+    assert cli.main(["check", "modular", "--n", "2",
+                     f"--t=0.5,{MAX_FLOW_T:g}", "--format", "json"]) == 0
+    capsys.readouterr()
+    cfg = tmp_path / "flow.json"
+    cfg.write_text(json.dumps({"suites": [
+        {"kind": "modular", "params": {"n": 2, "t_list": [1e6]}}]}))
+    assert cli.main(["run", "-c", str(cfg)]) == 1
+    [rec] = json.loads(capsys.readouterr().out)["records"]
+    assert rec["check"] == "suite_error" and "|t|" in rec["message"]

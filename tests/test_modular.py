@@ -2,14 +2,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sympairs import modular
 from sympairs.core import CONJUGATE, OperatorMatrix, adjoint, sqrt_psd
 from sympairs.modular import (
+    MAX_FLOW_T,
     AlgebraSpec,
     ModularError,
+    _stack,
     algebra_from_generators,
     antilinear_defect_dimension,
     build_F,
@@ -272,17 +274,60 @@ def test_build_F_is_S_adjoint():
 
 
 # ---------------------------------------------------------------------------
-# reference oracles: the stacked full-SVD solve and the per-element loops
-# that commutant, span_residual and check_sxs_commutes replace
+# reference oracles: the Sylvester solves, the SVD closure loop and the
+# per-element loops that commutant, algebra_from_generators, span_residual
+# and check_sxs_commutes replace
 
 
-def commutant_oracle(gens, m, tol=1e-10):
+def commutant_svd_oracle(gens, m, tol=1e-10):
     """Rows vec(X) spanning the null space of the full stacked system."""
     eye = np.eye(m)
     stacked = np.vstack([np.kron(G, eye) - np.kron(eye, G.T) for G in gens])
     _, s, vh = np.linalg.svd(stacked)
     scale = s[0] if s.size and s[0] > 0 else 1.0
     return vh[int(np.sum(s > tol * scale)):].conj()
+
+
+def commutant_oracle(gens, m, tol=1e-10):
+    """Null space of ``G X - X G = 0`` over the generators, as rows vec(X).
+
+    The stack is folded one generator block at a time into its
+    m^2 x m^2 R factor, which has the same singular values and right
+    singular vectors as the stack.  Works for any generator set, closed
+    under adjoints or not.  A commutator below tol |G| counts as zero, so
+    a generator within tol of the scalars acts as a scalar.
+    """
+    eye = np.eye(m)
+    R = np.zeros((0, m * m), dtype=complex)
+    for G in gens:
+        block = np.kron(G, eye) - np.kron(eye, G.T)
+        R = np.linalg.qr(np.vstack([R, block]), mode="r")
+    _, s, vh = np.linalg.svd(R)
+    scale = max(s[0], max(np.linalg.norm(G) for G in gens), 1e-300)
+    return vh[int(np.sum(s > tol * scale)):].conj()
+
+
+def with_adjoints(gens):
+    return [np.asarray(G) for G in gens] + [np.asarray(G).conj().T
+                                           for G in gens]
+
+
+def algebra_svd_loop(gens, tol=1e-10):
+    """The closure loop that runs an SVD every round, closed or not."""
+    def orth(mats):
+        stack = np.array([M.reshape(-1) for M in mats])
+        _, s, vh = np.linalg.svd(stack, full_matrices=False)
+        rank = int(np.sum(s > tol * s[0]))
+        return [vh[j].reshape(M.shape) for j in range(rank)]
+
+    gens = [np.asarray(g, dtype=complex) for g in gens]
+    M = gens[0]
+    current = orth([np.eye(M.shape[0], dtype=complex)] + with_adjoints(gens))
+    while True:
+        new = orth(current + [a @ b for a in current for b in current])
+        if len(new) == len(current):
+            return current
+        current = new
 
 
 def span_residual_oracle(x, basis):
@@ -336,29 +381,146 @@ def generator_sets(draw):
 @given(generator_sets())
 def test_commutant_matches_full_svd_oracle(m_gens):
     m, gens = m_gens
-    # commutant reads only the generators, so no *-closure is imposed
-    alg = AlgebraSpec(m, tuple(OperatorMatrix(g) for g in gens), ())
-    comm = commutant(alg)
+    # the folded oracle alone covers the adjoint-free set itself
     ref = commutant_oracle(gens, m)
+    full = commutant_svd_oracle(gens, m)
+    assert len(ref) == len(full)
+    assert np.max(np.abs(projector(ref) - projector(full))) <= 1e-12
+    # commutant is the commutant of the *-algebra: generators + adjoints
+    comm = commutant(algebra_from_generators(gens))
+    ref = commutant_oracle(with_adjoints(gens), m)
     assert len(comm) == len(ref)
     assert np.max(np.abs(projector([b.matrix for b in comm])
                          - projector(ref))) <= 1e-12
     for b in comm:
-        for G in gens:
+        for G in with_adjoints(gens):
             assert np.max(np.abs(G @ b.matrix - b.matrix @ G)) <= 1e-10
 
 
 def test_commutant_single_generator_and_adjoint_free_set():
-    # one Jordan block: its commutant is the polynomials in it
+    # one Jordan block: the oracle gives the polynomials in it, while the
+    # *-algebra of N and N^H is all of M_4, whose commutant is the scalars
     N = np.diag(np.ones(3), 1)
-    alg = AlgebraSpec(4, (OperatorMatrix(N),), ())
-    assert len(commutant(alg)) == 4
+    assert len(commutant_oracle([N], 4)) == 4
+    comm = commutant(algebra_from_generators([N]))
+    assert len(comm) == 1
+    assert np.max(np.abs(projector([b.matrix for b in comm]) - projector(
+        commutant_oracle(with_adjoints([N]), 4)))) <= 1e-12
     # the upper-triangular unit E_01 alone, with no adjoint in the set
     E = np.zeros((2, 2))
     E[0, 1] = 1.0
-    comm = commutant(AlgebraSpec(2, (OperatorMatrix(E),), ()))
+    assert len(commutant_oracle([E], 2)) == 2
+    comm = commutant(algebra_from_generators([E]))
+    assert np.max(np.abs(projector([b.matrix for b in comm]) - projector(
+        commutant_oracle(with_adjoints([E]), 2)))) <= 1e-12
+
+
+def rotated_direct_sum(blocks, rng):
+    """U ((+)_k M_{n_k} (x) 1_{m_k}) U^H for a random unitary U, with its
+    orthonormal basis of rotated matrix units as generators too."""
+    m = sum(n * k for n, k in blocks)
+    Z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    U, _ = np.linalg.qr(Z)
+    basis, offset = [], 0
+    for n, k in blocks:
+        for i in range(n):
+            for j in range(n):
+                X = np.zeros((m, m), dtype=complex)
+                unit = np.zeros((n, n))
+                unit[i, j] = 1.0
+                X[offset:offset + n * k, offset:offset + n * k] = np.kron(
+                    unit, np.eye(k)) / np.sqrt(k)
+                basis.append(OperatorMatrix(U @ X @ U.conj().T))
+        offset += n * k
+    return AlgebraSpec(m, tuple(basis), tuple(basis))
+
+
+# (n_k, m_k) per block; two or more blocks give a nontrivial centre
+BLOCK = st.tuples(st.integers(1, 3), st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(BLOCK, min_size=2, max_size=3).filter(
+    lambda b: sum(n * k for n, k in b) <= 10), st.integers(0, 2**32 - 1))
+@example([(2, 1), (2, 1)], 0)  # inequivalent blocks of the same size
+@example([(1, 2), (2, 1), (1, 2)], 1)
+@example([(2, 2), (2, 2)], 2)
+def test_commutant_matches_oracle_on_direct_sums(blocks, seed):
+    alg = rotated_direct_sum(blocks, np.random.default_rng(seed))
+    comm = commutant(alg)
+    basis = [b.matrix for b in alg.basis]
+    ref = commutant_oracle(with_adjoints(basis), alg.dim_ambient)
+    assert len(comm) == len(ref) == sum(k * k for _, k in blocks)
     assert np.max(np.abs(projector([b.matrix for b in comm])
-                         - projector(commutant_oracle([E], 2)))) <= 1e-12
+                         - projector(ref))) <= 1e-12
+    # orthonormal in the trace inner product
+    C = _stack(comm).reshape(len(comm), -1)
+    assert np.max(np.abs(C.conj() @ C.T - np.eye(len(comm)))) <= 1e-12
+    # the adjoint of each element is another element (up to rounding):
+    # the commutator check against the generators covers their adjoints
+    Ch = _stack(comm).conj().transpose(0, 2, 1).reshape(len(comm), -1)
+    assert np.max(np.min(abs(Ch[:, None] - C[None]).max(axis=2),
+                         axis=1)) <= 1e-14
+
+
+def test_commutant_is_deterministic():
+    rng = np.random.default_rng(25)
+    for alg in (standard_form(3, random_rho(rng, 3)).alg,
+                rotated_direct_sum([(2, 1), (2, 1), (1, 3)], rng)):
+        first, second = commutant(alg), commutant(alg)
+        assert len(first) == len(second)
+        assert all(np.array_equal(a.matrix, b.matrix)
+                   for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("delta, dim", [(1e-9, 2), (1e-11, 4)])
+def test_commutant_near_degenerate_generator(delta, dim):
+    # diag(1, 1 + delta) generates the diagonal algebra above the closure
+    # threshold and only the scalars below it; commutant follows the basis
+    G = np.diag([1.0, 1.0 + delta])
+    comm = commutant(algebra_from_generators([G]))
+    ref = commutant_oracle(with_adjoints([G]), 2)
+    assert len(comm) == len(ref) == dim
+
+
+def test_commutant_refuses_inconsistent_algebra():
+    E = np.zeros((2, 2), dtype=complex)
+    E[0, 1] = 1.0
+    # a span that is not a *-algebra: its blocks do not add up to it
+    span = (OperatorMatrix(np.eye(2) / np.sqrt(2)), OperatorMatrix(E))
+    with pytest.raises(ModularError, match="structure check"):
+        commutant(AlgebraSpec(2, span, span))
+    # a generator outside the algebra: M_2 does not commute with it
+    scalars = (OperatorMatrix(np.eye(2) / np.sqrt(2)),)
+    with pytest.raises(ModularError, match="structure check"):
+        commutant(AlgebraSpec(2, (OperatorMatrix(E),), scalars))
+    with pytest.raises(ModularError, match="no basis"):
+        commutant(AlgebraSpec(2, (OperatorMatrix(E),), ()))
+
+
+def test_algebra_from_generators_matches_svd_loop():
+    # closed after one round: the closure test replaces the SVD exactly
+    for n in range(1, 6):
+        eye = np.eye(n)
+        gens = [np.kron(np.outer(eye[i], eye[j]), eye)
+                for i in range(n) for j in range(n)]
+        got = standard_form(n, tracial_rho(n)).alg.basis
+        ref = algebra_svd_loop(gens)
+        assert len(got) == len(ref) == n * n
+        assert all(np.array_equal(a.matrix, b) for a, b in zip(got, ref))
+    md = modular_data(standard_form(3, random_rho(np.random.default_rng(26),
+                                                  3)))
+    got = algebra_from_generators(md.comm).basis
+    ref = algebra_svd_loop([b.matrix for b in md.comm])
+    assert len(got) == len(ref) == 9
+    assert all(np.array_equal(a.matrix, b) for a, b in zip(got, ref))
+    # not closed: E_01 grows to M_2, and a Jordan block to M_4
+    for G, dim in ((np.diag([1.0], 1), 4), (np.diag(np.ones(3), 1), 16)):
+        got = algebra_from_generators([G]).basis
+        ref = algebra_svd_loop([G])
+        assert len(got) == len(ref) == dim
+        assert np.max(np.abs(projector([b.matrix for b in got])
+                             - projector(ref))) <= 1e-12
 
 
 def test_batched_checks_match_loop_oracles():
@@ -398,6 +560,36 @@ def test_modular_data_carries_commutant_and_cond():
     assert md.cond == cond and np.array_equal(md.S.matrix, S.matrix)
     assert projector([b.matrix for b in md.comm]) == pytest.approx(
         projector([b.matrix for b in commutant(sf.alg)]), abs=1e-12)
+
+
+@pytest.mark.parametrize("n, rho", [
+    (1, tracial_rho(1)),
+    (5, random_rho(np.random.default_rng(27), 5)),
+])
+def test_suite_modular_passes_at_size_ends(n, rho):
+    recs = suite_modular(n, rho, [0.5, 1.0, 3.0])
+    assert len(recs) == 13
+    assert all(r.passed for r in recs), [(r.check, r.residual) for r in recs]
+
+
+def test_suite_modular_takes_one_orbit_rank(monkeypatch):
+    ranks = []
+    real = np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "matrix_rank",
+                        lambda *a, **k: ranks.append(1) or real(*a, **k))
+    recs = suite_modular(2, np.diag([0.7, 0.3]), [0.5])
+    assert len(ranks) == 1
+    assert recs[0].check == "cyclic_separating" and recs[0].passed
+
+
+def test_modular_flow_time_cap():
+    sf = standard_form(3, random_rho(np.random.default_rng(28), 3))
+    md = modular_data(sf)
+    assert modular_flow_check(md.Delta, sf.alg, [MAX_FLOW_T, -MAX_FLOW_T]) \
+        <= 1e-9
+    for t in (np.nextafter(MAX_FLOW_T, np.inf), -1e6):
+        with pytest.raises(ModularError, match=r"\|t\|"):
+            modular_flow_check(md.Delta, sf.alg, [0.5, t])
 
 
 def test_suite_modular_n4_passes():
