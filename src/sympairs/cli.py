@@ -1,8 +1,11 @@
 """Command-line front door for the verification suites.
 
 Exit code contract: 0 when every check passes, 1 when any check fails,
-2 for configuration or usage errors.  The environment variable
-SYMPAIR_TOL overrides the default tolerance for all residual checks.
+2 for configuration or usage errors.  ``check <kind>`` runs exactly what
+a one-entry batch of that kind runs (``suites.run_entry``).  Tolerance
+precedence, the same for both commands: ``--tol`` or an entry's ``tol``,
+then the environment variable SYMPAIR_TOL, then a pair file's ``tol``,
+then DEFAULT_TOL.
 """
 
 from __future__ import annotations
@@ -13,12 +16,11 @@ import math
 import os
 import sys
 
-from . import chaos, network, pairs, suites
-from .core import DEFAULT_TOL, OperatorError
+from . import network, suites
 from .report import FORMATS, Report, emit
 
 
-class UsageError(Exception):
+class UsageError(ValueError):  # one of suites.ENTRY_ERRORS
     pass
 
 
@@ -34,8 +36,9 @@ def _tol(raw, name: str, zero_ok: bool = False) -> float:
     return tol
 
 
-def _default_tol() -> float:
-    return _tol(os.environ.get("SYMPAIR_TOL", DEFAULT_TOL), "SYMPAIR_TOL")
+def _env_tol() -> float | None:
+    raw = os.environ.get("SYMPAIR_TOL")
+    return None if raw is None else _tol(raw, "SYMPAIR_TOL")
 
 
 def _read_file(path: str) -> str:
@@ -53,13 +56,6 @@ def _load_json(path: str):
         raise UsageError(f"invalid JSON in {path}: {exc}")
 
 
-def _parse_t_list(raw: str):
-    try:
-        return [float(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise UsageError(f"malformed t list: {raw!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sympairs",
@@ -72,10 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = kinds.add_parser("pair", help="verify a pair given as matrix JSON")
     p.add_argument("-i", "--input", required=True, metavar="pair.json")
+    p.set_defaults(params=lambda a: _load_json(a.input))
 
     p = kinds.add_parser("malliavin", help="derivative/divergence suite")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--N", type=int, default=6)
+    p.set_defaults(params=lambda a: {"d": a.d, "N": a.N})
 
     p = kinds.add_parser("modular", help="modular-theory suite")
     p.add_argument("--rho", metavar="rho.json",
@@ -84,9 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="matrix size when --rho is omitted")
     p.add_argument("--t", default="0.5,1",
                    help="comma-separated modular flow times")
+    p.set_defaults(params=lambda a: {
+        **({"rho": _load_json(a.rho)} if a.rho is not None else {"n": a.n}),
+        "t_list": [t for t in a.t.split(",") if t.strip()]})
 
     p = kinds.add_parser("network", help="finite-network identity suite")
     p.add_argument("-g", "--graph", required=True, metavar="graph.txt")
+    p.set_defaults(params=lambda a: {"graph": _read_file(a.graph)})
 
     p = kinds.add_parser("defect", help="half-line defect recurrence")
     p.add_argument("--rule", choices=("geometric", "constant"),
@@ -95,6 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=80)
     p.add_argument("--expect", choices=(network.CONVERGES, network.DIVERGES),
                    help="fail unless the verdict matches")
+    p.set_defaults(params=lambda a: {"rule": a.rule, "r": a.r,
+                                     "nmax": a.nmax, "expect": a.expect})
 
     for sp in kinds.choices.values():
         sp.add_argument("--format", choices=FORMATS, default="human")
@@ -107,39 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", metavar="report.json")
     p.add_argument("--format", choices=FORMATS, default="json")
     return parser
-
-
-def _check_report(args) -> Report:
-    tol = _tol(args.tol, "--tol") if args.tol is not None else _default_tol()
-    report = Report()
-    if args.kind == "pair":
-        spec, file_tol = pairs.pair_from_json(_load_json(args.input))
-        if args.tol is None and "SYMPAIR_TOL" not in os.environ:
-            tol = file_tol
-        report.extend(suites.suite_pair(spec, tol))
-    elif args.kind == "malliavin":
-        if args.d < 1 or args.N < 2:
-            raise UsageError("need --d >= 1 and --N >= 2")
-        report.extend(suites.suite_malliavin(args.d, args.N, tol))
-    elif args.kind == "modular":
-        if args.rho is not None:
-            rho = suites._parse_rho(_load_json(args.rho))
-            n = rho.shape[0]
-        else:
-            from .modular import tracial_rho
-
-            n, rho = args.n, tracial_rho(args.n)
-        report.extend(suites.suite_modular(n, rho, _parse_t_list(args.t), tol))
-    elif args.kind == "network":
-        net = network.parse_graph(_read_file(args.graph))
-        report.extend(suites.suite_network(net, tol))
-    elif args.kind == "defect":
-        report.extend(
-            suites.suite_defect(args.rule, args.r, args.nmax, args.expect, tol)
-        )
-    else:
-        raise UsageError(f"unknown check kind {args.kind!r}")
-    return report
 
 
 def _deliver(report: Report, fmt: str, output: str | None) -> int:
@@ -169,7 +140,7 @@ def _validate_config(config) -> dict:
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise UsageError(f"suite params must be an object: {params!r}")
-        # the conversions run_suite applies to numeric params
+        # the conversions run_entry applies to numeric params
         for key, conv in (("d", int), ("N", int), ("n", int),
                           ("nmax", int), ("r", float)):
             try:
@@ -199,9 +170,11 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else int(exc.code or 0)
     try:
         if args.command == "check":
-            report = _check_report(args)
-            return _deliver(report, args.format, args.output)
-        if args.command == "run":
+            tol = _tol(args.tol, "--tol") if args.tol is not None \
+                else _env_tol()
+            report = Report(suites.run_entry(args.kind, args.params(args),
+                                             tol))
+        else:
             raw = suites.default_config() if args.config == "default" \
                 else _load_json(args.config)
             config = _validate_config(raw)
@@ -210,11 +183,9 @@ def main(argv=None) -> int:
                 params = entry.get("params", {})
                 if entry["kind"] == "network" and "graph_file" in params:
                     params["graph"] = _read_file(params["graph_file"])
-            report = suites.run_suite(config, _default_tol())
-            return _deliver(report, args.format, args.output)
-        raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, chaos.ChaosError, network.NetworkError,
-            OperatorError) as exc:
+            report = suites.run_suite(config, _env_tol())
+        return _deliver(report, args.format, args.output)
+    except suites.ENTRY_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -385,9 +385,10 @@ def check_sxs_commutes(S: OperatorMatrix, alg: AlgebraSpec) -> float:
 
 
 #: largest |t| accepted by modular_flow_check.  The flow residual grows
-#: like 5e-17 |t| cond(Delta) against the suite's fixed 1e-9 tolerance:
-#: random n = 3..5 density matrices with cond(rho) up to 230 reach 4e-10
-#: at |t| = 1e3 and fail a true identity at 1e4.
+#: with |t| cond(Delta), and suite_modular's tolerance
+#: max(tol, 1e-9, 1e-15 |t| cond(Delta)) was measured for |t| <= 1e3
+#: only: for the tracial rho at n = 2 the residual is 1.08e-15 |t|, so
+#: a true identity would fail from |t| = 1e6 on.
 MAX_FLOW_T = 1e3
 
 

@@ -445,7 +445,7 @@ def lemma_dual_pairing(net: FiniteNetwork, x, h: EnergyVector) -> float:
     return float(direct)
 
 
-#: batch-config name for the dual-pairing check
+#: the name tests/test_acceptance.py calls the dual-pairing check by
 lemma520_check = lemma_dual_pairing
 
 

@@ -392,3 +392,118 @@ def test_modular_flow_time_cap(capsys, tmp_path):
     assert cli.main(["run", "-c", str(cfg)]) == 1
     [rec] = json.loads(capsys.readouterr().out)["records"]
     assert rec["check"] == "suite_error" and "|t|" in rec["message"]
+
+
+def check_and_run(tmp_path, capsys, argv, entry):
+    """(exit code, stdout, stderr) of ``check <argv>`` and of a one-entry
+    ``run`` of ``entry``."""
+    code = cli.main(["check", *argv, "--format", "json"])
+    checked = (code, *capsys.readouterr())
+    cfg = tmp_path / "one.json"
+    cfg.write_text(json.dumps({"suites": [entry]}))
+    code = cli.main(["run", "-c", str(cfg)])
+    return checked, (code, *capsys.readouterr())
+
+
+def parity_cases(tmp_path):
+    """(check argv, batch entry) by name, naming the same input."""
+    pair = tmp_path / "pair.json"
+    write_pair_file(pair, value_b=1.0 + 1e-6, tol=1e-9)
+    rho = [[0.7, 0.0], [0.0, 0.3]]
+    (tmp_path / "rho.json").write_text(json.dumps(rho))
+    graph = "p q 1\nq r 2\nr p 1\norigin q\n"
+    (tmp_path / "g.txt").write_text(graph)
+    return {
+        "pair": (["pair", "-i", str(pair)],
+                 {"kind": "pair", "params": json.loads(pair.read_text())}),
+        "malliavin": (["malliavin", "--d", "2", "--N", "4"],
+                      {"kind": "malliavin", "params": {"d": 2, "N": 4}}),
+        "modular_tracial": (
+            ["modular", "--n", "2", "--t", "0.5,1"],
+            {"kind": "modular", "params": {"n": 2, "t_list": [0.5, 1]}}),
+        "modular_rho": (
+            ["modular", "--rho", str(tmp_path / "rho.json"), "--t", "0.5,3"],
+            {"kind": "modular", "params": {"rho": rho, "t_list": [0.5, 3]}}),
+        "network": (["network", "-g", str(tmp_path / "g.txt")],
+                    {"kind": "network", "params": {"graph": graph}}),
+        "defect": (["defect", "--rule", "constant", "--r", "1", "--nmax",
+                    "60", "--expect", "DIVERGES"],
+                   {"kind": "defect",
+                    "params": {"rule": "constant", "r": 1.0, "nmax": 60,
+                               "expect": "DIVERGES"}}),
+        "defect_mismatch": (["defect", "--expect", "DIVERGES"],  # exit 1
+                            {"kind": "defect",
+                             "params": {"expect": "DIVERGES"}}),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "pair", "malliavin", "modular_tracial", "modular_rho", "network",
+    "defect", "defect_mismatch"])
+def test_check_is_a_one_entry_run(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.delenv("SYMPAIR_TOL", raising=False)
+    argv, entry = parity_cases(tmp_path)[name]
+    checked, ran = check_and_run(tmp_path, capsys, argv, entry)
+    assert checked[0] == ran[0] and ran[0] in (0, 1)
+    assert json.loads(checked[1]) == json.loads(ran[1])
+    assert checked[2] == ran[2] == ""
+
+
+@pytest.mark.parametrize("flag, env, code", [
+    (None, None, 1),  # the pair file's tol 1e-9
+    ("1e-3", None, 0),
+    (None, "1e-3", 0),
+    ("1e-12", "1e-3", 1),  # explicit beats SYMPAIR_TOL
+])
+def test_pair_tol_precedence_is_shared(tmp_path, capsys, monkeypatch,
+                                       flag, env, code):
+    # |B - A*| = 1e-6: explicit tol > SYMPAIR_TOL > file tol > default
+    if env is None:
+        monkeypatch.delenv("SYMPAIR_TOL", raising=False)
+    else:
+        monkeypatch.setenv("SYMPAIR_TOL", env)
+    argv, entry = parity_cases(tmp_path)["pair"]
+    if flag is not None:
+        argv, entry = argv + ["--tol", flag], {**entry, "tol": float(flag)}
+    checked, ran = check_and_run(tmp_path, capsys, argv, entry)
+    assert checked[0] == ran[0] == code
+    assert json.loads(checked[1]) == json.loads(ran[1])
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (["malliavin", "--d", "0"], {"kind": "malliavin",
+                                 "params": {"d": 0, "N": 6}}),
+    (["malliavin", "--N", "1"], {"kind": "malliavin",
+                                 "params": {"d": 2, "N": 1}}),
+    (["modular", "--t", "0.5,abc"], {"kind": "modular",
+                                     "params": {"n": 2,
+                                                "t_list": ["0.5", "abc"]}}),
+    (["modular", "--n", "6"], {"kind": "modular", "params": {"n": 6}}),
+    (["defect", "--nmax", "2"], {"kind": "defect", "params": {"nmax": 2}}),
+])
+def test_bad_input_same_message_from_both_doors(tmp_path, capsys, argv,
+                                                entry):
+    checked, ran = check_and_run(tmp_path, capsys, argv, entry)
+    assert checked[0] == 2 and checked[1] == ""
+    assert ran[0] == 1
+    [rec] = json.loads(ran[1])["records"]
+    assert rec["check"] == "suite_error"
+    assert checked[2] == f"error: {rec['message']}\n"
+
+
+@pytest.mark.parametrize("kind, flag, text, params", [
+    ("pair", "-i", json.dumps({"A": UNIT}), {"A": UNIT}),
+    ("modular", "--rho", "[[0.5, 0.1], [0.0, 0.5]]",
+     {"rho": [[0.5, 0.1], [0.0, 0.5]]}),  # not Hermitian
+    ("network", "-g", "a b 1\nc d 1\n", {"graph": "a b 1\nc d 1\n"}),
+])
+def test_bad_file_same_message_from_both_doors(tmp_path, capsys, kind, flag,
+                                               text, params):
+    path = tmp_path / "input"
+    path.write_text(text)
+    checked, ran = check_and_run(tmp_path, capsys, [kind, flag, str(path)],
+                                 {"kind": kind, "params": params})
+    assert checked[0] == 2 and ran[0] == 1
+    [rec] = json.loads(ran[1])["records"]
+    assert rec["check"] == "suite_error"
+    assert checked[2] == f"error: {rec['message']}\n"

@@ -592,6 +592,35 @@ def test_modular_flow_time_cap():
             modular_flow_check(md.Delta, sf.alg, [0.5, t])
 
 
+def ill_conditioned_rho(seed):
+    """U diag(0.999, 0.001) U^H for a seeded random unitary U:
+    cond(Delta) = (0.999 / 0.001)^2, about 1e6."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    U = q * (np.diag(r) / abs(np.diag(r)))
+    return (U * [0.999, 0.001]) @ U.conj().T
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("t", [100.0, 1000.0])
+def test_modular_flow_tolerance_scales_with_t_and_cond(monkeypatch, seed, t):
+    # a true flow reaches 5.4e-8 at t = 1000 (seed 0): past a fixed 1e-9
+    rho = ill_conditioned_rho(seed)
+    recs = suite_modular(2, rho, [t])
+    assert all(r.passed for r in recs), [(r.check, r.residual) for r in recs]
+    [flow] = [r for r in recs if r.check == "modular_flow"]
+    assert flow.tol == pytest.approx(1e-15 * t * 0.999**2 / 0.001**2)
+    # a flow of Delta + eps E is no modular flow; its record fails
+    E = np.random.default_rng(99).normal(size=(4, 4))
+    E = OperatorMatrix(1e-8 * (E + E.T) / np.linalg.norm(E + E.T, 2))
+    real = modular.modular_flow_check
+    monkeypatch.setattr(modular, "modular_flow_check", lambda D, *a: real(
+        OperatorMatrix(D.matrix + E.matrix), *a))
+    [bad] = [r for r in suite_modular(2, rho, [t])
+             if r.check == "modular_flow"]
+    assert not bad.passed and bad.residual > 10 * bad.tol
+
+
 def test_suite_modular_n4_passes():
     recs = suite_modular(4, random_rho(np.random.default_rng(24), 4),
                          [0.5, 1.0, 3.0])
