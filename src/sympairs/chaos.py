@@ -450,24 +450,21 @@ def _rank(basis: ChaosBasis, gamma) -> np.ndarray:
     return pos + (c[s[:, :-1], r] - c[s[:, 1:], r]).sum(axis=1)
 
 
-def _product_terms(basis: ChaosBasis, p: int, cols):
-    """Terms of H_p * H_q, q in ``cols``: one per k <= min(p, q) slotwise,
-    as (column j of q, multi-index p + q - 2k, prod_i lin[p_i, q_i, k_i])."""
-    a, qs = basis.alphas[p], basis.alphas[cols]
-    ks = np.indices(tuple(a + 1)).reshape(basis.d, -1).T  # the box k <= p
-    col, kk = np.nonzero((ks[None] <= qs[:, None]).all(axis=2))
-    q, k = qs[col], ks[kk]
-    return col, a + q - 2 * k, basis.linearisation[a, q, k].prod(axis=1)
-
-
-def product_columns(basis: ChaosBasis, p: int, cols) -> np.ndarray:
-    """Columns ``cols`` of the matrix of multiplication by H_p, exact up
-    to degree N: column j holds H_p * H_q for q = cols[j]."""
-    col, gamma, coef = _product_terms(basis, p, cols)
-    keep = gamma.sum(axis=1) <= basis.N
-    out = np.zeros((len(basis), len(cols)), dtype=complex)
-    out[_rank(basis, gamma[keep]), col[keep]] = coef[keep]
-    return out
+def product_terms(basis: ChaosBasis, P, Q):
+    """Terms of H_p * H_q for all pairs (p, q) = (P[t], Q[t]), one per k <=
+    min(p, q) slotwise in (pair, k lex) order: (t, rank of gamma, gamma =
+    p + q - 2k, prod_i lin[p_i, q_i, k_i]); O(terms) memory, no masks."""
+    a, b, lin = basis.alphas[P], basis.alphas[Q], basis.linearisation
+    box = np.minimum(a, b) + 1
+    count = box.prod(axis=1)
+    t = np.repeat(np.arange(len(count)), count)
+    r = np.arange(len(t)) - np.repeat(np.cumsum(count) - count, count)
+    k = np.empty((len(t), basis.d), dtype=np.intp)
+    for i in range(basis.d - 1, -1, -1):  # the last slot is the fastest digit
+        r, k[:, i] = np.divmod(r, box[t, i])
+    a, b = a[t], b[t]
+    gamma = a + b - 2 * k
+    return t, _rank(basis, gamma), gamma, lin[a, b, k].prod(axis=1)
 
 
 def multiply(F: ChaosVector, G: ChaosVector):
@@ -479,15 +476,11 @@ def multiply(F: ChaosVector, G: ChaosVector):
     of the part of F * G above degree N (inf past the float range).
     """
     F._same(G)
-    basis, cols = F.basis, np.flatnonzero(G.coeffs)
-    terms = [(p, *_product_terms(basis, p, cols))
-             for p in np.flatnonzero(F.coeffs)]
-    gamma = np.concatenate([t[2] for t in terms]
-                           or [np.zeros((0, basis.d), dtype=np.intp)])
-    vals = np.concatenate([F.coeffs[p] * G.coeffs[cols[j]] * w
-                           for p, j, _, w in terms] or [np.zeros(0)])
-    pos, first, inv = np.unique(_rank(basis, gamma), return_index=True,
-                                return_inverse=True)
+    basis, p, q = F.basis, np.flatnonzero(F.coeffs), np.flatnonzero(G.coeffs)
+    P, Q = np.repeat(p, len(q)), np.tile(q, len(p))
+    t, rank, gamma, w = product_terms(basis, P, Q)
+    vals = F.coeffs[P[t]] * G.coeffs[Q[t]] * w
+    pos, first, inv = np.unique(rank, return_index=True, return_inverse=True)
     acc = np.zeros(len(pos), dtype=complex)
     np.add.at(acc, inv, vals)
     out, high = np.zeros(len(basis), dtype=complex), pos >= len(basis)
@@ -495,9 +488,10 @@ def multiply(F: ChaosVector, G: ChaosVector):
     high &= acc != 0  # a zero times an inf weight (past 170!) is nan
     fact = np.array([math.factorial(n) if n <= 170 else math.inf
                      for n in range(2 * basis.N + 1)], dtype=float)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # lost is inf past the float range
         weight = fact[gamma[first[high]]].prod(axis=1)
-    return ChaosVector(basis, out), math.sqrt(np.abs(acc[high]) ** 2 @ weight)
+        lost = math.sqrt(np.abs(acc[high]) ** 2 @ weight)
+    return ChaosVector(basis, out), lost
 
 
 def pair_sections(basis: ChaosBasis, max_degree: int | None = None):

@@ -24,15 +24,17 @@ class UsageError(ValueError):  # one of suites.ENTRY_ERRORS
     pass
 
 
-def _tol(raw, name: str, zero_ok: bool = False) -> float:
-    """A finite tolerance: NaN fails every check and inf passes every one."""
+def _tol(raw, name: str) -> float:
+    """A finite tolerance >= 0: NaN fails every check and inf passes every
+    one; 0 makes strict checks fail, a check failure, not a usage error."""
     try:
         tol = float(raw)
+    except OverflowError:  # an integer past the float range
+        tol = math.inf
     except (TypeError, ValueError):
         raise UsageError(f"{name} is not a number: {raw!r}")
-    if not math.isfinite(tol) or tol < 0 or (tol == 0 and not zero_ok):
-        bound = "nonnegative" if zero_ok else "positive"
-        raise UsageError(f"{name} must be finite and {bound}")
+    if not 0 <= tol < math.inf:
+        raise UsageError(f"{name} must be finite and nonnegative")
     return tol
 
 
@@ -155,10 +157,8 @@ def _validate_config(config) -> dict:
         for key in ("graph", "graph_file"):
             if not isinstance(params.get(key, ""), str):
                 raise UsageError(f"param {key!r} must be a string")
-        # tol = 0 is allowed: it makes strict residual checks fail,
-        # which is a check failure (exit 1), not a usage error
         if "tol" in entry:
-            _tol(entry["tol"], "suite tol", zero_ok=True)
+            _tol(entry["tol"], "suite tol")
     return config
 
 

@@ -94,7 +94,7 @@ class OperatorMatrix:
             obj = json.loads(text) if isinstance(text, str) else text
             rows, cols = int(obj["rows"]), int(obj["cols"])
             data = [complex(re, im) for re, im in obj["entries"]]
-        except (TypeError, ValueError, KeyError):
+        except (TypeError, ValueError, KeyError, OverflowError):
             raise OperatorError("matrix JSON must be an object with integer "
                                 "rows, cols and [re, im] entries") from None
         if min(rows, cols) < 1 or len(data) != rows * cols:

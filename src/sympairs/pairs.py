@@ -193,7 +193,7 @@ def pair_from_json(obj) -> tuple:
     B = OperatorMatrix.from_json(obj["B"])
     try:
         tol = float(obj.get("tol", DEFAULT_TOL))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         tol = math.nan
     if not 0 <= tol < math.inf:  # NaN fails too
         raise PairError(f"pair tol is not a finite number >= 0: "

@@ -45,29 +45,35 @@ def suite_pair(spec: pairs.SymmetricPairSpec, tol: float = DEFAULT_TOL):
 
 
 def _derivation_residual(basis: chaos.ChaosBasis) -> float:
-    """Worst weighted column norm of [T_i, M_p] - M_{T_i H_p} (Eq 3.14).
-
-    Columns of degree <= N - 1 - deg p (a prefix of the basis) for each
-    p of degree <= N - 1; T_i is a row or column gather along the ladders.
-    """
-    d, lad, N = basis.d, basis.ladders, basis.N
-    down = np.zeros((d, len(basis)), dtype=np.intp)  # position of alpha - e_i
+    """Worst weighted norm of T_i(H_p H_q) - q_i H_p H_{q-e_i} - p_i
+    H_{p-e_i} H_q (Eq 3.14) over slots i and deg p + deg q <= N - 1: at
+    H_{p+q-2k-e_i} it is (p_i + q_i - 2k_i) w(p, q, k) - q_i w(p, q - e_i, k)
+    - p_i w(p - e_i, q, k), from the terms of all pairs, generated once
+    (w = 0 where k leaves the k-box of a pair below)."""
+    d, B, lad, deg = basis.d, len(basis), basis.ladders, basis.degrees
+    room = basis.N - 1 - deg[deg <= basis.N - 1]  # degree left for q
+    width = basis.binom[room, d]  # the q of p: a prefix of the basis
+    start = np.cumsum(width) - width  # pair (p, q) has index start[p] + q
+    P = np.repeat(np.arange(len(width)), width)
+    Q = np.arange(len(P)) - start[P]
+    t, pos, gamma, w = chaos.product_terms(basis, P, Q)
+    p, q, first = P[t], Q[t], np.flatnonzero(np.diff(t, prepend=-1))
+    a, b = basis.alphas[p], basis.alphas[q]
+    k, size = (a + b - gamma) // 2, np.minimum(a, b) + 1  # k-box sizes
+    down = np.zeros((d, B), dtype=np.intp)  # position of alpha - e_i
     down[np.arange(d)[:, None], lad.up] = lad.src
     worst = 0.0
-    for p in np.flatnonzero(basis.degrees <= N - 1):
-        cols = np.arange(math.comb(N - 1 - int(basis.degrees[p]) + d, d))
-        Mp = chaos.product_columns(basis, p, cols)
-        inside = lad.up < len(cols)
-        for i in range(d):
-            R = np.zeros_like(Mp)
-            R[lad.src] = lad.rank[i][:, None] * Mp[lad.up[i]]
-            up, src = lad.up[i][inside[i]], lad.src[inside[i]]
-            R[:, up] -= lad.rank[i][inside[i]] * Mp[:, src]
-            if basis.alphas[p, i]:
-                R -= basis.alphas[p, i] * chaos.product_columns(
-                    basis, down[i, p], cols)
-            worst = max(worst, math.sqrt(np.max(basis.norms @ abs(R) ** 2)))
-    return worst
+    for i in range(d):
+        R = gamma[:, i] * w
+        for c, pair in ((b, start[p] + down[i, q]), (a, start[down[i, p]] + q)):
+            at = np.zeros_like(t)  # rank of k in the k-box of the pair below
+            for j in range(d):  # mixed radix, the last slot fastest
+                at = at * np.minimum(size[:, j], c[:, j] + (j != i)) + k[:, j]
+            ok = k[:, i] < c[:, i]
+            R -= c[:, i] * np.where(ok, w[np.where(ok, first[pair] + at, 0)], 0)
+        col = np.bincount(t, weights=basis.norms[down[i, pos]] * R ** 2)
+        worst = max(worst, col.max())
+    return math.sqrt(worst)
 
 
 def suite_malliavin(d: int, N: int, tol: float = DEFAULT_TOL):
@@ -338,7 +344,7 @@ def _parse_rho(obj) -> np.ndarray:
         return np.array([[complex(c[0], c[1]) if isinstance(c, (list, tuple))
                           else complex(c) for c in row] for row in obj],
                         dtype=complex)
-    except (TypeError, ValueError, IndexError):
+    except (TypeError, ValueError, IndexError, OverflowError):
         raise modular.ModularError(
             "rho must be a list of equal rows of numbers or [re, im] pairs"
         ) from None
@@ -348,6 +354,6 @@ def _parse_t_list(obj) -> list:
     try:
         if isinstance(obj, list):
             return [float(t) for t in obj]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise modular.ModularError(f"t_list must be a list of numbers: {obj!r}")

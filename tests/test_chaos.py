@@ -26,7 +26,7 @@ from sympairs.chaos import (
     number_operator,
     pair_sections,
     phi_matrix,
-    product_columns,
+    product_terms,
     t_matrix,
     t_star_matrix,
     zero_vector,
@@ -115,8 +115,82 @@ def leibniz_loop_residual(basis, product):
     return worst
 
 
+def product_terms_per_p(basis, p, cols):
+    """Reference oracle: the terms of H_p * H_q for q in ``cols``, one
+    (d, |cols|, box) mask per p, as (column j of q, p + q - 2k,
+    prod_i lin[p_i, q_i, k_i]) in (q, k lex) order."""
+    a, qs = basis.alphas[p], basis.alphas[cols]
+    ks = np.indices(tuple(a + 1)).reshape(basis.d, -1).T  # the box k <= p
+    col, kk = np.nonzero((ks[None] <= qs[:, None]).all(axis=2))
+    q, k = qs[col], ks[kk]
+    return col, a + q - 2 * k, basis.linearisation[a, q, k].prod(axis=1)
+
+
+def product_columns_per_p(basis, p, cols):
+    """Reference oracle: columns ``cols`` of the matrix of multiplication
+    by H_p, exact up to degree N."""
+    col, gamma, coef = product_terms_per_p(basis, p, cols)
+    keep = gamma.sum(axis=1) <= basis.N
+    out = np.zeros((len(basis), len(cols)), dtype=complex)
+    out[chaos._rank(basis, gamma[keep]), col[keep]] = coef[keep]
+    return out
+
+
+def multiply_per_p(F, G):
+    """Reference oracle: ``multiply`` with the terms generated per p."""
+    basis, cols = F.basis, np.flatnonzero(G.coeffs)
+    terms = [(p, *product_terms_per_p(basis, p, cols))
+             for p in np.flatnonzero(F.coeffs)]
+    gamma = np.concatenate([t[2] for t in terms]
+                           or [np.zeros((0, basis.d), dtype=np.intp)])
+    vals = np.concatenate([F.coeffs[p] * G.coeffs[cols[j]] * w
+                           for p, j, _, w in terms] or [np.zeros(0)])
+    pos, first, inv = np.unique(chaos._rank(basis, gamma), return_index=True,
+                                return_inverse=True)
+    acc = np.zeros(len(pos), dtype=complex)
+    np.add.at(acc, inv, vals)
+    out, high = np.zeros(len(basis), dtype=complex), pos >= len(basis)
+    out[pos[~high]] = acc[~high]
+    high &= acc != 0
+    fact = np.array([math.factorial(n) if n <= 170 else math.inf
+                     for n in range(2 * basis.N + 1)], dtype=float)
+    with np.errstate(over="ignore"):
+        weight = fact[gamma[first[high]]].prod(axis=1)
+        lost = math.sqrt(np.abs(acc[high]) ** 2 @ weight)
+    return out, lost
+
+
+def derivation_residual_per_p(basis):
+    """Reference oracle: the Eq 3.14 residual as matrices, one p at a time.
+
+    ``[T_i, M_p] - M_{T_i H_p}`` on the columns of degree <= N - 1 - deg p
+    (a prefix of the basis); T_i is a row or column gather along the
+    ladders; the worst weighted column norm over p and i.
+    """
+    d, lad, N = basis.d, basis.ladders, basis.N
+    down = np.zeros((d, len(basis)), dtype=np.intp)  # position of alpha - e_i
+    down[np.arange(d)[:, None], lad.up] = lad.src
+    worst = 0.0
+    for p in np.flatnonzero(basis.degrees <= N - 1):
+        cols = np.arange(math.comb(N - 1 - int(basis.degrees[p]) + d, d))
+        Mp = product_columns_per_p(basis, p, cols)
+        inside = lad.up < len(cols)
+        for i in range(d):
+            R = np.zeros_like(Mp)
+            R[lad.src] = lad.rank[i][:, None] * Mp[lad.up[i]]
+            up, src = lad.up[i][inside[i]], lad.src[inside[i]]
+            R[:, up] -= lad.rank[i][inside[i]] * Mp[:, src]
+            if basis.alphas[p, i]:
+                R -= basis.alphas[p, i] * product_columns_per_p(
+                    basis, down[i, p], cols)
+            worst = max(worst, math.sqrt(np.max(basis.norms @ abs(R) ** 2)))
+    return worst
+
+
 LADDER_SIZES = ((1, 8), (2, 6), (3, 5), (4, 4))
 PRODUCT_SIZES = ((1, 8), (2, 6), (3, 5))
+#: the suite_malliavin sizes of the chaos_scale benchmark workload
+SCALE_SIZES = ((2, 10), (3, 6), (3, 7), (4, 5))
 
 
 def random_vector(basis, rng):
@@ -401,12 +475,43 @@ def test_multiply_truncation_and_lost_against_double_degree_oracle(d, N):
     tail = ref[len(b):]
     want = math.sqrt(np.sum(np.abs(tail) ** 2 * big.norms[len(b):]))
     assert lost > 0.0 and abs(lost - want) <= 1e-10 * want
+    # the generator's terms of H_p * H_q, past degree N too (ranks past
+    # |b| are positions in the degree-2N basis)
     for p in (0, 1, len(b) - 1):
-        cols = product_columns(b, p, np.arange(len(b)))
+        t, pos, _, w = product_terms(b, np.full(len(b), p), np.arange(len(b)))
+        cols = np.zeros((len(big), len(b)))
+        cols[pos, t] = w
         for q in range(len(b)):
             ref = multiply_monomial(big.unit(b.indices[p]),
                                     big.unit(b.indices[q])).coeffs
-            assert np.array_equal(cols[:, q], ref[:len(b)])
+            assert np.array_equal(cols[:, q], ref)
+
+
+@pytest.mark.parametrize("d,N", PRODUCT_SIZES)
+def test_multiply_is_bit_identical_to_per_p_oracle(d, N):
+    b = basis_build(d, N)
+    rng = np.random.default_rng(31 * d + N)
+    for support in (1.0, 0.4):
+        F, G = random_vector(b, rng), random_vector(b, rng)
+        F = ChaosVector(b, F.coeffs * (rng.random(len(b)) < support))
+        out, lost = multiply(F, G)
+        ref, ref_lost = multiply_per_p(F, G)
+        assert np.array_equal(out.coeffs, ref) and lost == ref_lost > 0.0
+
+
+def test_product_terms_order_and_empty_input():
+    # per pair, k runs over the box k <= min(p, q) with the last slot fastest
+    b = basis_build(2, 4)
+    p, q = b.index_map[(1, 2)], b.index_map[(2, 1)]
+    t, pos, gamma, w = product_terms(b, [p, q], [q, q])
+    assert t.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
+    assert gamma[:4].tolist() == [[3, 3], [3, 1], [1, 3], [1, 1]]
+    assert w[:4].tolist() == [1.0, 2.0, 2.0, 4.0]
+    assert np.array_equal(pos, chaos._rank(b, gamma))
+    t, pos, gamma, w = product_terms(b, [], [])
+    assert len(t) == len(pos) == len(w) == 0 and gamma.shape == (0, 2)
+    out, lost = multiply(zero_vector(b), b.unit((1, 0)))
+    assert not out.coeffs.any() and lost == 0.0
 
 
 def test_multiply_complex_scalar_either_side():
@@ -518,6 +623,62 @@ def test_derivation_identity_matches_leibniz_loop(d, N):
     assert rec.passed
     assert rec.residual == leibniz_loop_residual(basis_build(d, N),
                                                  multiply_monomial) == 0.0
+
+
+@pytest.mark.parametrize("d,N", LADDER_SIZES + SCALE_SIZES)
+def test_derivation_residual_matches_per_p_and_leibniz_oracles(d, N):
+    from sympairs.report import canon_float
+    from sympairs.suites import _derivation_residual, suite_malliavin
+
+    b = basis_build(d, N)
+    res = _derivation_residual(b)
+    assert res == derivation_residual_per_p(b) == 0.0
+    loop = leibniz_loop_residual(b, multiply_monomial)
+    assert abs(res - loop) <= 1e-12 * loop
+    rec = next(r for r in suite_malliavin(d, N)
+               if r.check == "derivation_identity")
+    assert rec.passed and rec.residual == canon_float(res)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(LADDER_SIZES), st.data())
+def test_derivation_residual_oracles_on_mutated_linearisation(size, data):
+    # one entry lin[m, n, k] (k >= 1, read by a pair of degree <= N - 1)
+    # off by a nonzero integer, kept symmetric in (m, n)
+    from sympairs.suites import _derivation_residual
+
+    d, N = size
+    b = basis_build(d, N)
+    m = data.draw(st.integers(1, N - 2), label="m")
+    n = data.draw(st.integers(1, N - 1 - m), label="n")
+    k = data.draw(st.integers(1, min(m, n)), label="k")
+    lin = b.linearisation.copy()
+    lin[m, n, k] += data.draw(st.integers(-50, 50).filter(bool), label="by")
+    lin[n, m, k] = lin[m, n, k]
+    vars(b)["linearisation"] = lin
+    res = _derivation_residual(b)
+    assert res == derivation_residual_per_p(b)
+    loop = leibniz_loop_residual(b, lambda F, G: multiply(F, G)[0])
+    assert abs(res - loop) <= 1e-12 * loop
+    # Leibniz at (m, n, k) ties lin[m, n, k] to level k of (m, n - 1) and
+    # (m - 1, n) with factor m + n - 2k; with that factor 0 it is seen
+    # only from (m + 1, n) and (m, n + 1), past degree N - 1 here
+    assert (res > 0.0) != (m == n == k and 2 * m == N - 1)
+
+
+def test_suite_malliavin_generates_product_terms_once(monkeypatch):
+    from sympairs.suites import suite_malliavin
+
+    calls, real = [], chaos.product_terms
+
+    def counted(basis, P, Q):
+        calls.append(len(P))
+        return real(basis, P, Q)
+
+    monkeypatch.setattr(chaos, "product_terms", counted)
+    assert all(r.passed for r in suite_malliavin(3, 5))
+    # one call for every pair with deg p + deg q <= N - 1: C(N - 1 + 2d, 2d)
+    assert calls == [math.comb(4 + 6, 6)]
 
 
 def test_each_linearisation_level_obeys_leibniz(monkeypatch):

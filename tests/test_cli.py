@@ -228,12 +228,36 @@ def test_defect_overflow_no_traceback(tmp_path, capsys):
     {"kind": "malliavin", "tol": float("nan"), "params": {"d": 1, "N": 4}},
     {"kind": "defect", "params": {"expect": 5}},
     {"kind": "defect", "params": {"expect": "converges"}},
+    {"kind": "defect", "tol": 10**400},  # an int past the float range
 ])
 def test_bad_batch_config_exit_2(tmp_path, capsys, entry):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"suites": [entry]}))
     assert cli.main(["run", "-c", str(cfg)]) == 2
     assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("kind, flags, params, code", [
+    ("defect", [], {}, 0),  # the recurrence floors its tolerance at 1e-12
+    ("malliavin", ["--d", "1", "--N", "3"], {"d": 1, "N": 3}, 1),
+])
+def test_tol_zero_same_from_every_door(tmp_path, capsys, monkeypatch, kind,
+                                       flags, params, code):
+    # a zero tolerance makes strict checks fail: exit 1, not a usage error
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps(
+        {"suites": [{"kind": kind, "tol": 0, "params": params}]}))
+    doors = ((["check", kind, *flags, "--tol", "0", "--format", "json"], None),
+             (["check", kind, *flags, "--format", "json"], "0"),
+             (["run", "-c", str(cfg)], None))
+    seen = []
+    for argv, env in doors:
+        monkeypatch.delenv("SYMPAIR_TOL", raising=False)
+        if env is not None:
+            monkeypatch.setenv("SYMPAIR_TOL", env)
+        seen.append((cli.main(argv), capsys.readouterr().out))
+    assert seen[0] == seen[1] == seen[2]
+    assert seen[0][0] == code
 
 
 def test_non_finite_tol_refused(capsys, monkeypatch):
@@ -264,6 +288,12 @@ UNIT = {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}
     ("modular", {"n": 2, "rho": [[0.5, 0.1], [0.0, 0.5]]}),  # not Hermitian
     ("modular", {"n": 2, "t_list": 1.5}),
     ("modular", {"n": 6}),  # oversized: refused before any work
+    # JSON integers past the float range raised OverflowError
+    ("pair", {"A": {"rows": 1, "cols": 1, "entries": [[10**400, 0]]},
+              "B": UNIT}),
+    ("pair", {"A": UNIT, "B": UNIT, "tol": 10**400}),
+    ("modular", {"n": 2, "rho": [[10**400, 0], [0, 0.5]]}),
+    ("modular", {"n": 2, "t_list": [0.5, 10**400]}),
 ])
 def test_malformed_json_no_traceback(tmp_path, capsys, kind, params):
     # run: one failed suite_error record, exit 1

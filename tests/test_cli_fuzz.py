@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 from sympairs import chaos, cli, modular, network
 
 NAN, INF = float("nan"), float("inf")
-# values a JSON field might hold by mistake (1e308 as a size is refused)
+# values a JSON field might hold by mistake (1e308 as a size is refused;
+# 10**400 is an integer past the float range)
 JUNK = st.sampled_from([None, True, "x", "3", [], {}, [1], 2.5, -1, 0,
-                        NAN, INF, -INF, 1e308])
+                        NAN, INF, -INF, 1e308, 10**400])
 SMALL_FLOAT = st.sampled_from([2.0, 1.0, 0.5, 3.0, 0.0, -1.0, 1e-300, 1e300,
                                NAN, INF])
 TOL_TEXT = st.sampled_from(["1e-10", "0", "1e-3", "-1", "nan", "inf", "abc"])
