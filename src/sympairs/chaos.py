@@ -349,9 +349,21 @@ def exp_vector(k, basis: ChaosBasis):
     coeffs = np.array([math.prod(k[i] ** a / math.factorial(a)
                                  for i, a in enumerate(alpha))
                        for alpha in basis.indices], dtype=complex)
-    ksq = float(k @ k)
-    tail = math.exp(ksq) - sum(ksq**n / math.factorial(n) for n in range(basis.N + 1))
-    return ChaosVector(basis, coeffs), max(tail, 0.0)
+    return ChaosVector(basis, coeffs), exp_tail(float(k @ k), basis.N)
+
+
+def exp_tail(x: float, N: int) -> float:
+    """``exp(x) - sum_{n <= N} x^n / n!`` for x >= 0, summed forward from
+    n = N + 1: the difference itself cancels to 0.0 once the tail is below
+    the float spacing of exp(x).  Past n = 2x each term is at most half
+    the one before, so what is left after a term below 2^-60 of the sum
+    is below it too."""
+    terms, n = [], N + 1
+    while True:
+        terms.append(x**n / math.factorial(n))
+        if n >= 2 * x and terms[-1] <= 2**-60 * math.fsum(terms):
+            return math.fsum(terms)
+        n += 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ then DEFAULT_TOL.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
+import time
 
 from . import network, suites
 from .report import FORMATS, Report, emit
@@ -58,7 +60,10 @@ def _load_json(path: str):
         raise UsageError(f"invalid JSON in {path}: {exc}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it
+    unchanged)."""
     parser = argparse.ArgumentParser(
         prog="sympairs",
         description="Residual checks for symmetric operator pairs",
@@ -172,8 +177,10 @@ def main(argv=None) -> int:
         if args.command == "check":
             tol = _tol(args.tol, "--tol") if args.tol is not None \
                 else _env_tol()
+            start = time.perf_counter()
             report = Report(suites.run_entry(args.kind, args.params(args),
                                              tol))
+            report.wall_time = time.perf_counter() - start
         else:
             raw = suites.default_config() if args.config == "default" \
                 else _load_json(args.config)

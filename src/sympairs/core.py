@@ -202,21 +202,25 @@ def spectrum(H: OperatorMatrix, tol: float = DEFAULT_TOL, return_vectors=False):
     return w
 
 
-def sqrt_psd(P: OperatorMatrix, tol: float = DEFAULT_TOL) -> OperatorMatrix:
-    """Positive semidefinite square root of a PSD self-adjoint operator.
+def root_from_spectrum(w, U, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``U diag(sqrt w) U^H``: the PSD square root from an eigendecomposition.
 
-    Eigenvalues in ``[-tol, 0)`` (scaled by the largest eigenvalue) are
-    clamped to zero; anything more negative is an error, not a clamp.
+    ``(w, U)`` is ``spectrum(P, return_vectors=True)`` of a self-adjoint
+    P.  Eigenvalues in ``[-tol, 0)`` (scaled by the largest eigenvalue)
+    are clamped to zero; anything more negative is an error, not a clamp.
     """
-    w, U = spectrum(P, tol=tol, return_vectors=True)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     if w.size and w[0] < -tol * scale:
         raise OperatorError(
             f"matrix is not PSD: smallest eigenvalue {w[0]:.3e}"
         )
-    w = np.clip(w, 0.0, None)
-    Q = (U * np.sqrt(w)) @ U.conj().T
-    return OperatorMatrix(Q, LINEAR)
+    return (U * np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T
+
+
+def sqrt_psd(P: OperatorMatrix, tol: float = DEFAULT_TOL) -> OperatorMatrix:
+    """Positive semidefinite square root of a PSD self-adjoint operator."""
+    w, U = spectrum(P, tol=tol, return_vectors=True)
+    return OperatorMatrix(root_from_spectrum(w, U, tol), LINEAR)
 
 
 def cayley(T: OperatorMatrix, tol: float = DEFAULT_TOL) -> OperatorMatrix:
@@ -241,15 +245,22 @@ def cayley(T: OperatorMatrix, tol: float = DEFAULT_TOL) -> OperatorMatrix:
     return OperatorMatrix(C, LINEAR)
 
 
-def unitary_power(H: OperatorMatrix, t: float, tol: float = DEFAULT_TOL) -> OperatorMatrix:
-    """The unitary ``H^{it}`` for positive definite self-adjoint H."""
-    w, U = spectrum(H, tol=tol, return_vectors=True)
+def power_from_spectrum(w, U, t: float,
+                        tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``U diag(w^{it}) U^H``: the unitary ``H^{it}`` from an
+    eigendecomposition ``(w, U)`` of a positive definite H."""
     if w.size and w[0] <= tol:
         raise OperatorError(
             f"unitary_power requires positive eigenvalues, got {w[0]:.3e}"
         )
     phases = np.exp(1j * t * np.log(w.real))
-    return OperatorMatrix((U * phases) @ U.conj().T, LINEAR)
+    return (U * phases) @ U.conj().T
+
+
+def unitary_power(H: OperatorMatrix, t: float, tol: float = DEFAULT_TOL) -> OperatorMatrix:
+    """The unitary ``H^{it}`` for positive definite self-adjoint H."""
+    w, U = spectrum(H, tol=tol, return_vectors=True)
+    return OperatorMatrix(power_from_spectrum(w, U, t, tol), LINEAR)
 
 
 def _fix_phases(basis: np.ndarray) -> np.ndarray:

@@ -21,14 +21,13 @@ import numpy as np
 from .core import (
     CONJUGATE,
     DEFAULT_TOL,
-    LINEAR,
     OperatorError,
     OperatorMatrix,
     adjoint,
     compose,
+    power_from_spectrum,
+    root_from_spectrum,
     spectrum,
-    sqrt_psd,
-    unitary_power,
 )
 
 
@@ -40,25 +39,29 @@ class ModularError(OperatorError):
 class AlgebraSpec:
     """A *-algebra of operators given by generators and a computed basis.
 
-    ``basis`` is orthonormal in the trace inner product on operators and
-    spans the unital *-algebra generated by the generators.
+    Both are read-only complex (k, m, m) stacks.  ``basis`` is orthonormal
+    in the trace inner product on operators and spans the unital
+    *-algebra generated by the generators.
     """
 
     dim_ambient: int
-    generators: tuple
-    basis: tuple
+    generators: np.ndarray
+    basis: np.ndarray
 
 
-def _hs_orthonormalize(mats, tol=1e-10):
-    """Orthonormal basis (trace inner product) of the span of matrices."""
-    if not mats:
-        return []
-    m = mats[0].shape[0]
-    stack = np.array([M.reshape(-1) for M in mats])
+def _readonly(stack: np.ndarray) -> np.ndarray:
+    """A freshly computed stack, marked read-only."""
+    stack.setflags(write=False)
+    return stack
+
+
+def _hs_orthonormalize(stack: np.ndarray, tol=1e-10) -> np.ndarray:
+    """Orthonormal basis (trace inner product) of the span of a stack."""
+    k, m = stack.shape[:2]
     # SVD-based row space extraction keeps the result reproducible
-    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    u, s, vh = np.linalg.svd(stack.reshape(k, m * m), full_matrices=False)
     rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    return [vh[j].reshape(m, m) for j in range(rank)]
+    return vh[:rank].reshape(rank, m, m)
 
 
 def algebra_from_generators(generators, tol: float = 1e-10) -> AlgebraSpec:
@@ -71,29 +74,23 @@ def algebra_from_generators(generators, tol: float = 1e-10) -> AlgebraSpec:
     (``s[0] >= 1``), so the SVD would add nothing; it runs only when the
     residual is larger.
     """
-    gens = [np.asarray(g.matrix if isinstance(g, OperatorMatrix) else g,
-                       dtype=complex) for g in generators]
-    if not gens:
+    gens = np.array(generators, dtype=complex)
+    if not len(gens):
         raise ModularError("empty generator list")
-    m = gens[0].shape[0]
-    current = _hs_orthonormalize(
-        [np.eye(m, dtype=complex)] + gens + [g.conj().T for g in gens], tol
-    )
+    m = gens.shape[1]
+    current = _hs_orthonormalize(np.concatenate(
+        [np.eye(m, dtype=complex)[None], gens, gens.conj().transpose(0, 2, 1)]
+    ), tol)
     while True:
-        B = np.array(current)
-        products = (B[:, None] @ B[None]).reshape(-1, m, m)
-        P, V = products.reshape(-1, m * m), B.reshape(-1, m * m)
+        products = (current[:, None] @ current[None]).reshape(-1, m, m)
+        P, V = products.reshape(-1, m * m), current.reshape(-1, m * m)
         if np.linalg.norm(P - (P @ V.conj().T) @ V) <= tol:
             break
-        new = _hs_orthonormalize(current + list(products), tol)
+        new = _hs_orthonormalize(np.concatenate([current, products]), tol)
         if len(new) == len(current):
             break
         current = new
-    return AlgebraSpec(
-        m,
-        tuple(OperatorMatrix(g, LINEAR) for g in gens),
-        tuple(OperatorMatrix(b, LINEAR) for b in current),
-    )
+    return AlgebraSpec(m, _readonly(gens), _readonly(current))
 
 
 #: relative tolerance of the structural commutant: eigenvalue gaps of the
@@ -105,8 +102,9 @@ CLUSTER_TOL = 1e-8
 _GENERIC_SEED = 2010
 
 
-def commutant(alg: AlgebraSpec, tol: float = CLUSTER_TOL):
-    """Orthonormal basis of the commutant of the *-algebra in ``alg.basis``.
+def commutant(alg: AlgebraSpec, tol: float = CLUSTER_TOL) -> np.ndarray:
+    """Orthonormal basis of the commutant of the *-algebra in ``alg.basis``,
+    as a read-only complex (k, m, m) stack like ``alg.basis``.
 
     Built from the block structure of the algebra (Murota, Kanno, Kojima
     & Kojima, Japan J. Indust. Appl. Math. 27, 2010).  Up to a unitary
@@ -124,12 +122,11 @@ def commutant(alg: AlgebraSpec, tol: float = CLUSTER_TOL):
     the double commutant theorem this makes the span all of M').
     Otherwise ModularError.
     """
-    if not alg.generators:
+    if not len(alg.generators):
         raise ModularError("empty generator list")
-    if not alg.basis:
+    if not len(alg.basis):
         raise ModularError("commutant: the algebra has no basis")
-    m = alg.dim_ambient
-    B = _stack(alg.basis)
+    m, B = alg.dim_ambient, alg.basis
     rng = np.random.default_rng(_GENERIC_SEED)
     c = rng.normal(size=(2, len(B))) + 1j * rng.normal(size=(2, len(B)))
     C, K = np.tensordot(c, B, axes=1)
@@ -169,7 +166,7 @@ def commutant(alg: AlgebraSpec, tol: float = CLUSTER_TOL):
     # the span is closed under adjoints (X_ji = X_ij^H up to rounding), and
     # [G^H, X] = -[G, X^H]^H, so commuting with every generator is
     # commuting with its adjoint too
-    G = _stack(alg.generators)
+    G = alg.generators
     worst = np.max(np.linalg.norm(G[:, None] @ X - X @ G[:, None],
                                   axis=(2, 3)))
     if dim != len(B) or not worst <= tol * np.max(np.linalg.norm(
@@ -177,24 +174,18 @@ def commutant(alg: AlgebraSpec, tol: float = CLUSTER_TOL):
         raise ModularError(
             f"commutant: structure check failed (block dimension {dim} "
             f"vs algebra {len(B)}, commutator {worst:.1e})")
-    return [OperatorMatrix(x, LINEAR) for x in X]
+    return _readonly(X)
 
 
-def _stack(mats) -> np.ndarray:
-    """Matrices (or OperatorMatrix) as one (k, m, m) complex array."""
-    return np.array([b.matrix if isinstance(b, OperatorMatrix) else b
-                     for b in mats], dtype=complex)
-
-
-def span_residual(x, basis) -> float:
+def span_residual(x, basis: np.ndarray) -> float:
     """Distance (Frobenius norm of the remainder) from an orthonormal span.
 
-    ``x`` is one matrix, a (k, m, m) stack or a sequence of matrices;
-    for several matrices the worst distance is returned.
+    ``x`` is one matrix or a (k, m, m) stack, ``basis`` a (k, m, m)
+    stack; for several matrices the worst distance is returned.
     """
-    X = x if isinstance(x, np.ndarray) else _stack(x)
+    X = np.asarray(x, dtype=complex)
     X = X.reshape(-1, X.shape[-1] ** 2)
-    V = _stack(basis).reshape(len(basis), X.shape[1])
+    V = basis.reshape(len(basis), X.shape[1])
     rem = X - (X @ V.conj().T) @ V
     return float(np.max(np.linalg.norm(rem, axis=1)))
 
@@ -211,8 +202,8 @@ class StandardForm:
     alg: AlgebraSpec
 
 
-#: largest n accepted.  suite_modular takes about 5 ms at n = 3, 25 ms at
-#: n = 4 and 0.1 s at n = 5 (one BLAS thread); a larger n needs a byte
+#: largest n accepted.  suite_modular takes about 4 ms at n = 3, 18 ms at
+#: n = 4 and 90 ms at n = 5 (one BLAS thread); a larger n needs a byte
 #: preflight for the n^8-entry product stack of algebra_from_generators.
 MAX_N = 5
 
@@ -249,10 +240,10 @@ def standard_form(n: int, rho) -> StandardForm:
     root = (U * np.sqrt(w)) @ U.conj().T
     xi = root.reshape(-1)
     # left multiplications by the matrix units E_ij; with row-major vec,
-    # vec(x a) = (x kron I) vec(a)
+    # vec(x a) = (x kron I) vec(a), and (E_ij kron I)[ak, bl] = d_ia d_jb d_kl
     eye = np.eye(n)
-    alg = algebra_from_generators([np.kron(np.outer(eye[i], eye[j]), eye)
-                                   for i in range(n) for j in range(n)])
+    alg = algebra_from_generators(np.einsum(
+        "ia,jb,kl->ijakbl", eye, eye, eye).reshape(n * n, n * n, n * n))
     return StandardForm(n, rho, xi, alg)
 
 
@@ -263,7 +254,7 @@ def tracial_rho(n: int) -> np.ndarray:
 
 def _cyclic_separating(alg: AlgebraSpec, xi, tol: float = 1e-10):
     """(cyclic, separating) from one rank of the orbit {b xi : b in basis}."""
-    rank = np.linalg.matrix_rank(_stack(alg.basis) @ xi, tol=tol)
+    rank = np.linalg.matrix_rank(alg.basis @ xi, tol=tol)
     return rank == alg.dim_ambient, rank == len(alg.basis)
 
 
@@ -277,10 +268,10 @@ def separating_check(alg: AlgebraSpec, xi, tol: float = 1e-10) -> bool:
     return _cyclic_separating(alg, xi, tol)[1]
 
 
-def _solve_involution(basis, xi, name: str):
+def _solve_involution(basis: np.ndarray, xi, name: str):
     """Conjugate-linear matrix of v = m xi -> m^* xi over an operator span."""
     m_dim = xi.shape[0]
-    M = np.column_stack([b.matrix @ xi for b in basis])
+    M = (basis @ xi).T
     if M.shape[1] != m_dim:
         raise ModularError(
             f"{name}: span dimension {M.shape[1]} != ambient {m_dim}; "
@@ -290,7 +281,7 @@ def _solve_involution(basis, xi, name: str):
     if not np.isfinite(cond):
         raise ModularError(f"{name}: vector is not separating (singular solve)")
     coeffs = np.linalg.solve(M, np.eye(m_dim, dtype=complex))
-    W = np.column_stack([b.matrix.conj().T @ xi for b in basis])
+    W = (basis.conj().transpose(0, 2, 1) @ xi).T
     mat = W @ np.conj(coeffs)
     return OperatorMatrix(mat, CONJUGATE), float(cond)
 
@@ -304,20 +295,34 @@ def build_S(alg: AlgebraSpec, xi):
     return _solve_involution(alg.basis, xi, "build_S")
 
 
-def build_F(commutant_basis, xi):
+def build_F(commutant_basis: np.ndarray, xi):
     """The commutant-side involution ``m' xi -> (m')^* xi``."""
     return _solve_involution(commutant_basis, xi, "build_F")
 
 
 @dataclass(frozen=True)
 class ModularData:
+    """Sec 4 from one eigendecomposition ``eig = (w, U)`` of Delta: root
+    (Delta^{1/2}), J, the flow and cond(Delta) = w[-1] / w[0] reuse it."""
+
     xi: np.ndarray
     S: OperatorMatrix
     F: OperatorMatrix
     Delta: OperatorMatrix
     J: OperatorMatrix
-    comm: tuple  # orthonormal commutant basis
+    comm: np.ndarray  # orthonormal commutant basis, read-only (k, m, m)
     cond: float  # condition number of the build_S solve
+    eig: tuple  # (w, U) of Delta
+    root: OperatorMatrix  # Delta^{1/2}
+
+
+def _delta_and_spectrum(S: OperatorMatrix, tol: float):
+    """Delta = S* S and its eigendecomposition (w, U), checked PSD."""
+    prod = compose(adjoint(S), S)
+    w, U = spectrum(prod, tol, return_vectors=True)
+    if w.size and w[0] < -tol * max(1.0, float(w[-1])):
+        raise ModularError(f"S* S is not PSD: smallest eigenvalue {w[0]:.3e}")
+    return prod, (w, U)
 
 
 def modular_delta(S: OperatorMatrix, tol: float = DEFAULT_TOL) -> OperatorMatrix:
@@ -327,22 +332,17 @@ def modular_delta(S: OperatorMatrix, tol: float = DEFAULT_TOL) -> OperatorMatrix
     rho^{-1}; see conjugation_action_matrix for the independent route.
     The matrix Ms^T conj(Ms) is exactly self-adjoint and PSD.
     """
-    prod = compose(adjoint(S), S)
-    w = spectrum(prod, tol)
-    if w.size and w[0] < -tol * max(1.0, float(w[-1])):
-        raise ModularError(f"S* S is not PSD: smallest eigenvalue {w[0]:.3e}")
-    return prod
+    return _delta_and_spectrum(S, tol)[0]
 
 
-def modular_J(S: OperatorMatrix, Delta: OperatorMatrix) -> OperatorMatrix:
-    """Conjugate-linear isometry J in the polar split S = J Delta^{1/2}.
+def modular_J(S: OperatorMatrix, root: OperatorMatrix, w) -> OperatorMatrix:
+    """Conjugate-linear isometry J in the polar split S = J Delta^{1/2},
+    from ``root`` = Delta^{1/2} and the eigenvalues ``w`` of Delta.
 
     Delta is invertible whenever the vector is separating; a singular
     Delta here is an internal inconsistency, not a user error.
     """
-    root = sqrt_psd(Delta)
-    w = np.linalg.eigvalsh(root.matrix)
-    if w[0] <= 1e-12:
+    if np.sqrt(max(w[0], 0.0)) <= 1e-12:
         raise ModularError("internal inconsistency: Delta is singular")
     inv = np.linalg.inv(root.matrix)
     # J = S o Delta^{-1/2}: v -> Ms conj(Delta^{-1/2} v)
@@ -350,12 +350,13 @@ def modular_J(S: OperatorMatrix, Delta: OperatorMatrix) -> OperatorMatrix:
 
 
 def modular_data(sf: StandardForm, tol: float = DEFAULT_TOL) -> ModularData:
-    comm = tuple(commutant(sf.alg))
+    comm = commutant(sf.alg)
     S, cond = build_S(sf.alg, sf.xi)
     F, _ = build_F(comm, sf.xi)
-    Delta = modular_delta(S, tol)
-    J = modular_J(S, Delta)
-    return ModularData(sf.xi, S, F, Delta, J, comm, cond)
+    Delta, eig = _delta_and_spectrum(S, tol)
+    root = OperatorMatrix(root_from_spectrum(*eig))
+    return ModularData(sf.xi, S, F, Delta, modular_J(S, root, eig[0]), comm,
+                       cond, eig, root)
 
 
 def conjugation_action_matrix(rho) -> np.ndarray:
@@ -372,13 +373,13 @@ def check_commutation(J: OperatorMatrix, alg: AlgebraSpec, comm_basis,
     ``Mj conj(x) conj(Mj)``.  Returns the worst trace-norm remainder.
     """
     Mj = J.matrix
-    sandwich = Mj @ np.conj(_stack(alg.basis)) @ np.conj(Mj)
+    sandwich = Mj @ np.conj(alg.basis) @ np.conj(Mj)
     return span_residual(sandwich, comm_basis)
 
 
 def check_sxs_commutes(S: OperatorMatrix, alg: AlgebraSpec) -> float:
     """Max commutator norm of S x S against the algebra basis."""
-    Ms, Y = S.matrix, _stack(alg.basis)
+    Ms, Y = S.matrix, alg.basis
     SX = (Ms @ np.conj(Y) @ np.conj(Ms))[:, None]
     comm = SX @ Y - Y @ SX  # [S x_i S, y_j] for every pair (i, j)
     return float(np.max(np.linalg.norm(comm, axis=(2, 3))))
@@ -393,19 +394,19 @@ MAX_FLOW_T = 1e3
 
 
 def modular_flow_check(Delta: OperatorMatrix, alg: AlgebraSpec, t_list,
-                       tol: float = DEFAULT_TOL) -> float:
-    """Max residual of expanding Delta^{it} x Delta^{-it} in the algebra."""
+                       tol: float = DEFAULT_TOL, eig=None) -> float:
+    """Max residual of expanding Delta^{it} x Delta^{-it} in the algebra;
+    ``eig`` is Delta's ``(w, U)`` if known (``ModularData.eig``)."""
     if not np.isfinite(t_list).all():
         raise ModularError(f"modular flow times must be finite: {t_list}")
     if np.any(np.abs(t_list) > MAX_FLOW_T):
         raise ModularError(
             f"modular flow times must satisfy |t| <= {MAX_FLOW_T:g}: {t_list}")
-    X = _stack(alg.basis)
+    w, U = spectrum(Delta, tol, return_vectors=True) if eig is None else eig
     worst = 0.0
     for t in t_list:
-        U = unitary_power(Delta, float(t), tol)
-        Uinv = unitary_power(Delta, -float(t), tol)
-        flowed = U.matrix @ X @ Uinv.matrix
+        flowed = (power_from_spectrum(w, U, float(t), tol) @ alg.basis
+                  @ power_from_spectrum(w, U, -float(t), tol))
         worst = max(worst, span_residual(flowed, alg.basis))
     return worst
 
@@ -425,7 +426,7 @@ def antilinear_defect_dimension(F: OperatorMatrix, alg: AlgebraSpec, xi,
     n = C.shape[0]
     re, im, eye = C.real, C.imag, np.eye(n)
     # m = c b over complex c has skew part spanning both directions
-    B = _stack(alg.basis)
+    B = alg.basis
     Bh = B.conj().transpose(0, 2, 1)
     V = np.concatenate([B - Bh, 1j * (B + Bh)]) @ np.asarray(xi, dtype=complex)
     V = V[np.linalg.norm(V, axis=1) >= 1e-14]

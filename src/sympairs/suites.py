@@ -21,7 +21,6 @@ from .core import (
     OperatorMatrix,
     adjoint,
     compose,
-    sqrt_psd,
 )
 from .report import Record, Report, make_record, verdict_record
 
@@ -141,7 +140,6 @@ def suite_modular(n: int, rho, t_list, tol: float = DEFAULT_TOL):
     double = modular.span_residual(alg.basis, comm2) \
         + abs(len(comm2) - len(alg.basis))
     pair_res = pairs.check_pair(pairs.SymmetricPairSpec(S, F), tol).residual
-    root = sqrt_psd(md.Delta).matrix
     oracle = modular.conjugation_action_matrix(sf.rho)
     checks = [
         ("cyclic_separating", "Def 4.2", 0.0 if (cyc and sep) else 1.0, 0.5,
@@ -151,7 +149,7 @@ def suite_modular(n: int, rho, t_list, tol: float = DEFAULT_TOL):
         ("involution_squares", "Thm 4.10",
          abs(compose(S, S).matrix - eye).max(), max(tol, 1e-9 * cond), ""),
         ("polar_reconstruction", "Eq (4.9)",
-         abs(S.matrix - Mj @ np.conj(root)).max(), tol, ""),
+         abs(S.matrix - Mj @ np.conj(md.root.matrix)).max(), tol, ""),
         ("conjugation_isometry", "Remark 2.8",
          abs(Mj.conj().T @ Mj - eye).max(), tol_j, ""),
         ("conjugation_involution", "Eq (4.9)",
@@ -167,9 +165,9 @@ def suite_modular(n: int, rho, t_list, tol: float = DEFAULT_TOL):
         # Delta^{it} carries a phase error of about eps |t| cond(Delta);
         # on 300 seeded rho (n = 2..5, cond(rho) up to 1e4, |t| <= 1e3)
         # a true flow reaches at most 1/12 of this tolerance
-        flow = modular.modular_flow_check(md.Delta, alg, t_list, tol)
-        flow_tol = max(tol9, 1e-15 * np.max(np.abs(t_list))
-                       * np.linalg.cond(md.Delta.matrix))
+        flow = modular.modular_flow_check(md.Delta, alg, t_list, tol, md.eig)
+        w = md.eig[0]  # cond(Delta) = w[-1] / w[0]: Delta is PSD
+        flow_tol = max(tol9, 1e-15 * np.max(np.abs(t_list)) * (w[-1] / w[0]))
         checks.append(("modular_flow", "Eq (4.10)", flow, flow_tol, ""))
     zdim = modular.antilinear_defect_dimension(F, alg, sf.xi)
     checks += [

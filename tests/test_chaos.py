@@ -818,3 +818,32 @@ def test_section_maximality_is_the_pair_residual(d, N):
     dev = canon_float(np.max(np.abs(B - A.conj().T)))
     assert recs["section_maximality"].residual == dev
     assert recs["pair_identity"].residual == dev
+
+
+@pytest.mark.parametrize("d, N", [(2, 11), (2, 12), (2, 13), (3, 12)])
+def test_suite_malliavin_passes_where_exp_tail_cancelled(d, N):
+    # exp(|k|^2) minus the partial sum cancelled to 0.0 here, so edge_tol
+    # fell to 1e-10 under a true truncation-edge residual of 1.9e-8
+    from sympairs.suites import suite_malliavin
+
+    recs = suite_malliavin(d, N)
+    assert all(r.passed for r in recs), [(r.check, r.residual, r.tol)
+                                         for r in recs if not r.passed]
+    [edge] = [r for r in recs if r.check == "exp_number_identity"]
+    assert edge.tol > 1e-10
+
+
+def test_exp_tail_matches_exact_fraction_sum():
+    from fractions import Fraction
+
+    for x in (0.0, 0.25, 1.0, 3.0, 30.0):
+        for N in (0, 2, 10, 11, 13, 40):
+            X = Fraction(x)  # terms past N + 300 are below 1e-80 of the rest
+            exact = sum(X**n / math.factorial(n)
+                        for n in range(N + 1, N + 300))
+            assert chaos.exp_tail(x, N) == pytest.approx(float(exact),
+                                                         rel=1e-14, abs=0.0)
+    # the tail exp_vector reports at k = 0.5 e_0, N = 11: 1.27e-16, not 0.0
+    _, tail = exp_vector([0.5, 0.0], basis_build(2, 11))
+    exact = sum(Fraction(1, 4)**n / math.factorial(n) for n in range(12, 60))
+    assert tail == pytest.approx(float(exact), rel=1e-14, abs=0.0)

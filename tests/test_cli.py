@@ -146,6 +146,20 @@ def test_run_output_file_and_byte_determinism(tmp_path):
         assert "wall_time" not in json.loads(outs[0])["summary"]
 
 
+def test_check_reports_its_wall_time(capsys, monkeypatch):
+    # the human footer times the entry, as run does; JSON holds no timing
+    for fmt in ("human", "json"):
+        ticks = iter([10.0, 12.5])
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks))
+        assert cli.main(["check", "defect", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "human":
+            assert out.rstrip().endswith("wall 2.50s")
+        else:
+            assert "wall_time" not in json.loads(out)["summary"]
+        assert next(ticks, None) is None  # start and end, nothing else
+
+
 def test_run_suite_error_becomes_failed_record():
     rep = run_suite({"suites": [{"kind": "network",
                                  "params": {"graph": "a a 1\n"}}]})

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -6,12 +7,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sympairs import modular
-from sympairs.core import CONJUGATE, OperatorMatrix, adjoint, sqrt_psd
+from sympairs.core import (
+    CONJUGATE,
+    OperatorMatrix,
+    adjoint,
+    power_from_spectrum,
+    sqrt_psd,
+    unitary_power,
+)
 from sympairs.modular import (
     MAX_FLOW_T,
     AlgebraSpec,
     ModularError,
-    _stack,
     algebra_from_generators,
     antilinear_defect_dimension,
     build_F,
@@ -333,17 +340,16 @@ def algebra_svd_loop(gens, tol=1e-10):
 def span_residual_oracle(x, basis):
     rem = x.astype(complex).copy()
     for b in basis:
-        rem -= np.trace(b.matrix.conj().T @ rem) * b.matrix
+        rem -= np.trace(b.conj().T @ rem) * b
     return float(np.linalg.norm(rem))
 
 
 def sxs_oracle(S, alg):
     worst = 0.0
     for x in alg.basis:
-        sx = S.matrix @ np.conj(x.matrix) @ np.conj(S.matrix)
+        sx = S.matrix @ np.conj(x) @ np.conj(S.matrix)
         for y in alg.basis:
-            worst = max(worst, float(np.linalg.norm(
-                sx @ y.matrix - y.matrix @ sx)))
+            worst = max(worst, float(np.linalg.norm(sx @ y - y @ sx)))
     return worst
 
 
@@ -390,11 +396,10 @@ def test_commutant_matches_full_svd_oracle(m_gens):
     comm = commutant(algebra_from_generators(gens))
     ref = commutant_oracle(with_adjoints(gens), m)
     assert len(comm) == len(ref)
-    assert np.max(np.abs(projector([b.matrix for b in comm])
-                         - projector(ref))) <= 1e-12
+    assert np.max(np.abs(projector(comm) - projector(ref))) <= 1e-12
     for b in comm:
         for G in with_adjoints(gens):
-            assert np.max(np.abs(G @ b.matrix - b.matrix @ G)) <= 1e-10
+            assert np.max(np.abs(G @ b - b @ G)) <= 1e-10
 
 
 def test_commutant_single_generator_and_adjoint_free_set():
@@ -404,14 +409,14 @@ def test_commutant_single_generator_and_adjoint_free_set():
     assert len(commutant_oracle([N], 4)) == 4
     comm = commutant(algebra_from_generators([N]))
     assert len(comm) == 1
-    assert np.max(np.abs(projector([b.matrix for b in comm]) - projector(
+    assert np.max(np.abs(projector(comm) - projector(
         commutant_oracle(with_adjoints([N]), 4)))) <= 1e-12
     # the upper-triangular unit E_01 alone, with no adjoint in the set
     E = np.zeros((2, 2))
     E[0, 1] = 1.0
     assert len(commutant_oracle([E], 2)) == 2
     comm = commutant(algebra_from_generators([E]))
-    assert np.max(np.abs(projector([b.matrix for b in comm]) - projector(
+    assert np.max(np.abs(projector(comm) - projector(
         commutant_oracle(with_adjoints([E]), 2)))) <= 1e-12
 
 
@@ -430,9 +435,9 @@ def rotated_direct_sum(blocks, rng):
                 unit[i, j] = 1.0
                 X[offset:offset + n * k, offset:offset + n * k] = np.kron(
                     unit, np.eye(k)) / np.sqrt(k)
-                basis.append(OperatorMatrix(U @ X @ U.conj().T))
+                basis.append(U @ X @ U.conj().T)
         offset += n * k
-    return AlgebraSpec(m, tuple(basis), tuple(basis))
+    return AlgebraSpec(m, np.array(basis), np.array(basis))
 
 
 # (n_k, m_k) per block; two or more blocks give a nontrivial centre
@@ -448,17 +453,15 @@ BLOCK = st.tuples(st.integers(1, 3), st.integers(1, 3))
 def test_commutant_matches_oracle_on_direct_sums(blocks, seed):
     alg = rotated_direct_sum(blocks, np.random.default_rng(seed))
     comm = commutant(alg)
-    basis = [b.matrix for b in alg.basis]
-    ref = commutant_oracle(with_adjoints(basis), alg.dim_ambient)
+    ref = commutant_oracle(with_adjoints(alg.basis), alg.dim_ambient)
     assert len(comm) == len(ref) == sum(k * k for _, k in blocks)
-    assert np.max(np.abs(projector([b.matrix for b in comm])
-                         - projector(ref))) <= 1e-12
+    assert np.max(np.abs(projector(comm) - projector(ref))) <= 1e-12
     # orthonormal in the trace inner product
-    C = _stack(comm).reshape(len(comm), -1)
+    C = comm.reshape(len(comm), -1)
     assert np.max(np.abs(C.conj() @ C.T - np.eye(len(comm)))) <= 1e-12
     # the adjoint of each element is another element (up to rounding):
     # the commutator check against the generators covers their adjoints
-    Ch = _stack(comm).conj().transpose(0, 2, 1).reshape(len(comm), -1)
+    Ch = comm.conj().transpose(0, 2, 1).reshape(len(comm), -1)
     assert np.max(np.min(abs(Ch[:, None] - C[None]).max(axis=2),
                          axis=1)) <= 1e-14
 
@@ -469,8 +472,7 @@ def test_commutant_is_deterministic():
                 rotated_direct_sum([(2, 1), (2, 1), (1, 3)], rng)):
         first, second = commutant(alg), commutant(alg)
         assert len(first) == len(second)
-        assert all(np.array_equal(a.matrix, b.matrix)
-                   for a, b in zip(first, second))
+        assert np.array_equal(first, second)
 
 
 @pytest.mark.parametrize("delta, dim", [(1e-9, 2), (1e-11, 4)])
@@ -487,15 +489,15 @@ def test_commutant_refuses_inconsistent_algebra():
     E = np.zeros((2, 2), dtype=complex)
     E[0, 1] = 1.0
     # a span that is not a *-algebra: its blocks do not add up to it
-    span = (OperatorMatrix(np.eye(2) / np.sqrt(2)), OperatorMatrix(E))
+    span = np.array([np.eye(2) / np.sqrt(2), E])
     with pytest.raises(ModularError, match="structure check"):
         commutant(AlgebraSpec(2, span, span))
     # a generator outside the algebra: M_2 does not commute with it
-    scalars = (OperatorMatrix(np.eye(2) / np.sqrt(2)),)
+    scalars = np.eye(2, dtype=complex)[None] / np.sqrt(2)
     with pytest.raises(ModularError, match="structure check"):
-        commutant(AlgebraSpec(2, (OperatorMatrix(E),), scalars))
+        commutant(AlgebraSpec(2, E[None], scalars))
     with pytest.raises(ModularError, match="no basis"):
-        commutant(AlgebraSpec(2, (OperatorMatrix(E),), ()))
+        commutant(AlgebraSpec(2, E[None], np.zeros((0, 2, 2), complex)))
 
 
 def test_algebra_from_generators_matches_svd_loop():
@@ -507,20 +509,19 @@ def test_algebra_from_generators_matches_svd_loop():
         got = standard_form(n, tracial_rho(n)).alg.basis
         ref = algebra_svd_loop(gens)
         assert len(got) == len(ref) == n * n
-        assert all(np.array_equal(a.matrix, b) for a, b in zip(got, ref))
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
     md = modular_data(standard_form(3, random_rho(np.random.default_rng(26),
                                                   3)))
     got = algebra_from_generators(md.comm).basis
-    ref = algebra_svd_loop([b.matrix for b in md.comm])
+    ref = algebra_svd_loop(list(md.comm))
     assert len(got) == len(ref) == 9
-    assert all(np.array_equal(a.matrix, b) for a, b in zip(got, ref))
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
     # not closed: E_01 grows to M_2, and a Jordan block to M_4
     for G, dim in ((np.diag([1.0], 1), 4), (np.diag(np.ones(3), 1), 16)):
         got = algebra_from_generators([G]).basis
         ref = algebra_svd_loop([G])
         assert len(got) == len(ref) == dim
-        assert np.max(np.abs(projector([b.matrix for b in got])
-                             - projector(ref))) <= 1e-12
+        assert np.max(np.abs(projector(got) - projector(ref))) <= 1e-12
 
 
 def test_batched_checks_match_loop_oracles():
@@ -528,7 +529,7 @@ def test_batched_checks_match_loop_oracles():
     # a complex orthonormal span: 5 orthonormal 3x3 matrices
     G = rng.normal(size=(9, 5)) + 1j * rng.normal(size=(9, 5))
     Q, _ = np.linalg.qr(G)
-    basis = [OperatorMatrix(q.reshape(3, 3)) for q in Q.T]
+    basis = Q.T.reshape(5, 3, 3)
     X = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
     ref = max(span_residual_oracle(x, basis) for x in X)
     assert abs(span_residual(X, basis) - ref) <= 1e-12
@@ -539,15 +540,15 @@ def test_batched_checks_match_loop_oracles():
         md = modular_data(sf)
         # the algebra basis as a stack, a list and one matrix at a time
         comm2 = commutant(algebra_from_generators(md.comm))
-        ref = max(span_residual_oracle(b.matrix, comm2) for b in sf.alg.basis)
+        ref = max(span_residual_oracle(b, comm2) for b in sf.alg.basis)
         assert abs(span_residual(sf.alg.basis, comm2) - ref) <= 1e-12
         for b in sf.alg.basis[:3]:
-            assert abs(span_residual(b.matrix, md.comm)
-                       - span_residual_oracle(b.matrix, md.comm)) <= 1e-12
+            assert abs(span_residual(b, md.comm)
+                       - span_residual_oracle(b, md.comm)) <= 1e-12
         assert abs(check_sxs_commutes(md.S, sf.alg)
                    - sxs_oracle(md.S, sf.alg)) <= 1e-12
         Mj = md.J.matrix
-        ref = max(span_residual_oracle(Mj @ np.conj(x.matrix) @ np.conj(Mj),
+        ref = max(span_residual_oracle(Mj @ np.conj(x) @ np.conj(Mj),
                                        md.comm) for x in sf.alg.basis)
         assert abs(check_commutation(md.J, sf.alg, md.comm) - ref) <= 1e-12
 
@@ -555,11 +556,11 @@ def test_batched_checks_match_loop_oracles():
 def test_modular_data_carries_commutant_and_cond():
     sf = standard_form(3, np.diag([0.5, 0.3, 0.2]))
     md = modular_data(sf)
-    assert isinstance(md.comm, tuple) and len(md.comm) == 9
+    assert md.comm.shape == (9, 9, 9) and not md.comm.flags.writeable
     S, cond = build_S(sf.alg, sf.xi)
     assert md.cond == cond and np.array_equal(md.S.matrix, S.matrix)
-    assert projector([b.matrix for b in md.comm]) == pytest.approx(
-        projector([b.matrix for b in commutant(sf.alg)]), abs=1e-12)
+    assert projector(md.comm) == pytest.approx(
+        projector(commutant(sf.alg)), abs=1e-12)
 
 
 @pytest.mark.parametrize("n, rho", [
@@ -614,8 +615,9 @@ def test_modular_flow_tolerance_scales_with_t_and_cond(monkeypatch, seed, t):
     E = np.random.default_rng(99).normal(size=(4, 4))
     E = OperatorMatrix(1e-8 * (E + E.T) / np.linalg.norm(E + E.T, 2))
     real = modular.modular_flow_check
+    # the perturbed Delta is decomposed afresh: its eig is not the suite's
     monkeypatch.setattr(modular, "modular_flow_check", lambda D, *a: real(
-        OperatorMatrix(D.matrix + E.matrix), *a))
+        OperatorMatrix(D.matrix + E.matrix), *a[:3]))
     [bad] = [r for r in suite_modular(2, rho, [t])
              if r.check == "modular_flow"]
     assert not bad.passed and bad.residual > 10 * bad.tol
@@ -653,3 +655,59 @@ def test_oversized_n_refused_before_any_work(monkeypatch):
             standard_form(n, None)
     with pytest.raises(ModularError, match=r"outside 1\.\.5"):
         standard_form(0, np.zeros((0, 0)))
+
+
+#: numpy's linalg implementation module: np.linalg.cond reaches svd there
+LINALG_IMPL = next(sys.modules[name] for name in
+                   ("numpy.linalg._linalg", "numpy.linalg.linalg")
+                   if name in sys.modules)
+
+
+def test_suite_modular_decomposes_delta_once(monkeypatch):
+    # J, Delta^{1/2}, the flow Delta^{+-it} and cond(Delta) all come from
+    # the one eigh of modular_data; the parent decomposed Delta 10 times
+    rho = random_rho(np.random.default_rng(29), 3)
+    Delta = modular_data(standard_form(3, rho)).Delta.matrix
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def spy(a, *args, _real=getattr(np.linalg, name), _name=name,
+                **kwargs):
+            if np.shape(a) == Delta.shape and np.array_equal(a, Delta):
+                calls.append(_name)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+        monkeypatch.setattr(LINALG_IMPL, name, spy)
+    recs = suite_modular(3, rho, [0.5, 1.0, 3.0])
+    assert calls == ["eigh"]
+    assert len(recs) == 13 and all(r.passed for r in recs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_shared_decomposition_matches_core_bit_for_bit(n):
+    rho = random_rho(np.random.default_rng(30 + n), n)
+    sf = standard_form(n, rho)
+    md = modular_data(sf)
+    assert np.array_equal(md.root.matrix, sqrt_psd(md.Delta).matrix)
+    for t in (0.5, 1.0, 3.0, -MAX_FLOW_T):
+        assert np.array_equal(power_from_spectrum(*md.eig, t),
+                              unitary_power(md.Delta, t).matrix)
+    t_list = [0.5, 1.0, 3.0]
+    assert modular_flow_check(md.Delta, sf.alg, t_list, eig=md.eig) \
+        == modular_flow_check(md.Delta, sf.alg, t_list)
+    w = md.eig[0]
+    assert w[-1] / w[0] == pytest.approx(np.linalg.cond(md.Delta.matrix),
+                                         rel=1e-12)
+
+
+def test_bases_are_read_only_stacks():
+    sf = standard_form(3, random_rho(np.random.default_rng(31), 3))
+    comm = commutant(sf.alg)
+    for stack, k in ((sf.alg.generators, 9), (sf.alg.basis, 9), (comm, 9)):
+        assert stack.shape == (k, 9, 9) and stack.dtype == complex
+        assert not stack.flags.writeable
+    # the generators are the left multiplications E_ij (x) 1
+    eye = np.eye(3)
+    assert np.array_equal(sf.alg.generators, [
+        np.kron(np.outer(eye[i], eye[j]), eye)
+        for i in range(3) for j in range(3)])
