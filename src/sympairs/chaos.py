@@ -112,10 +112,11 @@ class ChaosBasis:
         so ``He_m He_n = sum_k lin[m, n, k] He_{m+n-2k}``; exact integers
         below 2^53, inf from 2^1023 on."""
         lin = np.zeros((self.N + 1,) * 3)
-        for m, n in itertools.product(range(self.N + 1), repeat=2):
+        for m, n in itertools.combinations_with_replacement(
+                range(self.N + 1), 2):  # m <= n; lin is symmetric in m, n
             v = 1
-            for k in range(min(m, n) + 1):
-                lin[m, n, k] = v if v < 2**1023 else math.inf
+            for k in range(m + 1):
+                lin[m, n, k] = lin[n, m, k] = v if v < 2**1023 else math.inf
                 v = v * (m - k) * (n - k) // (k + 1)
         return _frozen(lin)
 
@@ -125,10 +126,10 @@ class ChaosBasis:
         idx = self.alphas.astype(float)
         src = np.flatnonzero(self.degrees < self.N)
         top = np.flatnonzero(self.degrees == self.N)
-        up = np.array(
-            [[self.index_map[a[:i] + (a[i] + 1,) + a[i + 1:]]
-              for a in map(self.indices.__getitem__, src)]
-             for i in range(self.d)], dtype=np.intp)
+        # rank alpha + e_i for every slot i and source alpha at once
+        raised = self.alphas[src] + np.eye(self.d, dtype=np.intp)[:, None]
+        up = _rank(self, raised.reshape(-1, self.d)).astype(np.intp) \
+            .reshape(self.d, len(src))
         lad = Ladders(src, up, idx[src].T + 1.0, top,
                       self.norms[top] * (idx[top].T + 1.0))
         for arr in vars(lad).values():
@@ -154,8 +155,28 @@ class ChaosBasis:
 
     @cached_property
     def number_matrix(self) -> np.ndarray:
-        """``t_star_matrix @ t_matrix``, composed once per basis."""
-        return _frozen(t_star_matrix(self) @ t_matrix(self))
+        """``t_star_matrix @ t_matrix``, composed once per basis from the
+        nonzeros of T: row r with entries v_a, v_b at columns a, b adds
+        ``conj(v_a) w_r v_b / n_a`` at (a, b) (w, n the H2 and H1
+        weights), summed over r in row order.  O(nonzeros) work for the
+        derivative, whose rows hold at most one entry each."""
+        T, B = t_matrix(self), len(self)
+        rows, cols = np.nonzero(T)
+        vals = T[rows, cols]
+        # pair every entry with each entry of its row, rows in order
+        start = np.searchsorted(rows, rows)
+        width = np.searchsorted(rows, rows, side="right") - start
+        a = np.repeat(np.arange(len(rows)), width)
+        b = start[a] + np.arange(len(a)) - np.repeat(np.cumsum(width) - width,
+                                                     width)
+        w = np.tile(self.norms, self.d)[rows[a]]
+        # t_star_matrix's order of operations: the entries match its product
+        terms = (1.0 / self.norms[cols[a]]) * (vals[a].conj() * w) * vals[b]
+        at = cols[a] * B + cols[b]
+        N = np.empty((B, B), dtype=complex)
+        N.real.flat = np.bincount(at, weights=terms.real, minlength=B * B)
+        N.imag.flat = np.bincount(at, weights=terms.imag, minlength=B * B)
+        return _frozen(N)
 
     @cached_property
     def hermite_terms(self) -> tuple:
@@ -328,6 +349,15 @@ def t_star_matrix(basis: ChaosBasis) -> np.ndarray:
     return (1.0 / norms1)[:, None] * (M.conj().T * norms2[None, :])
 
 
+def support_kernel_dimension(M: np.ndarray) -> tuple:
+    """(dim ker M, rows of M with two or more nonzeros).  If no row is
+    shared the columns have disjoint supports, so they are orthogonal and
+    the kernel is spanned by the units of the zero columns; otherwise the
+    count says nothing and only the shared rows are meaningful."""
+    shared = int(np.count_nonzero(np.count_nonzero(M, axis=1) > 1))
+    return int(np.count_nonzero(~M.any(axis=0))), shared
+
+
 def number_operator(F: ChaosVector) -> ChaosVector:
     """Apply the weighted-adjoint composition of the derivative with itself.
 
@@ -346,10 +376,14 @@ def exp_vector(k, basis: ChaosBasis):
     norm of the discarded tail (a warning-level quantity, not fatal).
     """
     k = _direction(basis, k)
-    coeffs = np.array([math.prod(k[i] ** a / math.factorial(a)
-                                 for i, a in enumerate(alpha))
-                       for alpha in basis.indices], dtype=complex)
-    return ChaosVector(basis, coeffs), exp_tail(float(k @ k), basis.N)
+    pw = np.array([[k[i] ** a / math.factorial(a) for a in range(basis.N + 1)]
+                   for i in range(basis.d)])
+    slots = pw[np.arange(basis.d), basis.alphas]  # (|basis|, d)
+    coeffs = slots[:, 0].copy()
+    for i in range(1, basis.d):  # slot by slot, in slot order
+        coeffs *= slots[:, i]
+    return ChaosVector(basis, coeffs.astype(complex)), \
+        exp_tail(float(k @ k), basis.N)
 
 
 def exp_tail(x: float, N: int) -> float:
@@ -357,13 +391,27 @@ def exp_tail(x: float, N: int) -> float:
     n = N + 1: the difference itself cancels to 0.0 once the tail is below
     the float spacing of exp(x).  Past n = 2x each term is at most half
     the one before, so what is left after a term below 2^-60 of the sum
-    is below it too."""
+    is below it too.  inf once the tail passes the float range (x above
+    about 709.78)."""
     terms, n = [], N + 1
-    while True:
-        terms.append(x**n / math.factorial(n))
-        if n >= 2 * x and terms[-1] <= 2**-60 * math.fsum(terms):
-            return math.fsum(terms)
-        n += 1
+    try:
+        while True:
+            terms.append(_exp_term(x, n))
+            if n >= 2 * x and terms[-1] <= 2**-60 * math.fsum(terms):
+                return math.fsum(terms)
+            n += 1
+    except OverflowError:  # a term, or the sum, is past the float range
+        return math.inf
+
+
+def _exp_term(x: float, n: int) -> float:
+    """``x^n / n!``; once x^n or n! pass the float range, as one correctly
+    rounded quotient of exact integers (x = p / q)."""
+    try:
+        return x**n / math.factorial(n)
+    except OverflowError:
+        p, q = x.as_integer_ratio()
+        return p**n / (q**n * math.factorial(n))
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +570,10 @@ def pair_sections(basis: ChaosBasis, max_degree: int | None = None):
     d, n, sn = basis.d, len(basis), np.sqrt(basis.norms)
     h1 = np.flatnonzero(basis.degrees <= m)
     low = np.flatnonzero(basis.degrees <= m - 1)
-    T = t_matrix(basis).reshape(d, n, n)
-    A = T[:, low][:, :, h1] * sn[low][:, None] / sn[h1]
-    S = (phi_matrix(basis) - T)[:, h1][:, :, low] * sn[h1][:, None] / sn[low]
+    T, X = t_matrix(basis).reshape(d, n, n), phi_matrix(basis)
+    A = T[:, low[:, None], h1] * sn[low][:, None] / sn[h1]
+    S = (X[:, h1[:, None], low] - T[:, h1[:, None], low]) \
+        * sn[h1][:, None] / sn[low]
     h2_slots = [(i, q) for i in range(d) for q in low.tolist()]
     return (A.reshape(-1, len(h1)), S.transpose(1, 0, 2).reshape(len(h1), -1),
             h1.tolist(), h2_slots)

@@ -101,6 +101,14 @@ CLUSTER_TOL = 1e-8
 #: fixed seed of the generic algebra elements, so bases are reproducible
 _GENERIC_SEED = 2010
 
+#: smallest relative gap between eigenvalue clusters of the generic
+#: element: eigenvectors mix at about eps / gap, so a draw with a closer
+#: pair of clusters is replaced by the next draw of the seeded generator
+GAP_FLOOR = 1e-3
+
+#: generic draws tried before commutant gives up
+MAX_DRAWS = 16
+
 
 def commutant(alg: AlgebraSpec, tol: float = CLUSTER_TOL) -> np.ndarray:
     """Orthonormal basis of the commutant of the *-algebra in ``alg.basis``,
@@ -114,7 +122,9 @@ def commutant(alg: AlgebraSpec, tol: float = CLUSTER_TOL) -> np.ndarray:
     lie in the same block, and there ``V_a^H K V_b`` is a scalar times a
     unitary whose polar factor aligns the two eigenbases.  The commutant
     of a block is spanned by ``(1/sqrt p) sum_a W_a E_ij W_a^H``.  This is
-    O(m^3), against O(m^6) for the Sylvester system.
+    O(m^3), against O(m^6) for the Sylvester system.  A draw of H whose
+    clusters lie closer than GAP_FLOOR (relative) is replaced by the next
+    draw, at most MAX_DRAWS in all.
 
     The result is checked, never trusted: every element must commute
     with the generators (and so with their adjoints, see below), and the
@@ -128,10 +138,17 @@ def commutant(alg: AlgebraSpec, tol: float = CLUSTER_TOL) -> np.ndarray:
         raise ModularError("commutant: the algebra has no basis")
     m, B = alg.dim_ambient, alg.basis
     rng = np.random.default_rng(_GENERIC_SEED)
-    c = rng.normal(size=(2, len(B))) + 1j * rng.normal(size=(2, len(B)))
-    C, K = np.tensordot(c, B, axes=1)
-    w, V = np.linalg.eigh((C + C.conj().T) / 2)
-    cuts = np.flatnonzero(np.diff(w) > tol * max(abs(w[0]), abs(w[-1])))
+    for _ in range(MAX_DRAWS):
+        c = rng.normal(size=(2, len(B))) + 1j * rng.normal(size=(2, len(B)))
+        C, K = np.tensordot(c, B, axes=1)
+        w, V = np.linalg.eigh((C + C.conj().T) / 2)
+        gap, scale = np.diff(w), max(abs(w[0]), abs(w[-1]))
+        cuts = np.flatnonzero(gap > tol * scale)
+        if not len(cuts) or gap[cuts].min() >= GAP_FLOOR * scale:
+            break
+    else:
+        raise ModularError(f"commutant: no generic element in {MAX_DRAWS} "
+                           f"draws has clusters {GAP_FLOOR:g} apart")
     starts = np.concatenate([[0], cuts + 1])
     size = np.diff(np.concatenate([starts, [m]]))
     # Frobenius norms of the blocks V_a^H K V_b between eigenspaces

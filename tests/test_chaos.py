@@ -1,4 +1,5 @@
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -753,10 +754,22 @@ def test_pair_sections_residual_zero():
         assert check_pair(spec).residual < 1e-12
 
 
+def small_bases(max_size=400):
+    """Every basis with d <= 5, N >= 1 and at most max_size elements."""
+    for d in range(1, 6):
+        N = 1
+        while math.comb(N + d, d) <= max_size and N < 170:
+            yield basis_build(d, N)
+            N += 1
+
+
 def test_kernel_of_t_section():
-    b = basis_build(2, 4)
-    s = np.linalg.svd(t_matrix(b), compute_uv=False)
-    assert int(np.sum(s <= 1e-10 * s[0])) == 1
+    # the support count against the dense SVD, its oracle
+    for b in small_bases():
+        T = t_matrix(b)
+        s = np.linalg.svd(T, compute_uv=False)
+        assert int(np.sum(s <= 1e-10 * s[0])) == 1
+        assert chaos.support_kernel_dimension(T) == (1, 0)
 
 
 def test_h2_inner_consistency():
@@ -847,3 +860,109 @@ def test_exp_tail_matches_exact_fraction_sum():
     _, tail = exp_vector([0.5, 0.0], basis_build(2, 11))
     exact = sum(Fraction(1, 4)**n / math.factorial(n) for n in range(12, 60))
     assert tail == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+
+def exp_vector_loop(k, basis):
+    """Reference oracle: the coefficients of exp_vector, one product per
+    basis element, slot factors in slot order."""
+    k = np.asarray(k, dtype=float)
+    return np.array([math.prod(k[i] ** a / math.factorial(a)
+                               for i, a in enumerate(alpha))
+                     for alpha in basis.indices], dtype=complex)
+
+
+def shared_row_t_matrix(monkeypatch, basis):
+    """Patch t_matrix so that one row of T holds a second nonzero: row
+    (slot 0, H_0) also reaches the column of e_1 (d >= 2)."""
+    T = t_matrix(basis).copy()
+    col = basis.index_map[(0, 1) + (0,) * (basis.d - 2)]
+    assert T[0, col] == 0 and np.count_nonzero(T[0]) == 1
+    T[0, col] = 3.0
+    T.setflags(write=False)
+    monkeypatch.setattr(chaos, "t_matrix", lambda b: T if b == basis
+                        else b.derivative_matrix)
+    return T, col
+
+
+def test_kernel_dimension_fails_on_shared_row(monkeypatch):
+    from sympairs.suites import suite_malliavin
+
+    T, _ = shared_row_t_matrix(monkeypatch, basis_build(2, 4))
+    s = np.linalg.svd(T, compute_uv=False)
+    assert int(np.sum(s <= 1e-10 * s[0])) == 1  # the oracle still says 1
+    assert chaos.support_kernel_dimension(T)[1] == 1
+    [rec] = [r for r in suite_malliavin(2, 4) if r.check == "kernel_dimension"]
+    assert not rec.passed and "supports overlap" in rec.message
+
+
+def test_number_matrix_from_nonzeros_keeps_shared_row_terms(monkeypatch):
+    b = basis_build(3, 4)
+    T, col = shared_row_t_matrix(monkeypatch, b)
+    M = b.number_matrix
+    assert np.array_equal(M, t_star_matrix(b) @ T)
+    # row 0 holds the columns of e_0 and e_1: both off-diagonal terms
+    e0 = b.index_map[(1, 0, 0)]
+    assert M[e0, col] != 0 and M[col, e0] != 0
+    assert np.count_nonzero(M - np.diag(np.diag(M))) == 2
+
+
+def test_number_matrix_matches_dense_product_on_small_bases():
+    for b in small_bases():
+        assert np.array_equal(b.number_matrix, t_star_matrix(b) @ t_matrix(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 8), st.data())
+def test_exp_vector_matches_loop_oracle(d, N, data):
+    k = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d))
+    b = basis_build(d, N)
+    assert np.array_equal(exp_vector(k, b)[0].coeffs, exp_vector_loop(k, b))
+
+
+def test_ladders_up_matches_index_map():
+    for d in range(1, 6):
+        for N in range(0, 9):
+            b = basis_build(d, N)
+            lad = b.ladders
+            ref = np.array(
+                [[b.index_map[a[:i] + (a[i] + 1,) + a[i + 1:]]
+                  for a in map(b.indices.__getitem__, lad.src)]
+                 for i in range(d)], dtype=np.intp).reshape(d, len(lad.src))
+            assert lad.up.dtype == ref.dtype and np.array_equal(lad.up, ref)
+
+
+#: numpy's linalg implementation module, where np.linalg.svd is defined
+LINALG_IMPL = next(sys.modules[name] for name in
+                   ("numpy.linalg._linalg", "numpy.linalg.linalg")
+                   if name in sys.modules)
+
+
+def test_suite_malliavin_takes_no_svd(monkeypatch):
+    from sympairs.suites import suite_malliavin
+
+    calls = []
+
+    def spy(*args, _real=np.linalg.svd, **kwargs):
+        calls.append(1)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(LINALG_IMPL, "svd", spy)
+    recs = suite_malliavin(3, 5)
+    assert all(r.passed for r in recs) and calls == []
+
+
+@pytest.mark.parametrize("x", [50.0, 80.0, 100.0, 700.0])
+def test_exp_tail_past_the_power_range(x):
+    # x^n and n! overflow a float long before the tail does; here the
+    # tail is most of exp(x), so the subtraction does not cancel
+    partial = math.fsum(x**n / math.factorial(n) for n in range(11))
+    assert chaos.exp_tail(x, 10) == pytest.approx(math.exp(x) - partial,
+                                                  rel=1e-12, abs=0.0)
+
+
+def test_exp_tail_is_inf_past_the_float_range():
+    assert chaos.exp_tail(1000.0, 10) == math.inf
+    assert chaos.exp_tail(math.inf, 3) == math.inf
+    _, tail = exp_vector([10.0], basis_build(1, 10))
+    assert tail == pytest.approx(math.exp(100.0), rel=1e-12)

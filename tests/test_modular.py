@@ -450,6 +450,8 @@ BLOCK = st.tuples(st.integers(1, 3), st.integers(1, 3))
 @example([(2, 1), (2, 1)], 0)  # inequivalent blocks of the same size
 @example([(1, 2), (2, 1), (1, 2)], 1)
 @example([(2, 2), (2, 2)], 2)
+# the first generic draw has two clusters 5.8e-7 (relative) apart here
+@example([(3, 2), (1, 1), (2, 1)], 0)
 def test_commutant_matches_oracle_on_direct_sums(blocks, seed):
     alg = rotated_direct_sum(blocks, np.random.default_rng(seed))
     comm = commutant(alg)
@@ -464,6 +466,24 @@ def test_commutant_matches_oracle_on_direct_sums(blocks, seed):
     Ch = comm.conj().transpose(0, 2, 1).reshape(len(comm), -1)
     assert np.max(np.min(abs(Ch[:, None] - C[None]).max(axis=2),
                          axis=1)) <= 1e-14
+
+
+def test_commutant_redraws_close_clusters(monkeypatch):
+    # the first draw for these blocks has its two closest clusters 5.8e-7
+    # apart (relative); at a floor below that gap it is kept, and the
+    # basis is worse than the redrawn one
+    alg = rotated_direct_sum([(3, 2), (1, 1), (2, 1)],
+                             np.random.default_rng(0))
+    ref = projector(commutant_oracle(with_adjoints(alg.basis),
+                                     alg.dim_ambient))
+    err = np.max(np.abs(projector(commutant(alg)) - ref))
+    monkeypatch.setattr(modular, "GAP_FLOOR", 1e-7)
+    kept = np.max(np.abs(projector(commutant(alg)) - ref))
+    assert err <= 1e-12 < kept
+    # no draw clears a floor above the whole spectrum: refused, not kept
+    monkeypatch.setattr(modular, "GAP_FLOOR", 3.0)
+    with pytest.raises(ModularError, match="draws"):
+        commutant(alg)
 
 
 def test_commutant_is_deterministic():
