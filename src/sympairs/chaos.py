@@ -527,6 +527,34 @@ def product_terms(basis: ChaosBasis, P, Q):
     return t, _rank(basis, gamma), gamma, lin[a, b, k].prod(axis=1)
 
 
+def derivation_residual(basis: ChaosBasis) -> float:
+    """Worst weighted norm of ``T_i(H_p H_q) - q_i H_p H_{q-e_i} - p_i
+    H_{p-e_i} H_q`` (Eq 3.14) over slots i and deg p + deg q <= N - 1.
+    Weights factorise by slot, so at gamma - e_i term (p, q, k) of
+    ``product_terms`` leaves ``gamma_i w - c_i (q_i lin[p_i, q_i - 1, k_i]
+    + p_i lin[p_i - 1, q_i, k_i])``, c_i = prod_{j != i} lin[p_j, q_j, k_j]
+    (an index -1 is read as 0: its factor q_i or p_i is 0)."""
+    d, lad, lin = basis.d, basis.ladders, basis.linearisation
+    room = basis.N - 1 - basis.degrees[basis.degrees < basis.N]
+    width = basis.binom[room, d]  # the q of p: a prefix of the basis
+    P = np.repeat(np.arange(len(width)), width)
+    Q = np.arange(len(P)) - np.repeat(np.cumsum(width) - width, width)
+    t, pos, gamma, w = product_terms(basis, P, Q)
+    a, b = basis.alphas.take(P[t], axis=0), basis.alphas.take(Q[t], axis=0)
+    k = (a + b - gamma) // 2
+    factors = lin[a, b, k]
+    down = np.zeros((d, len(basis)), dtype=np.intp)  # position of alpha - e_i
+    down[np.arange(d)[:, None], lad.up] = lad.src
+    worst = 0.0
+    for i, (p, q, ki) in enumerate(zip(a.T, b.T, k.T)):
+        c = np.delete(factors, i, axis=1).prod(axis=1)
+        R = gamma[:, i] * w - c * (q * lin[p, np.maximum(q - 1, 0), ki]
+                                   + p * lin[np.maximum(p - 1, 0), q, ki])
+        col = np.bincount(t, weights=basis.norms[down[i, pos]] * R ** 2)
+        worst = max(worst, col.max())
+    return math.sqrt(worst)
+
+
 def multiply(F: ChaosVector, G: ChaosVector):
     """Exact pointwise product F * G, complex F and G included.
 
@@ -554,22 +582,21 @@ def multiply(F: ChaosVector, G: ChaosVector):
     return ChaosVector(basis, out), lost
 
 
-def pair_sections(basis: ChaosBasis, max_degree: int | None = None):
+def pair_sections(basis: ChaosBasis):
     """Orthonormal-coordinate sections of the derivative/divergence pair.
 
     Domains are restricted so truncation edges never enter: the H1 side
-    keeps degrees <= max_degree (default N - 1) and the H2 side keeps
-    per-component degrees <= max_degree - 1.  A is cut from ``t_matrix``
-    and B from the divergence ``phi_matrix - t_matrix`` (``S_apply`` on
-    basis vectors), both rescaled into orthonormal coordinates.  Returns
-    (A, B, h1_positions, h2_slots).
+    keeps degrees <= N - 1 and the H2 side keeps per-component degrees
+    <= N - 2.  A is cut from ``t_matrix`` and B from the divergence
+    ``phi_matrix - t_matrix`` (``S_apply`` on basis vectors), both
+    rescaled into orthonormal coordinates.  Returns (A, B, h1_positions,
+    h2_slots).
     """
-    m = basis.N - 1 if max_degree is None else max_degree
-    if m < 1:
-        raise ChaosError("need max_degree >= 1 for a nontrivial section")
+    if basis.N < 2:
+        raise ChaosError("need N >= 2 for a nontrivial section")
     d, n, sn = basis.d, len(basis), np.sqrt(basis.norms)
-    h1 = np.flatnonzero(basis.degrees <= m)
-    low = np.flatnonzero(basis.degrees <= m - 1)
+    h1 = np.flatnonzero(basis.degrees <= basis.N - 1)
+    low = np.flatnonzero(basis.degrees <= basis.N - 2)
     T, X = t_matrix(basis).reshape(d, n, n), phi_matrix(basis)
     A = T[:, low[:, None], h1] * sn[low][:, None] / sn[h1]
     S = (X[:, h1[:, None], low] - T[:, h1[:, None], low]) \

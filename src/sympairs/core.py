@@ -154,6 +154,14 @@ def compose(S: OperatorMatrix, T: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(mat, tag)
 
 
+def realify(T: OperatorMatrix) -> np.ndarray:
+    """``[[Re M, Im M], [Im M, -Re M]]``: conjugate-linear T on (Re v, Im v)."""
+    if T.is_linear:
+        raise OperatorError("realify takes a conjugate-linear operator")
+    re, im = T.matrix.real, T.matrix.imag
+    return np.block([[re, im], [im, -re]])
+
+
 def _require_linear(T: OperatorMatrix, op_name: str):
     if not T.is_linear:
         raise OperatorError(f"{op_name} requires a linear operator")

@@ -26,6 +26,7 @@ from .core import (
     adjoint,
     compose,
     power_from_spectrum,
+    realify,
     root_from_spectrum,
     spectrum,
 )
@@ -382,8 +383,7 @@ def conjugation_action_matrix(rho) -> np.ndarray:
     return np.kron(rho, np.linalg.inv(rho).T)
 
 
-def check_commutation(J: OperatorMatrix, alg: AlgebraSpec, comm_basis,
-                      tol: float = DEFAULT_TOL) -> float:
+def check_commutation(J: OperatorMatrix, alg: AlgebraSpec, comm_basis) -> float:
     """Max residual of expanding J x J in the commutant basis.
 
     J x J is linear (conjugate - linear - conjugate), with matrix
@@ -439,9 +439,6 @@ def antilinear_defect_dimension(F: OperatorMatrix, alg: AlgebraSpec, xi,
     certify anything.  Both conditions are realified and stacked; the
     vanishing argument predicts dimension 0.
     """
-    C = adjoint(F).matrix
-    n = C.shape[0]
-    re, im, eye = C.real, C.imag, np.eye(n)
     # m = c b over complex c has skew part spanning both directions
     B = alg.basis
     Bh = B.conj().transpose(0, 2, 1)
@@ -449,7 +446,7 @@ def antilinear_defect_dimension(F: OperatorMatrix, alg: AlgebraSpec, xi,
     V = V[np.linalg.norm(V, axis=1) >= 1e-14]
     R = np.vstack([
         # z = a + ib, F* z = C conj(z): real system for C conj(z) + z = 0
-        np.block([[re + eye, im], [im, -re + eye]]),
+        realify(adjoint(F)) + np.eye(2 * F.rows),
         # <v, z> = 0: real and imaginary parts as rows over (a, b)
         np.hstack([V.real, V.imag]),
         np.hstack([-V.imag, V.real]),
@@ -457,4 +454,4 @@ def antilinear_defect_dimension(F: OperatorMatrix, alg: AlgebraSpec, xi,
     s = np.linalg.svd(R, compute_uv=False)
     scale = s[0] if s.size and s[0] > 0 else 1.0
     rank = int(np.sum(s > tol * scale))
-    return 2 * n - rank
+    return 2 * F.rows - rank

@@ -27,6 +27,7 @@ from .core import (
     OperatorMatrix,
     adjoint,
     eig_space,
+    realify,
 )
 
 
@@ -137,27 +138,19 @@ def symmetry_defect(block: BlockL) -> float:
     return float(np.max(np.abs(M - Ms))) if M.size else 0.0
 
 
-def _realify_conjugate(M: np.ndarray) -> np.ndarray:
-    """Real 2n x 2n representation of v -> M conj(v) on (Re v, Im v)."""
-    re, im = M.real, M.imag
-    return np.block([[re, im], [im, -re]])
-
-
 def deficiency(spec: SymmetricPairSpec, tol: float = DEFAULT_TOL) -> DefectData:
     """Defect spaces of L as the +-i eigenspaces of L*.
 
     Requires L symmetric within tol.  A conjugate-linear L* is first
-    realified (v -> M conj(v) becomes a real-linear map on (Re v, Im v));
-    the realification of a symmetric conjugate-linear block is a real
-    symmetric matrix, so its complexification has no +-i eigenvalues and
-    the expected indices are again (0, 0).
+    realified (``realify``), a real symmetric matrix for a symmetric L:
+    its complexification has no +-i eigenvalues, so again (0, 0).
     """
     block = build_L(spec)
     if symmetry_defect(block) > tol:
         raise PairError("L is not symmetric within tolerance")
     lstar = build_Lstar(spec).L
     if not lstar.is_linear:
-        lstar = OperatorMatrix(_realify_conjugate(lstar.matrix), LINEAR)
+        lstar = OperatorMatrix(realify(lstar), LINEAR)
     plus = eig_space(lstar, 1j, tol)
     minus = eig_space(lstar, -1j, tol)
     return DefectData(plus, minus)

@@ -17,6 +17,7 @@ from sympairs.chaos import (
     Tk_apply,
     basis_build,
     chaos_monomials,
+    derivation_residual,
     exp_vector,
     gaussian_expectation,
     h1_inner,
@@ -629,10 +630,10 @@ def test_derivation_identity_matches_leibniz_loop(d, N):
 @pytest.mark.parametrize("d,N", LADDER_SIZES + SCALE_SIZES)
 def test_derivation_residual_matches_per_p_and_leibniz_oracles(d, N):
     from sympairs.report import canon_float
-    from sympairs.suites import _derivation_residual, suite_malliavin
+    from sympairs.suites import suite_malliavin
 
     b = basis_build(d, N)
-    res = _derivation_residual(b)
+    res = derivation_residual(b)
     assert res == derivation_residual_per_p(b) == 0.0
     loop = leibniz_loop_residual(b, multiply_monomial)
     assert abs(res - loop) <= 1e-12 * loop
@@ -646,8 +647,6 @@ def test_derivation_residual_matches_per_p_and_leibniz_oracles(d, N):
 def test_derivation_residual_oracles_on_mutated_linearisation(size, data):
     # one entry lin[m, n, k] (k >= 1, read by a pair of degree <= N - 1)
     # off by a nonzero integer, kept symmetric in (m, n)
-    from sympairs.suites import _derivation_residual
-
     d, N = size
     b = basis_build(d, N)
     m = data.draw(st.integers(1, N - 2), label="m")
@@ -657,7 +656,7 @@ def test_derivation_residual_oracles_on_mutated_linearisation(size, data):
     lin[m, n, k] += data.draw(st.integers(-50, 50).filter(bool), label="by")
     lin[n, m, k] = lin[m, n, k]
     vars(b)["linearisation"] = lin
-    res = _derivation_residual(b)
+    res = derivation_residual(b)
     assert res == derivation_residual_per_p(b)
     loop = leibniz_loop_residual(b, lambda F, G: multiply(F, G)[0])
     assert abs(res - loop) <= 1e-12 * loop
@@ -665,6 +664,29 @@ def test_derivation_residual_oracles_on_mutated_linearisation(size, data):
     # (m - 1, n) with factor m + n - 2k; with that factor 0 it is seen
     # only from (m + 1, n) and (m, n + 1), past degree N - 1 here
     assert (res > 0.0) != (m == n == k and 2 * m == N - 1)
+
+
+@pytest.mark.parametrize("mutated", (False, True))
+@pytest.mark.parametrize("d,N", LADDER_SIZES)
+def test_derivation_residual_ignores_term_order(monkeypatch, d, N, mutated):
+    # each term carries its own (p, q, k): shuffling product_terms' output
+    # changes nothing, on the exact table (0.0) and on a wrong one
+    b = basis_build(d, N)
+    if mutated:
+        lin = b.linearisation.copy()
+        lin[1, 1, 1] += 1.0  # He_1 He_1 = He_2 + 2 instead of + 1
+        vars(b)["linearisation"] = lin
+    expect = derivation_residual(b)
+    assert (expect > 0.0) == mutated
+    real = chaos.product_terms
+
+    def shuffled(basis, P, Q):
+        terms = real(basis, P, Q)
+        order = np.random.default_rng(10 * d + N).permutation(len(terms[0]))
+        return tuple(x[order] for x in terms)
+
+    monkeypatch.setattr(chaos, "product_terms", shuffled)
+    assert derivation_residual(b) == expect
 
 
 def test_suite_malliavin_generates_product_terms_once(monkeypatch):

@@ -12,6 +12,7 @@ from sympairs.core import (
     eig_space,
     identity,
     polar_decompose,
+    realify,
     spectrum,
     sqrt_psd,
     unitary_power,
@@ -109,6 +110,19 @@ def test_compose_tag_algebra():
             assert np.allclose(st.apply(v), S.apply(T.apply(v)))
             expect_linear = (ta == tb)
             assert st.is_linear == expect_linear
+
+
+def test_realify_acts_on_real_and_imaginary_parts():
+    rng = np.random.default_rng(5)
+    T = OperatorMatrix(rand_complex(rng, 3, 4), CONJUGATE)
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    R = realify(T)
+    assert R.shape == (6, 8) and R.dtype == float
+    Tv = T.apply(v)
+    assert np.allclose(R @ np.concatenate([v.real, v.imag]),
+                       np.concatenate([Tv.real, Tv.imag]), atol=1e-12)
+    with pytest.raises(OperatorError, match="conjugate-linear"):
+        realify(OperatorMatrix(T.matrix, LINEAR))
 
 
 def test_polar_diagonal():

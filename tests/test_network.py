@@ -445,6 +445,26 @@ def test_defect_float_edge_is_overflow_without_warnings(seq, nmax):
     assert res.overflow and res.verdict == DIVERGES
 
 
+def test_network_vertex_cap(monkeypatch, tmp_path, capsys):
+    from sympairs import cli, network
+
+    # the real cap, before any n x n array: 4,097 vertices on a path
+    path = "".join(f"v{i} v{i + 1} 1\n" for i in range(network.MAX_VERTICES))
+    with pytest.raises(NetworkError, match="4097 vertices refused"):
+        parse_graph(path)
+    monkeypatch.setattr(network, "MAX_VERTICES", 3)
+    with pytest.raises(NetworkError, match="at most 3"):
+        parse_graph("a b 1\nb c 1\nc d 1\n")
+    assert len(parse_graph("a b 1\nb c 1\n")) == 3
+    graph = tmp_path / "g.txt"
+    graph.write_text("a b 1\nb c 1\nc d 1\n")
+    assert cli.main(["check", "network", "-g", str(graph)]) == 2
+    assert "4 vertices refused" in capsys.readouterr().err
+    rec, = run_suite({"suites": [{"kind": "network", "params": {
+        "graph": graph.read_text()}}]}).records
+    assert rec.check == "suite_error" and not rec.passed
+
+
 def test_defect_nmax_cap():
     res = defect_recurrence(constant_halfline(1.0), 10**6)
     assert len(res.psi) == 10**6 + 1
