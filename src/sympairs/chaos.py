@@ -137,46 +137,14 @@ class ChaosBasis:
         return lad
 
     @cached_property
-    def derivative_matrix(self) -> np.ndarray:
-        """``t_matrix`` data, read-only; ``t_matrix`` checks bytes."""
-        B, lad = len(self), self.ladders
-        M = np.zeros((self.d * B, B), dtype=complex)
-        M[np.arange(self.d)[:, None] * B + lad.src, lad.up] = lad.rank
-        return _frozen(M)
-
-    @cached_property
-    def phi_stack(self) -> np.ndarray:
-        """``phi_matrix`` data, read-only; ``phi_matrix`` checks bytes."""
-        lad, slot = self.ladders, np.arange(self.d)[:, None]
-        X = np.zeros((self.d, len(self), len(self)), dtype=complex)
-        X[slot, lad.up, lad.src] = 1.0
-        X[slot, lad.src, lad.up] = lad.rank
-        return _frozen(X)
-
-    @cached_property
-    def number_matrix(self) -> np.ndarray:
-        """``t_star_matrix @ t_matrix``, composed once per basis from the
-        nonzeros of T: row r with entries v_a, v_b at columns a, b adds
-        ``conj(v_a) w_r v_b / n_a`` at (a, b) (w, n the H2 and H1
-        weights), summed over r in row order.  O(nonzeros) work for the
-        derivative, whose rows hold at most one entry each."""
-        T, B = t_matrix(self), len(self)
-        rows, cols = np.nonzero(T)
-        vals = T[rows, cols]
-        # pair every entry with each entry of its row, rows in order
-        start = np.searchsorted(rows, rows)
-        width = np.searchsorted(rows, rows, side="right") - start
-        a = np.repeat(np.arange(len(rows)), width)
-        b = start[a] + np.arange(len(a)) - np.repeat(np.cumsum(width) - width,
-                                                     width)
-        w = np.tile(self.norms, self.d)[rows[a]]
-        # t_star_matrix's order of operations: the entries match its product
-        terms = (1.0 / self.norms[cols[a]]) * (vals[a].conj() * w) * vals[b]
-        at = cols[a] * B + cols[b]
-        N = np.empty((B, B), dtype=complex)
-        N.real.flat = np.bincount(at, weights=terms.real, minlength=B * B)
-        N.imag.flat = np.bincount(at, weights=terms.imag, minlength=B * B)
-        return _frozen(N)
+    def number_diagonal(self) -> np.ndarray:
+        """Diagonal of ``t_star_matrix @ t_matrix``, read-only: each row of
+        T holds one ladder entry, so the product is diagonal, and slot by
+        slot, in slot order, ``up`` gains its T* entry times the rank."""
+        lad = self.ladders
+        return _frozen(np.bincount(lad.up.ravel(), minlength=len(self),
+                                   weights=(_adjoint_entries(self)
+                                            * lad.rank).ravel()))
 
     @cached_property
     def hermite_terms(self) -> tuple:
@@ -326,19 +294,26 @@ def t_matrix(basis: ChaosBasis) -> np.ndarray:
     """Matrix of the derivative in natural coordinates, stacked over slots.
 
     Row block i holds component i; shape (d * |basis|, |basis|), filled
-    in one scatter from the basis' cached lowering ladders.  Read-only,
-    cached on the basis (``ChaosBasis.derivative_matrix``).
+    in one scatter from the basis' cached lowering ladders.  A dense form
+    for tests and oracles: ``suite_malliavin`` reads the ladders instead.
     """
     matrix_preflight(basis.d, basis.N)
-    return basis.derivative_matrix
+    B, lad = len(basis), basis.ladders
+    M = np.zeros((basis.d * B, B), dtype=complex)
+    M[np.arange(basis.d)[:, None] * B + lad.src, lad.up] = lad.rank
+    return M
 
 
 def phi_matrix(basis: ChaosBasis) -> np.ndarray:
     """(d, |basis|, |basis|) stack of the matrices of ``mult_phi(i, .)``
     (mass past degree N dropped), filled in one scatter along the ladders.
-    Read-only, cached on the basis (``ChaosBasis.phi_stack``)."""
+    A dense form for tests and oracles, like ``t_matrix``."""
     matrix_preflight(basis.d, basis.N)
-    return basis.phi_stack
+    lad, slot = basis.ladders, np.arange(basis.d)[:, None]
+    X = np.zeros((basis.d, len(basis), len(basis)), dtype=complex)
+    X[slot, lad.up, lad.src] = 1.0
+    X[slot, lad.src, lad.up] = lad.rank
+    return X
 
 
 def t_star_matrix(basis: ChaosBasis) -> np.ndarray:
@@ -349,22 +324,45 @@ def t_star_matrix(basis: ChaosBasis) -> np.ndarray:
     return (1.0 / norms1)[:, None] * (M.conj().T * norms2[None, :])
 
 
-def support_kernel_dimension(M: np.ndarray) -> tuple:
-    """(dim ker M, rows of M with two or more nonzeros).  If no row is
-    shared the columns have disjoint supports, so they are orthogonal and
-    the kernel is spanned by the units of the zero columns; otherwise the
-    count says nothing and only the shared rows are meaningful."""
-    shared = int(np.count_nonzero(np.count_nonzero(M, axis=1) > 1))
-    return int(np.count_nonzero(~M.any(axis=0))), shared
+def _adjoint_entries(basis: ChaosBasis) -> np.ndarray:
+    """(d, sources) entries of T*: slot i raises ``src[j]`` to ``up[i, j]``
+    with weight ``rank n_src / n_up`` (n the H1 weights), in
+    ``t_star_matrix``'s order of operations."""
+    lad, n = basis.ladders, basis.norms
+    return (1.0 / n[lad.up]) * (lad.rank * n[lad.src])
 
 
 def number_operator(F: ChaosVector) -> ChaosVector:
     """Apply the weighted-adjoint composition of the derivative with itself.
 
-    Acts as multiplication of each chaos level n by n; the matrix is
-    composed once per basis (``ChaosBasis.number_matrix``).
+    Acts as multiplication of each chaos level n by n; the composition is
+    diagonal, built once per basis (``ChaosBasis.number_diagonal``).
     """
-    return ChaosVector(F.basis, F.basis.number_matrix @ F.coeffs)
+    return ChaosVector(F.basis, F.basis.number_diagonal * F.coeffs)
+
+
+def ibp_residual(basis: ChaosBasis) -> float:
+    """Worst ``|<T_i H_p, 1> - <H_p, Phi_i 1>|`` (Eq 3.11) over slots i and
+    deg p <= N - 1.  T_i H_p reaches the constant only from p = e_i, the
+    constant's raise ``up[i, 0]``, which is also Phi_i 1; both sides vanish
+    at every other p."""
+    lad, n = basis.ladders, basis.norms
+    return float(abs(lad.rank[:, 0] * n[lad.src[0]] - n[lad.up[:, 0]]).max())
+
+
+def mult_split_residual(basis: ChaosBasis) -> float:
+    """Worst entry of ``T_i + T_i* - Phi_i`` (Cor 3.14) on sources of degree
+    <= N - 1.  The lowering halves of T_i and Phi_i are the same ladder
+    entries and cancel exactly; the raising half leaves ``T* entry - 1``."""
+    return float(abs(_adjoint_entries(basis) - 1.0).max())
+
+
+def kernel_dimension(basis: ChaosBasis) -> int:
+    """dim ker T (Cor 3.18).  Each row of T holds one ladder entry, so the
+    columns have disjoint supports and are orthogonal: the kernel is spanned
+    by the units of the columns no ladder entry reaches."""
+    hits = np.bincount(basis.ladders.up.ravel(), minlength=len(basis))
+    return int(np.count_nonzero(hits == 0))
 
 
 def exp_vector(k, basis: ChaosBasis):
@@ -522,7 +520,7 @@ def product_terms(basis: ChaosBasis, P, Q):
     k = np.empty((len(t), basis.d), dtype=np.intp)
     for i in range(basis.d - 1, -1, -1):  # the last slot is the fastest digit
         r, k[:, i] = np.divmod(r, box[t, i])
-    a, b = a[t], b[t]
+    a, b = a.take(t, axis=0), b.take(t, axis=0)
     gamma = a + b - 2 * k
     return t, _rank(basis, gamma), gamma, lin[a, b, k].prod(axis=1)
 
@@ -587,20 +585,20 @@ def pair_sections(basis: ChaosBasis):
 
     Domains are restricted so truncation edges never enter: the H1 side
     keeps degrees <= N - 1 and the H2 side keeps per-component degrees
-    <= N - 2.  A is cut from ``t_matrix`` and B from the divergence
-    ``phi_matrix - t_matrix`` (``S_apply`` on basis vectors), both
-    rescaled into orthonormal coordinates.  Returns (A, B, h1_positions,
-    h2_slots).
+    <= N - 2, both prefixes of the basis.  A holds the lowering ladder
+    entries (``t_matrix``) and B the raising ones (the divergence
+    ``phi_matrix - t_matrix``, ``S_apply`` on basis vectors, whose lowering
+    halves cancel), both rescaled into orthonormal coordinates.  Returns
+    (A, B, h1_positions, h2_slots).
     """
     if basis.N < 2:
         raise ChaosError("need N >= 2 for a nontrivial section")
-    d, n, sn = basis.d, len(basis), np.sqrt(basis.norms)
-    h1 = np.flatnonzero(basis.degrees <= basis.N - 1)
-    low = np.flatnonzero(basis.degrees <= basis.N - 2)
-    T, X = t_matrix(basis).reshape(d, n, n), phi_matrix(basis)
-    A = T[:, low[:, None], h1] * sn[low][:, None] / sn[h1]
-    S = (X[:, h1[:, None], low] - T[:, h1[:, None], low]) \
-        * sn[h1][:, None] / sn[low]
-    h2_slots = [(i, q) for i in range(d) for q in low.tolist()]
-    return (A.reshape(-1, len(h1)), S.transpose(1, 0, 2).reshape(len(h1), -1),
-            h1.tolist(), h2_slots)
+    d, sn, lad = basis.d, np.sqrt(basis.norms), basis.ladders
+    n1, n2 = (math.comb(basis.N - k + d, d) for k in (1, 2))  # prefixes
+    slot, src, up = np.arange(d)[:, None], lad.src[:n2], lad.up[:, :n2]
+    A = np.zeros((d, n2, n1), dtype=complex)
+    A[slot, src, up] = lad.rank[:, :n2].astype(complex) * sn[src] / sn[up]
+    S = np.zeros((n1, d, n2), dtype=complex)
+    S[up, slot, src] = np.ones(up.shape, dtype=complex) * sn[up] / sn[src]
+    h2_slots = [(i, q) for i in range(d) for q in range(n2)]
+    return A.reshape(-1, n1), S.reshape(n1, -1), list(range(n1)), h2_slots

@@ -148,13 +148,12 @@ def _validate_config(config) -> dict:
         if not isinstance(params, dict):
             raise UsageError(f"suite params must be an object: {params!r}")
         # the conversions run_entry applies to numeric params
-        for key, conv in (("d", int), ("N", int), ("n", int),
-                          ("nmax", int), ("r", float)):
-            try:
-                conv(params.get(key, 0))
-            except (TypeError, ValueError, OverflowError):
-                raise UsageError(f"param {key!r} is not a number: "
-                                 f"{params[key]!r}")
+        for key in ("d", "N", "n", "nmax"):
+            suites.int_param(params, key)
+        try:
+            float(params.get("r", 0))
+        except (TypeError, ValueError, OverflowError):
+            raise UsageError(f"param 'r' is not a number: {params['r']!r}")
         if params.get("expect") not in (None, network.CONVERGES,
                                         network.DIVERGES):
             raise UsageError(f"param 'expect' must be {network.CONVERGES} or "

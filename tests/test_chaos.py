@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from types import SimpleNamespace
@@ -267,14 +268,14 @@ def test_ladders_are_lazy_and_kept():
         assert not arr.flags.writeable
 
 
-def test_number_matrix_cached_per_basis():
+def test_number_diagonal_cached_per_basis():
     b = basis_build(2, 4)
-    assert "number_matrix" not in vars(b)
+    assert "number_diagonal" not in vars(b)
     number_operator(b.unit((1, 0)))
-    M = b.number_matrix
-    assert M is vars(b)["number_matrix"] and not M.flags.writeable
-    assert np.array_equal(M, t_star_matrix(b) @ t_matrix(b))
-    assert basis_build(2, 4).number_matrix is not M
+    D = b.number_diagonal
+    assert D is vars(b)["number_diagonal"] and not D.flags.writeable
+    assert D.shape == (len(b),) and D.dtype == float
+    assert basis_build(2, 4).number_diagonal is not D
 
 
 def test_h1_inner_is_weighted():
@@ -785,13 +786,53 @@ def small_bases(max_size=400):
             N += 1
 
 
+def svd_kernel_dimension(T):
+    """Oracle: dim ker T from the singular values of the dense matrix."""
+    s = np.linalg.svd(T, compute_uv=False)
+    return int(np.sum(s <= 1e-10 * s[0]))
+
+
 def test_kernel_of_t_section():
-    # the support count against the dense SVD, its oracle
+    # the ladder count against the dense SVD, its oracle
     for b in small_bases():
-        T = t_matrix(b)
-        s = np.linalg.svd(T, compute_uv=False)
-        assert int(np.sum(s <= 1e-10 * s[0])) == 1
-        assert chaos.support_kernel_dimension(T) == (1, 0)
+        assert chaos.kernel_dimension(b) == svd_kernel_dimension(t_matrix(b))
+        assert chaos.kernel_dimension(b) == 1
+
+
+def dense_malliavin(b):
+    """Oracle: the dense forms the ladder checks replace, on the same
+    ladders: the pair sections cut from T and Phi - T, the IBP and
+    T + T* - Phi residuals, and T* T."""
+    d, n, sn = b.d, len(b), np.sqrt(b.norms)
+    h1 = np.flatnonzero(b.degrees <= b.N - 1)
+    low = np.flatnonzero(b.degrees <= b.N - 2)
+    T, X = t_matrix(b), phi_matrix(b)
+    T3 = T.reshape(d, n, n)
+    A = T3[:, low[:, None], h1] * sn[low][:, None] / sn[h1]
+    S = (X[:, h1[:, None], low] - T3[:, h1[:, None], low]) \
+        * sn[h1][:, None] / sn[low]
+    ones = exp_vector(np.zeros(d), b)[0].coeffs
+    ibp = abs((ones * b.norms) @ T.conj().reshape(d, n, n)
+              - (X @ ones) * b.norms)[:, h1].max()
+    Tstar = t_star_matrix(b)
+    split = abs(T3 + Tstar.reshape(n, d, n).transpose(1, 0, 2)
+                - X)[:, :, h1].max()
+    return {"A": A.reshape(-1, len(h1)),
+            "S": S.transpose(1, 0, 2).reshape(len(h1), -1),
+            "ibp": ibp, "split": split, "number": Tstar @ T}
+
+
+def test_ladder_checks_match_dense_oracles_on_small_bases():
+    for b in small_bases():
+        if b.N < 2:
+            continue
+        dense = dense_malliavin(b)
+        A, S, h1, h2 = pair_sections(b)
+        assert np.array_equal(A, dense["A"]) and np.array_equal(S, dense["S"])
+        assert h1 == list(range(A.shape[1]))
+        assert h2 == [(i, q) for i in range(b.d) for q in range(len(A) // b.d)]
+        assert chaos.ibp_residual(b) == dense["ibp"]
+        assert chaos.mult_split_residual(b) == dense["split"]
 
 
 def test_h2_inner_consistency():
@@ -812,34 +853,15 @@ def test_exp_inner_product_record_at_truncation_edge():
     assert rec.message.startswith("tail_bound=")
 
 
-def test_dense_matrices_cached_per_basis():
-    b = basis_build(3, 4)
-    assert "derivative_matrix" not in vars(b) and "phi_stack" not in vars(b)
-    T, X = t_matrix(b), phi_matrix(b)
-    assert T is t_matrix(b) is b.derivative_matrix
-    assert X is phi_matrix(b) is b.phi_stack
-    assert not T.flags.writeable and not X.flags.writeable
-    with pytest.raises(ValueError):
-        T[0, 0] = 1.0
-    assert basis_build(3, 4).derivative_matrix is not T
-
-
-def test_suite_malliavin_builds_each_dense_matrix_once(monkeypatch):
-    from functools import cached_property
-
+def test_suite_malliavin_builds_no_dense_matrix(monkeypatch):
     from sympairs.suites import suite_malliavin
 
-    counts = {}
-    for name in ("derivative_matrix", "phi_stack"):
-        def counted(self, build=vars(chaos.ChaosBasis)[name].func, name=name):
-            counts[name] = counts.get(name, 0) + 1
-            return build(self)
+    def refuse(*args):
+        raise AssertionError("dense matrix built")
 
-        prop = cached_property(counted)
-        prop.__set_name__(chaos.ChaosBasis, name)
-        monkeypatch.setattr(chaos.ChaosBasis, name, prop)
+    for name in ("t_matrix", "phi_matrix", "t_star_matrix"):
+        monkeypatch.setattr(chaos, name, refuse)
     assert all(r.passed for r in suite_malliavin(3, 5))
-    assert counts == {"derivative_matrix": 1, "phi_stack": 1}
 
 
 @pytest.mark.parametrize("d,N", ((1, 6), (2, 5), (3, 4)))
@@ -893,44 +915,55 @@ def exp_vector_loop(k, basis):
                      for alpha in basis.indices], dtype=complex)
 
 
-def shared_row_t_matrix(monkeypatch, basis):
-    """Patch t_matrix so that one row of T holds a second nonzero: row
-    (slot 0, H_0) also reaches the column of e_1 (d >= 2)."""
-    T = t_matrix(basis).copy()
-    col = basis.index_map[(0, 1) + (0,) * (basis.d - 2)]
-    assert T[0, col] == 0 and np.count_nonzero(T[0]) == 1
-    T[0, col] = 3.0
-    T.setflags(write=False)
-    monkeypatch.setattr(chaos, "t_matrix", lambda b: T if b == basis
-                        else b.derivative_matrix)
-    return T, col
+def mutated_basis(monkeypatch, d, N, field, alpha, value):
+    """A (d, N) basis, which suite_malliavin then builds, whose ladder
+    array ``field`` holds ``value`` in slot 0 at source H_alpha."""
+    b = basis_build(d, N)
+    arr = getattr(b.ladders, field).copy()
+    arr[0, b.index_map[alpha]] = value
+    vars(b)["ladders"] = dataclasses.replace(b.ladders, **{field: arr})
+    monkeypatch.setattr(chaos, "basis_build", lambda *args: b)
+    return b
 
 
-def test_kernel_dimension_fails_on_shared_row(monkeypatch):
+def failed_checks(d, N):
     from sympairs.suites import suite_malliavin
 
-    T, _ = shared_row_t_matrix(monkeypatch, basis_build(2, 4))
-    s = np.linalg.svd(T, compute_uv=False)
-    assert int(np.sum(s <= 1e-10 * s[0])) == 1  # the oracle still says 1
-    assert chaos.support_kernel_dimension(T)[1] == 1
-    [rec] = [r for r in suite_malliavin(2, 4) if r.check == "kernel_dimension"]
-    assert not rec.passed and "supports overlap" in rec.message
+    return {r.check: r for r in suite_malliavin(d, N) if not r.passed}
 
 
-def test_number_matrix_from_nonzeros_keeps_shared_row_terms(monkeypatch):
-    b = basis_build(3, 4)
-    T, col = shared_row_t_matrix(monkeypatch, b)
-    M = b.number_matrix
-    assert np.array_equal(M, t_star_matrix(b) @ T)
-    # row 0 holds the columns of e_0 and e_1: both off-diagonal terms
-    e0 = b.index_map[(1, 0, 0)]
-    assert M[e0, col] != 0 and M[col, e0] != 0
-    assert np.count_nonzero(M - np.diag(np.diag(M))) == 2
+def test_kernel_dimension_fails_on_shared_target(monkeypatch):
+    # slot 0 sends H_(1,0) to H_(1,1), where it sends H_(0,1) too, so no
+    # ladder entry reaches H_(2,0) any more
+    b = mutated_basis(monkeypatch, 2, 4, "up", (1, 0),
+                      basis_build(2, 4).index_map[(1, 1)])
+    assert svd_kernel_dimension(t_matrix(b)) == 2  # the oracle agrees
+    assert chaos.kernel_dimension(b) == 2
+    failed = failed_checks(2, 4)
+    assert failed["kernel_dimension"].message == "dim=2"
 
 
-def test_number_matrix_matches_dense_product_on_small_bases():
+@pytest.mark.parametrize("alpha, extra", [((1, 0), set()),
+                                          ((0, 0), {"ibp_identity"})],
+                         ids=("e0", "constant"))
+def test_rank_off_by_one_fails_ladder_checks(monkeypatch, alpha, extra):
+    # slot 0 lowers H_(alpha + e_0) with weight alpha_0 + 1; one more here
+    b = mutated_basis(monkeypatch, 2, 4, "rank", alpha, alpha[0] + 2)
+    dense = dense_malliavin(b)
+    assert np.array_equal(dense["number"], np.diag(b.number_diagonal))
+    assert chaos.mult_split_residual(b) == dense["split"] > 0.1
+    assert chaos.ibp_residual(b) == dense["ibp"]
+    A, S, _, _ = pair_sections(b)
+    assert np.array_equal(A, dense["A"]) and np.array_equal(S, dense["S"])
+    assert {"number_operator", "mult_split", "pair_identity"} | extra \
+        <= set(failed_checks(2, 4))
+
+
+def test_number_diagonal_matches_dense_product_on_small_bases():
     for b in small_bases():
-        assert np.array_equal(b.number_matrix, t_star_matrix(b) @ t_matrix(b))
+        # T* T is diagonal, with bit-equal entries
+        assert np.array_equal(t_star_matrix(b) @ t_matrix(b),
+                              np.diag(b.number_diagonal))
 
 
 @settings(max_examples=40, deadline=None)

@@ -243,12 +243,26 @@ def test_defect_overflow_no_traceback(tmp_path, capsys):
     {"kind": "defect", "params": {"expect": 5}},
     {"kind": "defect", "params": {"expect": "converges"}},
     {"kind": "defect", "tol": 10**400},  # an int past the float range
+    # refused as by `check`, not truncated to 6, 1, 2 and 80
+    {"kind": "malliavin", "params": {"d": 2, "N": 6.7}},
+    {"kind": "malliavin", "params": {"d": 1.5, "N": 4}},
+    {"kind": "modular", "params": {"n": 2.5}},
+    {"kind": "defect", "params": {"nmax": 80.5}},
 ])
 def test_bad_batch_config_exit_2(tmp_path, capsys, entry):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"suites": [entry]}))
     assert cli.main(["run", "-c", str(cfg)]) == 2
     assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("N", [6, 6.0, "6"])
+def test_integral_size_accepted_in_any_form(tmp_path, capsys, N):
+    cfg = tmp_path / "ok.json"
+    cfg.write_text(json.dumps(
+        {"suites": [{"kind": "malliavin", "params": {"d": 2, "N": N}}]}))
+    assert cli.main(["run", "-c", str(cfg)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["records"]) == 9
 
 
 @pytest.mark.parametrize("kind, flags, params, code", [
