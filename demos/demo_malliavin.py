@@ -30,12 +30,12 @@ def main():
     fld = T_apply(F)
     print("T(H_(2,1)) components (nonzero coefficients):")
     for i, comp in enumerate(fld.components):
-        nz = [(basis.indices[p], comp.coeffs[p].real)
+        nz = [(tuple(basis.alphas[p].tolist()), comp.coeffs[p].real)
               for p in np.flatnonzero(np.abs(comp.coeffs))]
         print(f"  slot {i}: {nz}")
 
     out = number_operator(F)
-    lvl = out.coeffs[basis.index_map[(2, 1)]].real
+    lvl = (F.coeffs @ out.coeffs).real  # F is the unit H_(2,1)
     print(f"number operator on H_(2,1): level multiplier {lvl:.1f}")
 
     # Wick-moment oracle agrees with the weighted inner product

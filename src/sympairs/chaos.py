@@ -25,14 +25,6 @@ class ChaosError(ValueError):
     pass
 
 
-def _enumerate_indices(d: int, N: int):
-    """Multi-indices alpha in N^d with |alpha| <= N, sorted by (|alpha|, lex)."""
-    # stars and bars: d bars among N + d slots; alpha_j is the j-th gap
-    idx = (tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
-           for bars in itertools.combinations(range(N + d), d))
-    return sorted(idx, key=lambda a: (sum(a), a))
-
-
 @dataclass(frozen=True)
 class Ladders:
     """Per-slot raise/lower index arrays of a chaos basis.
@@ -57,9 +49,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 class ChaosBasis:
-    """Immutable multi-indexed Hermite basis of degree <= N in d variables."""
+    """Immutable multi-indexed Hermite basis of degree <= N in d variables;
+    ``alphas`` lists its multi-indices in (degree, lex) order, read-only."""
 
-    __slots__ = ("d", "N", "indices", "index_map", "norms", "degrees",
+    __slots__ = ("d", "N", "alphas", "norms", "degrees",
                  "__dict__")  # __dict__ holds the cached properties
 
     def __init__(self, d: int, N: int):
@@ -67,23 +60,27 @@ class ChaosBasis:
             raise ChaosError("need d >= 1 and N >= 0")
         if N >= 170:
             raise ChaosError("N >= 170 refused: (N+1)! overflows a float")
-        if math.comb(N + d, d) > 10**6:
+        if (B := math.comb(N + d, d)) > 10**6:
             raise ChaosError("basis too large: C(N+d, d) exceeds 10^6")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "N", N)
-        idx = tuple(_enumerate_indices(d, N))
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "index_map", {a: i for i, a in enumerate(idx)})
-        object.__setattr__(self, "norms", _frozen(np.array(
-            [math.prod(math.factorial(k) for k in a) for a in idx], dtype=float)))
-        object.__setattr__(self, "degrees", _frozen(
-            np.array([sum(a) for a in idx], dtype=int)))
+        # alpha_j is the j-th gap of d bars in N + d slots, put at its _rank
+        bars = np.fromiter(itertools.chain.from_iterable(
+            itertools.combinations(range(N + d), d)), np.intp, B * d)
+        gaps = np.diff(bars.reshape(B, d), axis=1, prepend=-1) - 1
+        alphas = np.empty_like(gaps)
+        alphas[_rank(self, gaps)] = gaps
+        object.__setattr__(self, "alphas", _frozen(alphas))
+        fact = np.array([math.factorial(n) for n in range(N + 1)], object)
+        object.__setattr__(self, "norms", _frozen(  # exact, rounded once
+            fact[alphas].prod(axis=1).astype(float)))
+        object.__setattr__(self, "degrees", _frozen(alphas.sum(axis=1)))
 
     def __setattr__(self, name, value):
         raise AttributeError("ChaosBasis is immutable")
 
     def __len__(self):
-        return len(self.indices)
+        return len(self.alphas)
 
     def __eq__(self, other):
         return isinstance(other, ChaosBasis) and \
@@ -91,12 +88,6 @@ class ChaosBasis:
 
     def __hash__(self):
         return hash((self.d, self.N))
-
-    @cached_property
-    def alphas(self) -> np.ndarray:
-        """The multi-indices as a read-only (|basis|, d) integer array."""
-        return _frozen(np.array(self.indices, dtype=np.intp)
-                       .reshape(len(self), self.d))
 
     @cached_property
     def binom(self) -> np.ndarray:
@@ -149,12 +140,17 @@ class ChaosBasis:
     @cached_property
     def hermite_terms(self) -> tuple:
         """``hermite_monomials`` of each basis element, by position."""
-        return tuple(tuple(hermite_monomials(a)) for a in self.indices)
+        return tuple(tuple(hermite_monomials(a)) for a in self.alphas.tolist())
 
     def unit(self, alpha) -> "ChaosVector":
-        """The basis vector H_alpha."""
+        """The basis vector H_alpha, for alpha in N^d with |alpha| <= N."""
+        a = np.asarray(alpha)
+        if a.shape != (self.d,) or a.dtype.kind not in "iu" or \
+                not ((0 <= a) & (a <= self.N)).all() or a.sum() > self.N:
+            raise ChaosError(f"{alpha!r} is not a multi-index of the "
+                             f"d={self.d}, N={self.N} basis")
         coeffs = np.zeros(len(self), dtype=complex)
-        coeffs[self.index_map[tuple(alpha)]] = 1.0
+        coeffs[_rank(self, a[None])[0]] = 1.0
         return ChaosVector(self, coeffs)
 
 
@@ -589,16 +585,15 @@ def pair_sections(basis: ChaosBasis):
     entries (``t_matrix``) and B the raising ones (the divergence
     ``phi_matrix - t_matrix``, ``S_apply`` on basis vectors, whose lowering
     halves cancel), both rescaled into orthonormal coordinates.  Returns
-    (A, B, h1_positions, h2_slots).
+    (A, B).
     """
     if basis.N < 2:
         raise ChaosError("need N >= 2 for a nontrivial section")
     d, sn, lad = basis.d, np.sqrt(basis.norms), basis.ladders
-    n1, n2 = (math.comb(basis.N - k + d, d) for k in (1, 2))  # prefixes
+    n1, n2 = basis.binom[basis.N - 1, d], basis.binom[basis.N - 2, d]
     slot, src, up = np.arange(d)[:, None], lad.src[:n2], lad.up[:, :n2]
     A = np.zeros((d, n2, n1), dtype=complex)
     A[slot, src, up] = lad.rank[:, :n2].astype(complex) * sn[src] / sn[up]
     S = np.zeros((n1, d, n2), dtype=complex)
     S[up, slot, src] = np.ones(up.shape, dtype=complex) * sn[up] / sn[src]
-    h2_slots = [(i, q) for i in range(d) for q in range(n2)]
-    return A.reshape(-1, n1), S.reshape(n1, -1), list(range(n1)), h2_slots
+    return A.reshape(-1, n1), S.reshape(n1, -1)

@@ -61,9 +61,10 @@ class OperatorMatrix:
         return self.linearity == LINEAR
 
     def apply(self, v):
-        """Apply the operator to a vector, honoring the linearity tag."""
+        """Apply the operator to a (cols,) vector or the columns of a
+        (cols, k) block, honoring the linearity tag."""
         v = np.asarray(v, dtype=complex)
-        if v.shape[-1] != self.cols and v.shape[0] != self.cols:
+        if v.ndim not in (1, 2) or v.shape[0] != self.cols:
             raise OperatorError(
                 f"dimension mismatch: operator is {self.rows}x{self.cols}, "
                 f"vector has shape {v.shape}"

@@ -55,8 +55,10 @@ class FiniteNetwork:
             if not 0 < c < np.inf:
                 raise NetworkError(
                     f"conductance on ({x!r}, {y!r}) must be finite and > 0")
-            cond[index[x], index[y]] = c
-            cond[index[y], index[x]] = c
+            i, j = index[x], index[y]
+            if cond[i, j]:
+                raise NetworkError(f"edge ({x!r}, {y!r}) given twice")
+            cond[i, j] = cond[j, i] = c
         if n > 1 and np.any(cond.sum(axis=1) == 0):
             raise NetworkError("isolated vertex (zero net conductance)")
         seen, stack = {0}, [0]  # connectivity by depth-first search

@@ -49,7 +49,7 @@ def suite_malliavin(d: int, N: int, tol: float = DEFAULT_TOL):
         raise chaos.ChaosError("need d >= 1 and N >= 2")
     basis = chaos.basis_build(d, N)
     # symmetric-pair identity for the derivative/divergence sections
-    A, Bs, _, _ = chaos.pair_sections(basis)
+    A, Bs = chaos.pair_sections(basis)
     spec = pairs.SymmetricPairSpec(OperatorMatrix(A), OperatorMatrix(Bs))
     # kernel of the derivative section is the constants
     kdim = chaos.kernel_dimension(basis)

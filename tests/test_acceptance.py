@@ -107,7 +107,7 @@ def collect_pairs():
     out = [("hermite", hermite_pair(8))]
     for d in (1, 2, 3):
         basis = chaos.basis_build(d, 6)
-        A, B, _, _ = chaos.pair_sections(basis)
+        A, B = chaos.pair_sections(basis)
         out.append((f"malliavin_d{d}", pairs.SymmetricPairSpec(
             OperatorMatrix(A), OperatorMatrix(B))))
     rng = np.random.default_rng(42)
@@ -202,9 +202,9 @@ def test_criterion_03_number_operator():
     basis = chaos.basis_build(3, 4)
     G = np.eye(3)
     worst_oracle = 0.0
-    for alpha in basis.indices:
+    for alpha in basis.alphas:
         fa = chaos.T_apply(basis.unit(alpha))
-        for beta in basis.indices:
+        for beta in basis.alphas:
             fb = chaos.T_apply(basis.unit(beta))
             lhs = chaos.h2_inner(fa, fb).real
             rhs = 0.0
@@ -238,7 +238,7 @@ def test_criterion_04_kernel_and_identities():
             Tk_star = Tstar[:, i * B:(i + 1) * B]
             Mk = np.zeros((B, B), dtype=complex)
             for p in range(B):
-                img, _ = chaos.mult_phi(i, basis.unit(basis.indices[p]))
+                img, _ = chaos.mult_phi(i, basis.unit(basis.alphas[p]))
                 Mk[:, p] = img.coeffs
             worst_split = max(
                 worst_split,
@@ -249,8 +249,8 @@ def test_criterion_04_kernel_and_identities():
             for q in sub:
                 if basis.degrees[p] + basis.degrees[q] > 5:
                     continue
-                H = basis.unit(basis.indices[p])
-                K = basis.unit(basis.indices[q])
+                H = basis.unit(basis.alphas[p])
+                K = basis.unit(basis.alphas[q])
                 prod, _ = chaos.multiply(H, K)
                 lhs = chaos.T_apply(prod)
                 th, tk = chaos.T_apply(H), chaos.T_apply(K)

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import math
 import sys
 from types import SimpleNamespace
@@ -36,12 +38,32 @@ from sympairs.chaos import (
 )
 
 
+def oracle_indices(d, N):
+    """Reference oracle: multi-indices alpha in N^d with |alpha| <= N,
+    sorted by (|alpha|, lex) in Python."""
+    # stars and bars: d bars among N + d slots; alpha_j is the j-th gap
+    idx = (tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
+           for bars in itertools.combinations(range(N + d), d))
+    return sorted(idx, key=lambda a: (sum(a), a))
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_index_map(d, N):
+    """Reference oracle: the position of each multi-index of the basis."""
+    return {a: p for p, a in enumerate(oracle_indices(d, N))}
+
+
+def position(basis, alpha):
+    """The oracle's position of alpha in basis."""
+    return oracle_index_map(basis.d, basis.N)[tuple(alpha)]
+
+
 def mult_phi_loop(i, F):
     """Reference oracle: mult_phi as a plain loop over basis coefficients."""
     basis = F.basis
     out = np.zeros(len(basis), dtype=complex)
     lost_sq = 0.0
-    for pos, alpha in enumerate(basis.indices):
+    for pos, alpha in enumerate(oracle_indices(basis.d, basis.N)):
         c = F.coeffs[pos]
         if c == 0:
             continue
@@ -49,13 +71,13 @@ def mult_phi_loop(i, F):
         up[i] += 1
         up = tuple(up)
         if sum(up) <= basis.N:
-            out[basis.index_map[up]] += c
+            out[position(basis, up)] += c
         else:
             lost_sq += abs(c) ** 2 * math.prod(math.factorial(k) for k in up)
         if alpha[i] > 0:
             down = list(alpha)
             down[i] -= 1
-            out[basis.index_map[tuple(down)]] += alpha[i] * c
+            out[position(basis, down)] += alpha[i] * c
     return out, math.sqrt(lost_sq)
 
 
@@ -65,13 +87,13 @@ def T_apply_loop(F):
     comps = []
     for i in range(basis.d):
         out = np.zeros(len(basis), dtype=complex)
-        for pos, alpha in enumerate(basis.indices):
+        for pos, alpha in enumerate(oracle_indices(basis.d, basis.N)):
             c = F.coeffs[pos]
             if c == 0 or alpha[i] == 0:
                 continue
             down = list(alpha)
             down[i] -= 1
-            out[basis.index_map[tuple(down)]] += alpha[i] * c
+            out[position(basis, down)] += alpha[i] * c
         comps.append(out)
     return comps
 
@@ -108,7 +130,7 @@ def leibniz_loop_residual(basis, product):
         for q in sub:
             if basis.degrees[p] + basis.degrees[q] > basis.N - 1:
                 continue
-            H, K = basis.unit(basis.indices[p]), basis.unit(basis.indices[q])
+            H, K = basis.unit(basis.alphas[p]), basis.unit(basis.alphas[q])
             lhs = T_apply(product(H, K))
             th, tk = T_apply(H), T_apply(K)
             for i in range(basis.d):
@@ -213,10 +235,10 @@ def poly_product(p, q):
 
 def test_basis_examples():
     b = basis_build(1, 2)
-    assert b.indices == ((0,), (1,), (2,))
+    assert b.alphas.tolist() == [[0], [1], [2]]
     assert np.array_equal(b.norms, [1.0, 1.0, 2.0])
     b = basis_build(2, 1)
-    assert b.indices == ((0, 0), (0, 1), (1, 0))
+    assert b.alphas.tolist() == [[0, 0], [0, 1], [1, 0]]
     assert len(basis_build(3, 4)) == 35
 
 
@@ -228,6 +250,31 @@ def test_basis_validation():
     # (N+1)! overflows a float from N = 170 on
     with pytest.raises(ChaosError, match="N >= 170"):
         basis_build(1, 170)
+    # alphas outside the basis raised a bare KeyError
+    for alpha in ((4, 0), (1,), (-1, 2), (1.5, 0), (2**62, 2**62), "ab",
+                  None):
+        with pytest.raises(ChaosError, match="not a multi-index"):
+            basis_build(2, 3).unit(alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_unit_matches_oracle_and_refuses_outside(d, data):
+    top = max(N for N in range(170) if math.comb(N + d, d) <= 500)
+    N = data.draw(st.integers(0, top), label="N")
+    b, ref = basis_build(d, N), oracle_indices(d, N)
+    alpha = data.draw(st.sampled_from(ref), label="alpha")
+    for form in (alpha, list(alpha), np.array(alpha)):
+        assert np.flatnonzero(b.unit(form).coeffs).tolist() \
+            == [ref.index(alpha)]
+    i = data.draw(st.integers(0, d - 1), label="slot")
+    bad = [alpha + (0,), alpha[:-1],
+           alpha[:i] + (data.draw(st.integers(-10, -1)),) + alpha[i + 1:],
+           alpha[:i] + (alpha[i] + N + 1 - sum(alpha),) + alpha[i + 1:],
+           alpha[:i] + (alpha[i] + 0.5,) + alpha[i + 1:]]
+    for wrong in bad:
+        with pytest.raises(ChaosError):
+            b.unit(wrong)
 
 
 @pytest.mark.parametrize("d,N", LADDER_SIZES)
@@ -252,7 +299,7 @@ def test_T_apply_and_t_matrix_match_loop_oracle(d, N):
     ref = T_apply_loop(F)
     for comp, want in zip(T_apply(F).components, ref):
         assert np.array_equal(comp.coeffs, want)
-    cols = [np.concatenate(T_apply_loop(b.unit(a))) for a in b.indices]
+    cols = [np.concatenate(T_apply_loop(b.unit(a))) for a in b.alphas]
     assert np.array_equal(t_matrix(b), np.column_stack(cols))
 
 
@@ -359,7 +406,7 @@ def test_T_apply_against_ibp_oracle():
     # <T(H_a), 1 (x) e_i> equals E[H_a * x_i] for all |a| <= 4
     b = basis_build(2, 4)
     G = np.eye(2)
-    for alpha in b.indices:
+    for alpha in b.alphas:
         F = b.unit(alpha)
         fld = T_apply(F)
         for i in range(2):
@@ -398,7 +445,7 @@ def test_number_operator_examples():
     b = basis_build(2, 5)
     out = number_operator(b.unit((0, 0)))
     assert np.max(np.abs(out.coeffs)) < 1e-12
-    for alpha in b.indices:
+    for alpha in b.alphas:
         if sum(alpha) > b.N - 1:
             continue
         F = b.unit(alpha)
@@ -485,8 +532,8 @@ def test_multiply_truncation_and_lost_against_double_degree_oracle(d, N):
         cols = np.zeros((len(big), len(b)))
         cols[pos, t] = w
         for q in range(len(b)):
-            ref = multiply_monomial(big.unit(b.indices[p]),
-                                    big.unit(b.indices[q])).coeffs
+            ref = multiply_monomial(big.unit(b.alphas[p]),
+                                    big.unit(b.alphas[q])).coeffs
             assert np.array_equal(cols[:, q], ref)
 
 
@@ -505,7 +552,7 @@ def test_multiply_is_bit_identical_to_per_p_oracle(d, N):
 def test_product_terms_order_and_empty_input():
     # per pair, k runs over the box k <= min(p, q) with the last slot fastest
     b = basis_build(2, 4)
-    p, q = b.index_map[(1, 2)], b.index_map[(2, 1)]
+    p, q = position(b, (1, 2)), position(b, (2, 1))
     t, pos, gamma, w = product_terms(b, [p, q], [q, q])
     assert t.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
     assert gamma[:4].tolist() == [[3, 3], [3, 1], [1, 3], [1, 1]]
@@ -543,12 +590,12 @@ def test_triple_moments_against_wick_oracle():
     # <H_a H_b, H_c> = E[H_a H_b H_c]; truncation never touches degree <= N
     b = basis_build(2, 3)
     G = np.eye(2)
-    for x in b.indices:
-        for y in b.indices:
+    for x in b.alphas:
+        for y in b.alphas:
             prod, _ = multiply(b.unit(x), b.unit(y))
             pxy = poly_product(chaos_monomials(b.unit(x)),
                                chaos_monomials(b.unit(y)))
-            for z in b.indices:
+            for z in b.alphas:
                 want = gaussian_expectation(
                     poly_product(pxy, chaos_monomials(b.unit(z))), G)
                 assert abs(h1_inner(b.unit(z), prod) - want) < 1e-9
@@ -557,7 +604,7 @@ def test_triple_moments_against_wick_oracle():
     F, K = random_vector(b, rng), random_vector(b, rng)
     prod, _ = multiply(F, K)
     pfk = poly_product(chaos_monomials(F), chaos_monomials(K))
-    for z in b.indices:
+    for z in b.alphas:
         want = gaussian_expectation(
             poly_product(pfk, chaos_monomials(b.unit(z))), G)
         assert abs(h1_inner(b.unit(z), prod) - want) < 1e-9
@@ -569,15 +616,24 @@ def test_chaos_monomials_keep_imaginary_parts():
     assert chaos_monomials(b.unit((2,))) == [(-1.0, (0,)), (1.0, (2,))]
 
 
-def test_rank_matches_index_map():
-    # ranks past degree N follow the same order: check them on the
-    # degree-2N basis, whose first |basis| indices are the basis itself
-    for d in range(1, 6):
-        for N in range(0, 8):
-            b, big = basis_build(d, N), basis_build(d, 2 * N)
-            assert np.array_equal(chaos._rank(b, big.alphas),
-                                  np.arange(len(big)))
-            assert [b.index_map[a] for a in b.indices] == list(range(len(b)))
+def test_basis_matches_sorted_enumeration_oracle():
+    # norms are exact products rounded once: a float product of float
+    # factorials differs from (2, 29) on
+    sizes = [(b.d, b.N) for b in small_bases()]
+    sizes += [(d, 0) for d in range(1, 6)] + [(2, N) for N in range(29, 33)]
+    for d, N in sizes:
+        b, ref = basis_build(d, N), oracle_indices(d, N)
+        assert b.alphas.dtype == np.intp and not b.alphas.flags.writeable
+        assert b.alphas.tolist() == [list(a) for a in ref]
+        assert b.degrees.tolist() == [sum(a) for a in ref]
+        norms = [float(math.prod(map(math.factorial, a))) for a in ref]
+        assert np.array_equal(b.norms, norms)
+        assert [int(np.flatnonzero(b.unit(a).coeffs)[0]) for a in ref] \
+            == list(range(len(b)))
+        # ranks past degree N follow the same order: check them on the
+        # degree-2N enumeration, whose first |basis| indices are the basis
+        big = np.array(oracle_indices(d, 2 * N), dtype=np.intp)
+        assert np.array_equal(chaos._rank(b, big), np.arange(len(big)))
 
 
 def test_linearisation_table_is_lazy_and_exact():
@@ -597,7 +653,7 @@ def test_phi_matrix_columns_are_mult_phi():
     b = basis_build(3, 4)
     X = phi_matrix(b)
     for i in range(3):
-        for p, a in enumerate(b.indices):
+        for p, a in enumerate(b.alphas):
             assert np.array_equal(X[i][:, p], mult_phi(i, b.unit(a))[0].coeffs)
 
 
@@ -608,7 +664,6 @@ def test_matrix_preflight_refuses_before_allocating(monkeypatch):
         raise AssertionError("basis built before the byte check")
 
     monkeypatch.setattr(chaos, "basis_build", refuse)
-    monkeypatch.setattr(chaos, "_enumerate_indices", refuse)
     with pytest.raises(ChaosError, match="GiB"):
         t_matrix(SimpleNamespace(d=3, N=100))
     from sympairs.suites import suite_malliavin
@@ -772,7 +827,7 @@ def test_pair_sections_residual_zero():
     from sympairs.core import OperatorMatrix
 
     for d, N in ((1, 5), (2, 4)):
-        A, B, _, _ = pair_sections(basis_build(d, N))
+        A, B = pair_sections(basis_build(d, N))
         spec = SymmetricPairSpec(OperatorMatrix(A), OperatorMatrix(B))
         assert check_pair(spec).residual < 1e-12
 
@@ -827,10 +882,8 @@ def test_ladder_checks_match_dense_oracles_on_small_bases():
         if b.N < 2:
             continue
         dense = dense_malliavin(b)
-        A, S, h1, h2 = pair_sections(b)
+        A, S = pair_sections(b)
         assert np.array_equal(A, dense["A"]) and np.array_equal(S, dense["S"])
-        assert h1 == list(range(A.shape[1]))
-        assert h2 == [(i, q) for i in range(b.d) for q in range(len(A) // b.d)]
         assert chaos.ibp_residual(b) == dense["ibp"]
         assert chaos.mult_split_residual(b) == dense["split"]
 
@@ -871,7 +924,7 @@ def test_section_maximality_is_the_pair_residual(d, N):
     from sympairs.suites import suite_malliavin
 
     recs = {r.check: r for r in suite_malliavin(d, N)}
-    A, B, _, _ = pair_sections(basis_build(d, N))
+    A, B = pair_sections(basis_build(d, N))
     dev = canon_float(np.max(np.abs(B - A.conj().T)))
     assert recs["section_maximality"].residual == dev
     assert recs["pair_identity"].residual == dev
@@ -912,7 +965,7 @@ def exp_vector_loop(k, basis):
     k = np.asarray(k, dtype=float)
     return np.array([math.prod(k[i] ** a / math.factorial(a)
                                for i, a in enumerate(alpha))
-                     for alpha in basis.indices], dtype=complex)
+                     for alpha in basis.alphas], dtype=complex)
 
 
 def mutated_basis(monkeypatch, d, N, field, alpha, value):
@@ -920,7 +973,7 @@ def mutated_basis(monkeypatch, d, N, field, alpha, value):
     array ``field`` holds ``value`` in slot 0 at source H_alpha."""
     b = basis_build(d, N)
     arr = getattr(b.ladders, field).copy()
-    arr[0, b.index_map[alpha]] = value
+    arr[0, position(b, alpha)] = value
     vars(b)["ladders"] = dataclasses.replace(b.ladders, **{field: arr})
     monkeypatch.setattr(chaos, "basis_build", lambda *args: b)
     return b
@@ -936,7 +989,7 @@ def test_kernel_dimension_fails_on_shared_target(monkeypatch):
     # slot 0 sends H_(1,0) to H_(1,1), where it sends H_(0,1) too, so no
     # ladder entry reaches H_(2,0) any more
     b = mutated_basis(monkeypatch, 2, 4, "up", (1, 0),
-                      basis_build(2, 4).index_map[(1, 1)])
+                      position(basis_build(2, 4), (1, 1)))
     assert svd_kernel_dimension(t_matrix(b)) == 2  # the oracle agrees
     assert chaos.kernel_dimension(b) == 2
     failed = failed_checks(2, 4)
@@ -953,7 +1006,7 @@ def test_rank_off_by_one_fails_ladder_checks(monkeypatch, alpha, extra):
     assert np.array_equal(dense["number"], np.diag(b.number_diagonal))
     assert chaos.mult_split_residual(b) == dense["split"] > 0.1
     assert chaos.ibp_residual(b) == dense["ibp"]
-    A, S, _, _ = pair_sections(b)
+    A, S = pair_sections(b)
     assert np.array_equal(A, dense["A"]) and np.array_equal(S, dense["S"])
     assert {"number_operator", "mult_split", "pair_identity"} | extra \
         <= set(failed_checks(2, 4))
@@ -980,8 +1033,8 @@ def test_ladders_up_matches_index_map():
             b = basis_build(d, N)
             lad = b.ladders
             ref = np.array(
-                [[b.index_map[a[:i] + (a[i] + 1,) + a[i + 1:]]
-                  for a in map(b.indices.__getitem__, lad.src)]
+                [[position(b, a[:i] + (a[i] + 1,) + a[i + 1:])
+                  for a in map(oracle_indices(d, N).__getitem__, lad.src)]
                  for i in range(d)], dtype=np.intp).reshape(d, len(lad.src))
             assert lad.up.dtype == ref.dtype and np.array_equal(lad.up, ref)
 

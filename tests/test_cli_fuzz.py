@@ -46,8 +46,9 @@ def refuse(*args, **kwargs):
     raise AssertionError("work started before the size was refused")
 
 
-#: what an oversized problem must never reach
-EXPENSIVE = ((chaos, "_enumerate_indices"),
+#: what an oversized problem must never reach; ``_rank`` places the
+#: multi-indices of a basis that passed ChaosBasis's size guards
+EXPENSIVE = ((chaos, "_rank"),
              (modular, "algebra_from_generators"),
              (network.ConductanceSequence, "c"))
 

@@ -49,6 +49,16 @@ def test_apply_honors_tag():
     assert np.allclose(con.apply(v), M @ np.conj(v))
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (3, 2), (2, 2, 1), (0,)])
+def test_apply_refuses_bad_shapes(shape):
+    # a (k, cols) stack reached matmul and a 0-d input raised IndexError
+    T = OperatorMatrix(np.ones((3, 2)))
+    with pytest.raises(OperatorError, match="dimension mismatch"):
+        T.apply(np.ones(shape))
+    assert T.apply(np.ones(2)).shape == (3,)
+    assert T.apply(np.ones((2, 4))).shape == (3, 4)
+
+
 def test_json_round_trip():
     rng = np.random.default_rng(0)
     T = OperatorMatrix(rand_complex(rng, 3, 2), CONJUGATE)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,10 +130,13 @@ def test_pair_K_Delta_check_examples():
     for i in range(1, n):
         j = int(rng.integers(0, i))
         edges.append((str(i), str(j), float(rng.uniform(0.1, 2.0))))
-    for _ in range(8):
-        i, j = rng.integers(0, n, size=2)
-        if i != j:
-            edges.append((str(i), str(j), float(rng.uniform(0.1, 2.0))))
+    seen = {(x, y) for x, y, _ in edges}
+    for _ in range(8):  # chords on pairs not drawn before
+        i, j = (str(v) for v in rng.integers(0, n, size=2))
+        if i == j or (i, j) in seen or (j, i) in seen:
+            continue
+        edges.append((i, j, float(rng.uniform(0.1, 2.0))))
+        seen.add((i, j))
     net = FiniteNetwork([str(i) for i in range(n)], edges, "0")
     assert pair_K_Delta_check(net) < 1e-11
 
@@ -264,6 +269,21 @@ def test_finite_network_validation():
         FiniteNetwork("ab", [("a", "b", 1.0)], "c")
     with pytest.raises(NetworkError):
         FiniteNetwork("aab", [("a", "b", 1.0)], "a")
+
+
+@pytest.mark.parametrize("x, y", (("a", "b"), ("b", "a")))
+def test_repeated_edge_refused(x, y):
+    # a second conductance on the same pair used to overwrite the first
+    text = f"a b 1\n{x} {y} 2\norigin a\n"
+    named = re.escape(f"edge ({x!r}, {y!r}) given twice")
+    with pytest.raises(NetworkError, match=named):
+        parse_graph(text)
+    with pytest.raises(NetworkError, match=named):
+        FiniteNetwork("ab", [("a", "b", 1.0), (x, y, 2.0)], "a")
+    rep = run_suite({"suites": [{"kind": "network",
+                                 "params": {"graph": text}}]})
+    [rec] = rep.records
+    assert rec.check == "suite_error" and not rec.passed
 
 
 # ---------------------------------------------------------------------------
