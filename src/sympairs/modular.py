@@ -2,10 +2,13 @@
 
 The concrete construction throughout: ambient space is the n x n
 matrices with the trace inner product ``<a, b> = Tr(a^H b)`` (row-major
-vectorization), the algebra is generated by left multiplications, and
-the cyclic/separating vector is ``rho^{1/2}`` for a full-rank density
+vectorization), the algebra is the left multiplications, and the
+cyclic/separating vector is ``rho^{1/2}`` for a full-rank density
 matrix rho.  This gives an exact linear-solve construction of the
 conjugate-linear involution with no quadrature.
+
+A *-algebra is held as its orthonormal basis (trace inner product), a
+read-only complex (k, m, m) stack: M of the standard form, M' and M''.
 
 Conjugate-linear compositions go through the tag algebra of the core
 module (two conjugations cancel); realification is used only for the
@@ -36,20 +39,6 @@ class ModularError(OperatorError):
     pass
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """A *-algebra of operators given by generators and a computed basis.
-
-    Both are read-only complex (k, m, m) stacks.  ``basis`` is orthonormal
-    in the trace inner product on operators and spans the unital
-    *-algebra generated by the generators.
-    """
-
-    dim_ambient: int
-    generators: np.ndarray
-    basis: np.ndarray
-
-
 def _readonly(stack: np.ndarray) -> np.ndarray:
     """A freshly computed stack, marked read-only."""
     stack.setflags(write=False)
@@ -65,8 +54,10 @@ def _hs_orthonormalize(stack: np.ndarray, tol=1e-10) -> np.ndarray:
     return vh[:rank].reshape(rank, m, m)
 
 
-def algebra_from_generators(generators, tol: float = 1e-10) -> AlgebraSpec:
-    """Close the span of the generators under adjoints and products.
+def algebra_from_generators(generators, tol: float = 1e-10) -> np.ndarray:
+    """Read-only basis of the *-algebra generated by ``generators``: their
+    span with 1, closed under adjoints and products.  No suite calls it;
+    it builds algebras such as direct sums from their generators.
 
     Each round forms every product of the current basis and first tests
     whether the span is already closed.  A projection residual of
@@ -91,7 +82,7 @@ def algebra_from_generators(generators, tol: float = 1e-10) -> AlgebraSpec:
         if len(new) == len(current):
             break
         current = new
-    return AlgebraSpec(m, _readonly(gens), _readonly(current))
+    return _readonly(current)
 
 
 #: relative tolerance of the structural commutant: eigenvalue gaps of the
@@ -111,9 +102,9 @@ GAP_FLOOR = 1e-3
 MAX_DRAWS = 16
 
 
-def commutant(alg: AlgebraSpec, tol: float = CLUSTER_TOL) -> np.ndarray:
-    """Orthonormal basis of the commutant of the *-algebra in ``alg.basis``,
-    as a read-only complex (k, m, m) stack like ``alg.basis``.
+def commutant(B: np.ndarray, tol: float = CLUSTER_TOL) -> np.ndarray:
+    """Orthonormal basis of the commutant of the *-algebra with basis
+    ``B``, as a read-only complex (k, m, m) stack like ``B``.
 
     Built from the block structure of the algebra (Murota, Kanno, Kojima
     & Kojima, Japan J. Indust. Appl. Math. 27, 2010).  Up to a unitary
@@ -128,16 +119,14 @@ def commutant(alg: AlgebraSpec, tol: float = CLUSTER_TOL) -> np.ndarray:
     draw, at most MAX_DRAWS in all.
 
     The result is checked, never trusted: every element must commute
-    with the generators (and so with their adjoints, see below), and the
-    blocks must account for the whole algebra (sum of p^2 = dim; with
-    the double commutant theorem this makes the span all of M').
-    Otherwise ModularError.
+    with every basis element of the algebra, and the blocks must account
+    for the whole algebra (sum of p^2 = len(B); with the double
+    commutant theorem this makes the span all of M').  Otherwise
+    ModularError.
     """
-    if not len(alg.generators):
-        raise ModularError("empty generator list")
-    if not len(alg.basis):
+    if not len(B):
         raise ModularError("commutant: the algebra has no basis")
-    m, B = alg.dim_ambient, alg.basis
+    m = B.shape[1]
     rng = np.random.default_rng(_GENERIC_SEED)
     for _ in range(MAX_DRAWS):
         c = rng.normal(size=(2, len(B))) + 1j * rng.normal(size=(2, len(B)))
@@ -181,14 +170,11 @@ def commutant(alg: AlgebraSpec, tol: float = CLUSTER_TOL) -> np.ndarray:
         out.append(np.einsum("axi,ayj->ijxy", Ws, Ws.conj()).reshape(-1, m, m)
                    / np.sqrt(len(queue)))
     X = np.concatenate(out)
-    # the span is closed under adjoints (X_ji = X_ij^H up to rounding), and
-    # [G^H, X] = -[G, X^H]^H, so commuting with every generator is
-    # commuting with its adjoint too
-    G = alg.generators
-    worst = np.max(np.linalg.norm(G[:, None] @ X - X @ G[:, None],
+    # B spans a *-algebra, so commuting with each basis element is
+    # commuting with the whole algebra, adjoints included
+    worst = np.max(np.linalg.norm(B[:, None] @ X - X @ B[:, None],
                                   axis=(2, 3)))
-    if dim != len(B) or not worst <= tol * np.max(np.linalg.norm(
-            G, axis=(1, 2))):
+    if dim != len(B) or not worst <= tol:  # B's elements have unit norm
         raise ModularError(
             f"commutant: structure check failed (block dimension {dim} "
             f"vs algebra {len(B)}, commutator {worst:.1e})")
@@ -217,12 +203,13 @@ class StandardForm:
     n: int
     rho: np.ndarray
     xi: np.ndarray
-    alg: AlgebraSpec
+    alg: np.ndarray  # orthonormal basis E_ij (x) 1 / sqrt(n), read-only
 
 
-#: largest n accepted.  suite_modular takes about 4 ms at n = 3, 18 ms at
-#: n = 4 and 90 ms at n = 5 (one BLAS thread); a larger n needs a byte
-#: preflight for the n^8-entry product stack of algebra_from_generators.
+#: largest n accepted.  suite_modular takes about 3 ms at n = 3, 10 ms at
+#: n = 4 and 33 ms at n = 5 (one BLAS thread); a larger n needs a byte
+#: preflight for the n^8-entry (k, k, m, m) commutator stack of
+#: check_sxs_commutes.
 MAX_N = 5
 
 
@@ -234,11 +221,12 @@ def _check_n(n: int) -> None:
 def standard_form(n: int, rho) -> StandardForm:
     """Hilbert-Schmidt standard form of the left-multiplication algebra.
 
-    Ambient space: n x n matrices with trace inner product; algebra
-    generators: left multiplications by matrix units; vector: rho^{1/2}.
-    rho must be Hermitian and positive definite with unit trace, so the
-    vector is both cyclic and separating (``m xi = 0`` for algebra m
-    forces m = 0).
+    Ambient space: n x n matrices with trace inner product; algebra: the
+    left multiplications, with the closed-form orthonormal basis
+    E_ij (x) 1 / sqrt(n) (``|E_ij (x) 1|_F = sqrt(n)``); vector:
+    rho^{1/2}.  rho must be Hermitian and positive definite with unit
+    trace, so the vector is both cyclic and separating (``m xi = 0`` for
+    algebra m forces m = 0).
     """
     _check_n(n)
     rho = np.asarray(rho, dtype=complex)
@@ -259,10 +247,9 @@ def standard_form(n: int, rho) -> StandardForm:
     xi = root.reshape(-1)
     # left multiplications by the matrix units E_ij; with row-major vec,
     # vec(x a) = (x kron I) vec(a), and (E_ij kron I)[ak, bl] = d_ia d_jb d_kl
-    eye = np.eye(n)
-    alg = algebra_from_generators(np.einsum(
-        "ia,jb,kl->ijakbl", eye, eye, eye).reshape(n * n, n * n, n * n))
-    return StandardForm(n, rho, xi, alg)
+    eye = np.eye(n, dtype=complex)
+    alg = np.einsum("ia,jb,kl->ijakbl", eye, eye, eye / np.sqrt(n))
+    return StandardForm(n, rho, xi, _readonly(alg.reshape((n * n,) * 3)))
 
 
 def tracial_rho(n: int) -> np.ndarray:
@@ -270,20 +257,12 @@ def tracial_rho(n: int) -> np.ndarray:
     return np.eye(n) / n
 
 
-def _cyclic_separating(alg: AlgebraSpec, xi, tol: float = 1e-10):
-    """(cyclic, separating) from one rank of the orbit {b xi : b in basis}."""
-    rank = np.linalg.matrix_rank(alg.basis @ xi, tol=tol)
-    return rank == alg.dim_ambient, rank == len(alg.basis)
-
-
-def cyclic_check(alg: AlgebraSpec, xi, tol: float = 1e-10) -> bool:
-    """xi is cyclic iff {b xi : b in basis} spans the ambient space."""
-    return _cyclic_separating(alg, xi, tol)[0]
-
-
-def separating_check(alg: AlgebraSpec, xi, tol: float = 1e-10) -> bool:
-    """xi is separating iff b -> b xi is injective on the algebra span."""
-    return _cyclic_separating(alg, xi, tol)[1]
+def cyclic_separating(alg: np.ndarray, xi, tol: float = 1e-10):
+    """(cyclic, separating) from one rank of the orbit {b xi : b in alg}:
+    xi is cyclic iff the orbit spans the ambient space, and separating
+    iff b -> b xi is injective on the algebra."""
+    rank = np.linalg.matrix_rank(alg @ xi, tol=tol)
+    return rank == alg.shape[1], rank == len(alg)
 
 
 def _solve_involution(basis: np.ndarray, xi, name: str):
@@ -304,13 +283,13 @@ def _solve_involution(basis: np.ndarray, xi, name: str):
     return OperatorMatrix(mat, CONJUGATE), float(cond)
 
 
-def build_S(alg: AlgebraSpec, xi):
+def build_S(alg: np.ndarray, xi):
     """The involution ``m xi -> m^* xi`` as a conjugate-linear matrix.
 
     Returns the operator and the condition number of the linear solve
     (ill-conditioning signals a nearly singular density matrix).
     """
-    return _solve_involution(alg.basis, xi, "build_S")
+    return _solve_involution(alg, xi, "build_S")
 
 
 def build_F(commutant_basis: np.ndarray, xi):
@@ -335,22 +314,14 @@ class ModularData:
 
 
 def _delta_and_spectrum(S: OperatorMatrix, tol: float):
-    """Delta = S* S and its eigendecomposition (w, U), checked PSD."""
+    """Delta = S* S (linear: the conjugations cancel; h -> rho h rho^{-1},
+    see conjugation_action_matrix) and its eigendecomposition (w, U),
+    checked PSD."""
     prod = compose(adjoint(S), S)
     w, U = spectrum(prod, tol, return_vectors=True)
     if w.size and w[0] < -tol * max(1.0, float(w[-1])):
         raise ModularError(f"S* S is not PSD: smallest eigenvalue {w[0]:.3e}")
     return prod, (w, U)
-
-
-def modular_delta(S: OperatorMatrix, tol: float = DEFAULT_TOL) -> OperatorMatrix:
-    """Modular operator Delta = S* S (linear: the conjugations cancel).
-
-    For a density matrix state this acts by conjugation, h -> rho h
-    rho^{-1}; see conjugation_action_matrix for the independent route.
-    The matrix Ms^T conj(Ms) is exactly self-adjoint and PSD.
-    """
-    return _delta_and_spectrum(S, tol)[0]
 
 
 def modular_J(S: OperatorMatrix, root: OperatorMatrix, w) -> OperatorMatrix:
@@ -383,22 +354,22 @@ def conjugation_action_matrix(rho) -> np.ndarray:
     return np.kron(rho, np.linalg.inv(rho).T)
 
 
-def check_commutation(J: OperatorMatrix, alg: AlgebraSpec, comm_basis) -> float:
+def check_commutation(J: OperatorMatrix, alg: np.ndarray, comm_basis) -> float:
     """Max residual of expanding J x J in the commutant basis.
 
     J x J is linear (conjugate - linear - conjugate), with matrix
     ``Mj conj(x) conj(Mj)``.  Returns the worst trace-norm remainder.
     """
     Mj = J.matrix
-    sandwich = Mj @ np.conj(alg.basis) @ np.conj(Mj)
+    sandwich = Mj @ np.conj(alg) @ np.conj(Mj)
     return span_residual(sandwich, comm_basis)
 
 
-def check_sxs_commutes(S: OperatorMatrix, alg: AlgebraSpec) -> float:
+def check_sxs_commutes(S: OperatorMatrix, alg: np.ndarray) -> float:
     """Max commutator norm of S x S against the algebra basis."""
-    Ms, Y = S.matrix, alg.basis
-    SX = (Ms @ np.conj(Y) @ np.conj(Ms))[:, None]
-    comm = SX @ Y - Y @ SX  # [S x_i S, y_j] for every pair (i, j)
+    Ms = S.matrix
+    SX = (Ms @ np.conj(alg) @ np.conj(Ms))[:, None]
+    comm = SX @ alg - alg @ SX  # [S x_i S, y_j] for every pair (i, j)
     return float(np.max(np.linalg.norm(comm, axis=(2, 3))))
 
 
@@ -410,7 +381,7 @@ def check_sxs_commutes(S: OperatorMatrix, alg: AlgebraSpec) -> float:
 MAX_FLOW_T = 1e3
 
 
-def modular_flow_check(Delta: OperatorMatrix, alg: AlgebraSpec, t_list,
+def modular_flow_check(Delta: OperatorMatrix, alg: np.ndarray, t_list,
                        tol: float = DEFAULT_TOL, eig=None) -> float:
     """Max residual of expanding Delta^{it} x Delta^{-it} in the algebra;
     ``eig`` is Delta's ``(w, U)`` if known (``ModularData.eig``)."""
@@ -422,13 +393,13 @@ def modular_flow_check(Delta: OperatorMatrix, alg: AlgebraSpec, t_list,
     w, U = spectrum(Delta, tol, return_vectors=True) if eig is None else eig
     worst = 0.0
     for t in t_list:
-        flowed = (power_from_spectrum(w, U, float(t), tol) @ alg.basis
+        flowed = (power_from_spectrum(w, U, float(t), tol) @ alg
                   @ power_from_spectrum(w, U, -float(t), tol))
-        worst = max(worst, span_residual(flowed, alg.basis))
+        worst = max(worst, span_residual(flowed, alg))
     return worst
 
 
-def antilinear_defect_dimension(F: OperatorMatrix, alg: AlgebraSpec, xi,
+def antilinear_defect_dimension(F: OperatorMatrix, alg: np.ndarray, xi,
                                 tol: float = 1e-8) -> int:
     """Real dimension of the graph-defect space of the pair (S, F).
 
@@ -440,9 +411,9 @@ def antilinear_defect_dimension(F: OperatorMatrix, alg: AlgebraSpec, xi,
     vanishing argument predicts dimension 0.
     """
     # m = c b over complex c has skew part spanning both directions
-    B = alg.basis
-    Bh = B.conj().transpose(0, 2, 1)
-    V = np.concatenate([B - Bh, 1j * (B + Bh)]) @ np.asarray(xi, dtype=complex)
+    Bh = alg.conj().transpose(0, 2, 1)
+    xi = np.asarray(xi, dtype=complex)
+    V = np.concatenate([alg - Bh, 1j * (alg + Bh)]) @ xi
     V = V[np.linalg.norm(V, axis=1) >= 1e-14]
     R = np.vstack([
         # z = a + ib, F* z = C conj(z): real system for C conj(z) + z = 0

@@ -50,12 +50,15 @@ class FiniteNetwork:
             raise NetworkError(f"{n} vertices refused: at most {MAX_VERTICES}")
         cond = np.zeros((n, n))
         for x, y, c in edges:
+            i, j = index.get(x), index.get(y)
+            if i is None or j is None:
+                raise NetworkError(
+                    f"edge ({x!r}, {y!r}) names a vertex not in vertices")
             if x == y:
                 raise NetworkError(f"self-loop at {x!r} (c_xx must be 0)")
             if not 0 < c < np.inf:
                 raise NetworkError(
                     f"conductance on ({x!r}, {y!r}) must be finite and > 0")
-            i, j = index[x], index[y]
             if cond[i, j]:
                 raise NetworkError(f"edge ({x!r}, {y!r}) given twice")
             cond[i, j] = cond[j, i] = c

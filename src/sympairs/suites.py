@@ -91,11 +91,10 @@ def suite_modular(n: int, rho, t_list, tol: float = DEFAULT_TOL):
     S, F, Mj, cond, alg = md.S, md.F, md.J.matrix, md.cond, sf.alg
     eye = np.eye(Mj.shape[0])
     tol9, tol_j = max(tol, 1e-9), max(tol, 1e-12 * cond + 1e-12)
-    cyc, sep = modular._cyclic_separating(alg, sf.xi)
+    cyc, sep = modular.cyclic_separating(alg, sf.xi)
     # double commutant returns the algebra
-    comm2 = modular.commutant(modular.algebra_from_generators(md.comm))
-    double = modular.span_residual(alg.basis, comm2) \
-        + abs(len(comm2) - len(alg.basis))
+    comm2 = modular.commutant(md.comm)
+    double = modular.span_residual(alg, comm2) + abs(len(comm2) - len(alg))
     pair_res = pairs.check_pair(pairs.SymmetricPairSpec(S, F), tol).residual
     oracle = modular.conjugation_action_matrix(sf.rho)
     checks = [

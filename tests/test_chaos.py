@@ -808,6 +808,57 @@ def test_derivation_identity_fails_on_wrong_product(monkeypatch, d, N):
     assert all(r.passed for c, r in recs.items() if c != "derivation_identity")
 
 
+#: sizes around and past the exact range of the linearisation weights:
+#: from (1, 40) and at (2, 40) they pass 2^53 and no longer cancel exactly
+ROUNDED_SIZES = ((1, 39), (1, 42), (1, 60), (1, 100), (1, 169), (2, 11),
+                 (2, 13), (2, 24), (2, 40), (3, 12), (3, 16))
+
+
+@pytest.mark.parametrize("d,N", ROUNDED_SIZES)
+def test_suite_malliavin_passes_past_exact_weights(d, N):
+    # (1, 40) failed Eq 3.14 with residual 1.76e6 under an absolute tol
+    from sympairs.suites import suite_malliavin
+
+    recs = suite_malliavin(d, N)
+    assert all(r.passed for r in recs), [(r.check, r.residual) for r in recs]
+
+
+def with_linearisation(d, N, lin):
+    b = basis_build(d, N)
+    vars(b)["linearisation"] = lin
+    return b
+
+
+@pytest.mark.parametrize("d,N", ROUNDED_SIZES)
+def test_derivation_identity_flags_mutations_past_exact_weights(
+        monkeypatch, d, N):
+    from sympairs.suites import suite_malliavin
+
+    exact = basis_build(d, N).linearisation
+    # level k = 1 off by one, as in the wrong-product test above
+    lin = exact.copy()
+    lin[:, :, 1] += lin[:, :, 1] > 0
+    monkeypatch.setattr(chaos, "basis_build",
+                        lambda d, N: with_linearisation(d, N, lin))
+    rec = next(r for r in suite_malliavin(d, N)
+               if r.check == "derivation_identity")
+    assert not rec.passed and rec.residual > 1.0
+    # one entry off by a nonzero integer, as in the hypothesis test above;
+    # entries below 2^32, so the change stands above its column's rounding
+    rng = np.random.default_rng(10 * N + d)
+    for _ in range(2):
+        while True:
+            m = int(rng.integers(1, N - 1))
+            n = int(rng.integers(1, N - m))
+            k = int(rng.integers(1, min(m, n) + 1))
+            if exact[m, n, k] < 2**32 and not m == n == k == (N - 1) / 2:
+                break
+        lin = exact.copy()
+        lin[m, n, k] += rng.choice([-1, 1]) * rng.integers(1, 51)
+        lin[n, m, k] = lin[m, n, k]
+        assert derivation_residual(with_linearisation(d, N, lin)) > 1e-10
+
+
 def test_derivation_identity_small():
     b = basis_build(2, 5)
     H = b.unit((1, 1))

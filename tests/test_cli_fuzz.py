@@ -49,7 +49,7 @@ def refuse(*args, **kwargs):
 #: what an oversized problem must never reach; ``_rank`` places the
 #: multi-indices of a basis that passed ChaosBasis's size guards
 EXPENSIVE = ((chaos, "_rank"),
-             (modular, "algebra_from_generators"),
+             (modular, "commutant"),
              (network.ConductanceSequence, "c"))
 
 

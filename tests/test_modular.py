@@ -17,7 +17,6 @@ from sympairs.core import (
 )
 from sympairs.modular import (
     MAX_FLOW_T,
-    AlgebraSpec,
     ModularError,
     algebra_from_generators,
     antilinear_defect_dimension,
@@ -27,12 +26,10 @@ from sympairs.modular import (
     check_sxs_commutes,
     commutant,
     conjugation_action_matrix,
-    cyclic_check,
+    cyclic_separating,
     modular_J,
     modular_data,
-    modular_delta,
     modular_flow_check,
-    separating_check,
     span_residual,
     standard_form,
     tracial_rho,
@@ -52,11 +49,11 @@ def test_algebra_from_generators_closure():
     # a single matrix unit generates all of M_2
     E = np.array([[0.0, 1.0], [0.0, 0.0]])
     alg = algebra_from_generators([E])
-    assert len(alg.basis) == 4
+    assert len(alg) == 4
     # a projection generates the diagonal algebra
     P = np.diag([1.0, 0.0])
     alg = algebra_from_generators([P])
-    assert len(alg.basis) == 2
+    assert len(alg) == 2
 
 
 def test_commutant_examples():
@@ -87,19 +84,16 @@ def test_commutant_tensor_factor():
 def test_standard_form_tracial():
     sf = standard_form(2, tracial_rho(2))
     assert np.max(np.abs(sf.xi - np.eye(2).reshape(-1) / np.sqrt(2))) < 1e-12
-    assert len(sf.alg.basis) == 4
-    assert cyclic_check(sf.alg, sf.xi)
-    assert separating_check(sf.alg, sf.xi)
+    assert len(sf.alg) == 4
+    assert cyclic_separating(sf.alg, sf.xi) == (True, True)
 
 
 def test_standard_form_diagonal_and_random():
     sf = standard_form(2, np.diag([0.7, 0.3]))
-    assert cyclic_check(sf.alg, sf.xi)
-    assert separating_check(sf.alg, sf.xi)
+    assert cyclic_separating(sf.alg, sf.xi) == (True, True)
     rng = np.random.default_rng(20)
     sf = standard_form(3, random_rho(rng, 3))
-    assert cyclic_check(sf.alg, sf.xi)
-    assert separating_check(sf.alg, sf.xi)
+    assert cyclic_separating(sf.alg, sf.xi) == (True, True)
 
 
 def test_standard_form_validation():
@@ -115,14 +109,12 @@ def test_cyclic_separating_converse():
     # the scalars on C^2: separating but not cyclic
     alg = algebra_from_generators([np.eye(2)])
     xi = np.array([1.0, 0.0], dtype=complex)
-    assert not cyclic_check(alg, xi)
-    assert separating_check(alg, xi)
+    assert cyclic_separating(alg, xi) == (False, True)
     # all of M_2 on C^2: cyclic but not separating
     alg = algebra_from_generators(
         [np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, 0.0])]
     )
-    assert cyclic_check(alg, xi)
-    assert not separating_check(alg, xi)
+    assert cyclic_separating(alg, xi) == (True, False)
 
 
 def test_build_S_tracial_is_adjoint():
@@ -167,9 +159,7 @@ def test_build_S_matrix_units_diagonal_rho():
 
 
 def test_modular_delta_tracial_is_identity():
-    sf = standard_form(2, tracial_rho(2))
-    S, _ = build_S(sf.alg, sf.xi)
-    Delta = modular_delta(S)
+    Delta = modular_data(standard_form(2, tracial_rho(2))).Delta
     assert np.max(np.abs(Delta.matrix - np.eye(4))) < 1e-10
 
 
@@ -177,9 +167,7 @@ def test_modular_delta_spectrum_is_eigenvalue_ratios():
     rng = np.random.default_rng(21)
     for n in (2, 3, 4):
         rho = random_rho(rng, n)
-        sf = standard_form(n, rho)
-        S, _ = build_S(sf.alg, sf.xi)
-        Delta = modular_delta(S)
+        Delta = modular_data(standard_form(n, rho)).Delta
         w = np.linalg.eigvalsh(rho)
         expect = np.sort([wi / wj for wi in w for wj in w])
         got = np.sort(np.linalg.eigvalsh(Delta.matrix))
@@ -283,7 +271,8 @@ def test_build_F_is_S_adjoint():
 # ---------------------------------------------------------------------------
 # reference oracles: the Sylvester solves, the SVD closure loop and the
 # per-element loops that commutant, algebra_from_generators, span_residual
-# and check_sxs_commutes replace
+# and check_sxs_commutes replace; algebra_from_generators is itself the
+# oracle of the standard form's closed-form basis
 
 
 def commutant_svd_oracle(gens, m, tol=1e-10):
@@ -346,9 +335,9 @@ def span_residual_oracle(x, basis):
 
 def sxs_oracle(S, alg):
     worst = 0.0
-    for x in alg.basis:
+    for x in alg:
         sx = S.matrix @ np.conj(x) @ np.conj(S.matrix)
-        for y in alg.basis:
+        for y in alg:
             worst = max(worst, float(np.linalg.norm(sx @ y - y @ sx)))
     return worst
 
@@ -421,8 +410,8 @@ def test_commutant_single_generator_and_adjoint_free_set():
 
 
 def rotated_direct_sum(blocks, rng):
-    """U ((+)_k M_{n_k} (x) 1_{m_k}) U^H for a random unitary U, with its
-    orthonormal basis of rotated matrix units as generators too."""
+    """U ((+)_k M_{n_k} (x) 1_{m_k}) U^H for a random unitary U, as its
+    orthonormal basis of rotated matrix units."""
     m = sum(n * k for n, k in blocks)
     Z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     U, _ = np.linalg.qr(Z)
@@ -437,7 +426,7 @@ def rotated_direct_sum(blocks, rng):
                     unit, np.eye(k)) / np.sqrt(k)
                 basis.append(U @ X @ U.conj().T)
         offset += n * k
-    return AlgebraSpec(m, np.array(basis), np.array(basis))
+    return np.array(basis)
 
 
 # (n_k, m_k) per block; two or more blocks give a nontrivial centre
@@ -455,7 +444,7 @@ BLOCK = st.tuples(st.integers(1, 3), st.integers(1, 3))
 def test_commutant_matches_oracle_on_direct_sums(blocks, seed):
     alg = rotated_direct_sum(blocks, np.random.default_rng(seed))
     comm = commutant(alg)
-    ref = commutant_oracle(with_adjoints(alg.basis), alg.dim_ambient)
+    ref = commutant_oracle(with_adjoints(alg), alg.shape[1])
     assert len(comm) == len(ref) == sum(k * k for _, k in blocks)
     assert np.max(np.abs(projector(comm) - projector(ref))) <= 1e-12
     # orthonormal in the trace inner product
@@ -474,8 +463,7 @@ def test_commutant_redraws_close_clusters(monkeypatch):
     # basis is worse than the redrawn one
     alg = rotated_direct_sum([(3, 2), (1, 1), (2, 1)],
                              np.random.default_rng(0))
-    ref = projector(commutant_oracle(with_adjoints(alg.basis),
-                                     alg.dim_ambient))
+    ref = projector(commutant_oracle(with_adjoints(alg), alg.shape[1]))
     err = np.max(np.abs(projector(commutant(alg)) - ref))
     monkeypatch.setattr(modular, "GAP_FLOOR", 1e-7)
     kept = np.max(np.abs(projector(commutant(alg)) - ref))
@@ -511,13 +499,9 @@ def test_commutant_refuses_inconsistent_algebra():
     # a span that is not a *-algebra: its blocks do not add up to it
     span = np.array([np.eye(2) / np.sqrt(2), E])
     with pytest.raises(ModularError, match="structure check"):
-        commutant(AlgebraSpec(2, span, span))
-    # a generator outside the algebra: M_2 does not commute with it
-    scalars = np.eye(2, dtype=complex)[None] / np.sqrt(2)
-    with pytest.raises(ModularError, match="structure check"):
-        commutant(AlgebraSpec(2, E[None], scalars))
+        commutant(span)
     with pytest.raises(ModularError, match="no basis"):
-        commutant(AlgebraSpec(2, E[None], np.zeros((0, 2, 2), complex)))
+        commutant(np.zeros((0, 2, 2), complex))
 
 
 def test_algebra_from_generators_matches_svd_loop():
@@ -526,19 +510,19 @@ def test_algebra_from_generators_matches_svd_loop():
         eye = np.eye(n)
         gens = [np.kron(np.outer(eye[i], eye[j]), eye)
                 for i in range(n) for j in range(n)]
-        got = standard_form(n, tracial_rho(n)).alg.basis
+        got = algebra_from_generators(gens)
         ref = algebra_svd_loop(gens)
         assert len(got) == len(ref) == n * n
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
     md = modular_data(standard_form(3, random_rho(np.random.default_rng(26),
                                                   3)))
-    got = algebra_from_generators(md.comm).basis
+    got = algebra_from_generators(md.comm)
     ref = algebra_svd_loop(list(md.comm))
     assert len(got) == len(ref) == 9
     assert all(np.array_equal(a, b) for a, b in zip(got, ref))
     # not closed: E_01 grows to M_2, and a Jordan block to M_4
     for G, dim in ((np.diag([1.0], 1), 4), (np.diag(np.ones(3), 1), 16)):
-        got = algebra_from_generators([G]).basis
+        got = algebra_from_generators([G])
         ref = algebra_svd_loop([G])
         assert len(got) == len(ref) == dim
         assert np.max(np.abs(projector(got) - projector(ref))) <= 1e-12
@@ -559,17 +543,17 @@ def test_batched_checks_match_loop_oracles():
         sf = standard_form(n, random_rho(rng, n))
         md = modular_data(sf)
         # the algebra basis as a stack, a list and one matrix at a time
-        comm2 = commutant(algebra_from_generators(md.comm))
-        ref = max(span_residual_oracle(b, comm2) for b in sf.alg.basis)
-        assert abs(span_residual(sf.alg.basis, comm2) - ref) <= 1e-12
-        for b in sf.alg.basis[:3]:
+        comm2 = commutant(md.comm)
+        ref = max(span_residual_oracle(b, comm2) for b in sf.alg)
+        assert abs(span_residual(sf.alg, comm2) - ref) <= 1e-12
+        for b in sf.alg[:3]:
             assert abs(span_residual(b, md.comm)
                        - span_residual_oracle(b, md.comm)) <= 1e-12
         assert abs(check_sxs_commutes(md.S, sf.alg)
                    - sxs_oracle(md.S, sf.alg)) <= 1e-12
         Mj = md.J.matrix
         ref = max(span_residual_oracle(Mj @ np.conj(x) @ np.conj(Mj),
-                                       md.comm) for x in sf.alg.basis)
+                                       md.comm) for x in sf.alg)
         assert abs(check_commutation(md.J, sf.alg, md.comm) - ref) <= 1e-12
 
 
@@ -658,14 +642,14 @@ def test_non_hermitian_rho_refused():
         standard_form(2, np.array([[np.nan, 0.0], [0.0, 0.5]]))
     # a rounding-level asymmetry is accepted
     rho = np.array([[0.5, 1e-13], [0.0, 0.5]])
-    assert len(standard_form(2, rho).alg.basis) == 4
+    assert len(standard_form(2, rho).alg) == 4
 
 
 def test_oversized_n_refused_before_any_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the size guard let an oversized n through")
 
-    monkeypatch.setattr(modular, "algebra_from_generators", forbidden)
+    monkeypatch.setattr(modular, "commutant", forbidden)
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     for n in (6, 10**9):
         with pytest.raises(ModularError, match=r"outside 1\.\.5"):
@@ -673,6 +657,8 @@ def test_oversized_n_refused_before_any_work(monkeypatch):
         # rho stays a placeholder: the guard runs before rho is read
         with pytest.raises(ModularError, match=r"outside 1\.\.5"):
             standard_form(n, None)
+        with pytest.raises(ModularError, match=r"outside 1\.\.5"):
+            suite_modular(n, None, [0.5])
     with pytest.raises(ModularError, match=r"outside 1\.\.5"):
         standard_form(0, np.zeros((0, 0)))
 
@@ -723,11 +709,41 @@ def test_shared_decomposition_matches_core_bit_for_bit(n):
 def test_bases_are_read_only_stacks():
     sf = standard_form(3, random_rho(np.random.default_rng(31), 3))
     comm = commutant(sf.alg)
-    for stack, k in ((sf.alg.generators, 9), (sf.alg.basis, 9), (comm, 9)):
-        assert stack.shape == (k, 9, 9) and stack.dtype == complex
+    for stack in (sf.alg, comm):
+        assert stack.shape == (9, 9, 9) and stack.dtype == complex
         assert not stack.flags.writeable
-    # the generators are the left multiplications E_ij (x) 1
+    # the basis is the left multiplications E_ij (x) 1, scaled to unit norm
     eye = np.eye(3)
-    assert np.array_equal(sf.alg.generators, [
-        np.kron(np.outer(eye[i], eye[j]), eye)
+    assert np.array_equal(sf.alg, [
+        np.kron(np.outer(eye[i], eye[j]), eye) / np.sqrt(3)
         for i in range(3) for j in range(3)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_closed_form_basis_matches_closure_oracle(n):
+    # the closure of the basis spans the basis itself: a *-algebra
+    B = standard_form(n, tracial_rho(n)).alg
+    closed = algebra_from_generators(list(B))
+    assert len(closed) == len(B) == n * n
+    assert np.max(np.abs(projector(closed) - projector(B))) <= 1e-12
+    # orthonormal, and every product of two basis elements in the span
+    V = B.reshape(len(B), -1)
+    assert np.max(np.abs(V.conj() @ V.T - np.eye(n * n))) <= 1e-12
+    assert span_residual((B[:, None] @ B[None]).reshape(-1, n * n, n * n),
+                         B) <= 1e-12
+    assert span_residual(B.conj().transpose(0, 2, 1), B) <= 1e-12
+
+
+def test_suite_modular_takes_no_closure(monkeypatch):
+    # the standard form and M'' = commutant(M') need no closure rounds
+    def forbidden(*args, **kwargs):
+        raise AssertionError("suite_modular closed an algebra")
+
+    monkeypatch.setattr(modular, "algebra_from_generators", forbidden)
+    rng = np.random.default_rng(32)
+    for n in range(1, 6):
+        for rho in (tracial_rho(n), random_rho(rng, n)):
+            recs = suite_modular(n, rho, [0.5, 1.0])
+            assert len(recs) == 13
+            assert all(r.passed for r in recs), \
+                [(r.check, r.residual) for r in recs]

@@ -72,6 +72,12 @@ def test_parse_graph_errors():
         parse_graph("a b 1 2\n")
 
 
+def test_edge_to_unknown_vertex_refused():
+    for edge in (("a", "c", 1.0), ("c", "a", 1.0)):
+        with pytest.raises(NetworkError, match=r"edge \('[ac]', '[ac]'\)"):
+            FiniteNetwork("ab", [edge], "a")
+
+
 def test_energy_examples():
     net = path3()
     # Dirac energy equals the net conductance at the vertex
