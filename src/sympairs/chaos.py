@@ -529,12 +529,12 @@ def derivation_residual(basis: ChaosBasis) -> float:
     + p_i lin[p_i - 1, q_i, k_i])``, c_i = prod_{j != i} lin[p_j, q_j, k_j]
     (an index -1 is read as 0: its factor q_i or p_i is 0).
 
-    Past 2^53 the weights are rounded and need not cancel exactly.  So a
-    nonzero column counts only if its norm exceeds (d + 2) eps times its
-    backward-error scale, the weighted norm of |gamma_i w| + |c_i q_i
-    lin| + |c_i p_i lin|; (d + 2) eps bounds, to first order, the
-    rounding of the factors and sums behind each term.  A column within
-    that bound adds 0.0."""
+    Past 2^53 the weights are rounded and need not cancel exactly.  Each
+    term has one output position, so a term counts only if its |R|
+    exceeds (d + 2) eps times its own backward-error scale |gamma_i w| +
+    |c_i q_i lin| + |c_i p_i lin|; (d + 2) eps bounds, to first order,
+    the rounding of the factors and sums behind it.  A term within that
+    bound adds 0.0, and a norm past the float range reads as inf."""
     d, lad, lin = basis.d, basis.ladders, basis.linearisation
     room = basis.N - 1 - basis.degrees[basis.degrees < basis.N]
     width = basis.binom[room, d]  # the q of p: a prefix of the basis
@@ -554,19 +554,11 @@ def derivation_residual(basis: ChaosBasis) -> float:
         x, y = (q * lin[p, np.maximum(q - 1, 0), ki],
                 p * lin[np.maximum(p - 1, 0), q, ki])
         R = gw - c * (x + y)
-        norms = basis.norms[down[i, pos]]
-        col = np.bincount(t, weights=norms * R ** 2)
-        if not col.any():  # exact: no scale to form
-            continue
-        # terms are divided by their column's largest weighted scale term
-        # before squaring: the squared scale overflows near N = 169
-        S, root = abs(gw) + abs(c) * (abs(x) + abs(y)), np.sqrt(norms)
-        top = np.zeros(len(col))
-        np.maximum.at(top, t, root * S)
-        f = root / np.where(top > 0, top, 1.0)[t]  # top = 0: S = R = 0
-        rel = np.bincount(t, weights=(f * R) ** 2)
-        scale = np.bincount(t, weights=(f * S) ** 2)
-        worst = max(worst, col[rel > bound ** 2 * scale].max(initial=0.0))
+        if R.any():  # exact weights leave R = 0: no scale to form
+            R[abs(R) <= bound * (abs(gw) + abs(c) * (abs(x) + abs(y)))] = 0.0
+        with np.errstate(over="ignore"):
+            col = np.bincount(t, weights=basis.norms[down[i, pos]] * R ** 2)
+        worst = max(worst, col.max())
     return math.sqrt(worst)
 
 

@@ -174,7 +174,8 @@ def commutant(B: np.ndarray, tol: float = CLUSTER_TOL) -> np.ndarray:
     # commuting with the whole algebra, adjoints included
     worst = np.max(np.linalg.norm(B[:, None] @ X - X @ B[:, None],
                                   axis=(2, 3)))
-    if dim != len(B) or not worst <= tol:  # B's elements have unit norm
+    if dim != len(B) or not worst <= tol * np.max(np.linalg.norm(
+            B, axis=(1, 2))):
         raise ModularError(
             f"commutant: structure check failed (block dimension {dim} "
             f"vs algebra {len(B)}, commutator {worst:.1e})")

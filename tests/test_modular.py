@@ -483,6 +483,17 @@ def test_commutant_is_deterministic():
         assert np.array_equal(first, second)
 
 
+@pytest.mark.parametrize("scale", (np.sqrt(3), 1e9, 1e-9))
+def test_commutant_takes_a_basis_of_any_norm(scale):
+    # the structure check scales with the largest basis norm, so E_ij (x) 1
+    # without its 1 / sqrt(n), or far larger, gives the same commutant
+    alg = standard_form(3, tracial_rho(3)).alg
+    comm = commutant(scale * alg)
+    assert len(comm) == 9
+    assert np.allclose(projector(comm), projector(commutant(alg)),
+                       atol=1e-12)
+
+
 @pytest.mark.parametrize("delta, dim", [(1e-9, 2), (1e-11, 4)])
 def test_commutant_near_degenerate_generator(delta, dim):
     # diag(1, 1 + delta) generates the diagonal algebra above the closure
