@@ -266,22 +266,31 @@ def cyclic_separating(alg: np.ndarray, xi, tol: float = 1e-10):
     return rank == alg.shape[1], rank == len(alg)
 
 
-def _solve_involution(basis: np.ndarray, xi, name: str):
-    """Conjugate-linear matrix of v = m xi -> m^* xi over an operator span."""
-    m_dim = xi.shape[0]
+def _span_matrix(basis: np.ndarray, xi, name: str) -> np.ndarray:
+    """Matrix M with columns b xi over the basis; square iff xi is cyclic."""
     M = (basis @ xi).T
-    if M.shape[1] != m_dim:
+    if M.shape[1] != xi.shape[0]:
         raise ModularError(
-            f"{name}: span dimension {M.shape[1]} != ambient {m_dim}; "
+            f"{name}: span dimension {M.shape[1]} != ambient {xi.shape[0]}; "
             "vector is not cyclic for this algebra"
         )
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond):
-        raise ModularError(f"{name}: vector is not separating (singular solve)")
-    coeffs = np.linalg.solve(M, np.eye(m_dim, dtype=complex))
+    return M
+
+
+def _not_separating(name: str) -> ModularError:
+    return ModularError(f"{name}: vector is not separating (singular solve)")
+
+
+def _solve_involution(M: np.ndarray, basis: np.ndarray, xi,
+                      name: str) -> OperatorMatrix:
+    """Conjugate-linear matrix of v = m xi -> m^* xi over an operator span,
+    from its span matrix M; a singular M means xi is not separating."""
+    try:
+        coeffs = np.linalg.solve(M, np.eye(M.shape[0], dtype=complex))
+    except np.linalg.LinAlgError:
+        raise _not_separating(name) from None
     W = (basis.conj().transpose(0, 2, 1) @ xi).T
-    mat = W @ np.conj(coeffs)
-    return OperatorMatrix(mat, CONJUGATE), float(cond)
+    return OperatorMatrix(W @ np.conj(coeffs), CONJUGATE)
 
 
 def build_S(alg: np.ndarray, xi):
@@ -290,12 +299,18 @@ def build_S(alg: np.ndarray, xi):
     Returns the operator and the condition number of the linear solve
     (ill-conditioning signals a nearly singular density matrix).
     """
-    return _solve_involution(alg, xi, "build_S")
+    M = _span_matrix(alg, xi, "build_S")
+    cond = np.linalg.cond(M)
+    if not np.isfinite(cond):
+        raise _not_separating("build_S")
+    return _solve_involution(M, alg, xi, "build_S"), float(cond)
 
 
-def build_F(commutant_basis: np.ndarray, xi):
-    """The commutant-side involution ``m' xi -> (m')^* xi``."""
-    return _solve_involution(commutant_basis, xi, "build_F")
+def build_F(commutant_basis: np.ndarray, xi) -> OperatorMatrix:
+    """The commutant-side involution ``m' xi -> (m')^* xi``; unlike
+    ``build_S`` it returns the operator alone, with no condition number."""
+    M = _span_matrix(commutant_basis, xi, "build_F")
+    return _solve_involution(M, commutant_basis, xi, "build_F")
 
 
 @dataclass(frozen=True)
@@ -342,7 +357,7 @@ def modular_J(S: OperatorMatrix, root: OperatorMatrix, w) -> OperatorMatrix:
 def modular_data(sf: StandardForm, tol: float = DEFAULT_TOL) -> ModularData:
     comm = commutant(sf.alg)
     S, cond = build_S(sf.alg, sf.xi)
-    F, _ = build_F(comm, sf.xi)
+    F = build_F(comm, sf.xi)
     Delta, eig = _delta_and_spectrum(S, tol)
     root = OperatorMatrix(root_from_spectrum(*eig))
     return ModularData(sf.xi, S, F, Delta, modular_J(S, root, eig[0]), comm,

@@ -1,15 +1,18 @@
 """Energy-space computations on resistance networks.
 
 Finite networks get exact linear-solve machinery (energy form, graph
-Laplacian, energy kernel) with the quotient by constants
-realized by pinning the representative to vanish at the origin.  A
-network caches read-only edge arrays, Laplacian and kernel matrix (one
-pinned-Laplacian solve) on first use.  Energy is only ever the incidence
-form ``energy_gram`` over the edges, never the Laplacian, so identities
-pairing the two compare independent computations.  The half-line
-recurrence machinery exhibits the genuine defect vector ``Laplacian psi
-= -psi`` that no finite matrix section can produce, and the two-sided
-model carries nonconstant finite-energy harmonics.
+Laplacian, energy kernel) with the quotient by constants realized by
+pinning the representative to vanish at the origin.  A network is built
+from its edge list in one pass, which yields the read-only edge arrays
+and conductance matrix; it caches the Laplacian, the kernel matrix (one
+pinned-Laplacian solve), the Laplacian of the kernel and the
+kernel-Dirac energy Gram on first use.  Energy is only ever the
+incidence form ``energy_gram`` (or its diagonal ``energy_diagonal``)
+over the edges, never the Laplacian, so identities pairing the two
+compare independent computations.  The half-line recurrence machinery
+exhibits the genuine defect vector ``Laplacian psi = -psi`` that no
+finite matrix section can produce, and the two-sided model carries
+nonconstant finite-energy harmonics.
 """
 
 from __future__ import annotations
@@ -24,19 +27,25 @@ class NetworkError(ValueError):
     pass
 
 
-#: largest FiniteNetwork: n x n dense, cubic solve (4 s, 430 MB at n = 2,000)
+#: largest FiniteNetwork: n x n dense, cubic solve (`check network` on a
+#: 2,000-vertex path: 3 s, 400 MB on one BLAS thread of a 2-core Xeon VM)
 MAX_VERTICES = 4096
 
 
 class FiniteNetwork:
-    """Connected weighted graph with a distinguished origin.
+    """Connected weighted graph with a distinguished origin, built from
+    its edge list ``(x, y, c)``.
 
-    Conductances are symmetric, nonnegative, zero on the diagonal, and
-    every vertex has positive net conductance.
+    One pass over the edges validates them (known vertices, no self-loop,
+    finite c > 0, no edge given twice in either orientation) and yields
+    the read-only ``edges`` arrays ``(iu, ju, c)``, one entry per edge
+    iu < ju in row-major order, and the symmetric conductance matrix
+    ``cond``, zero on the diagonal.  Every vertex has positive net
+    conductance.
     """
 
     __slots__ = ("vertices", "index", "cond", "origin",
-                 "__dict__")  # __dict__ holds the cached properties
+                 "__dict__")  # __dict__ holds edges and cached properties
 
     def __init__(self, vertices, edges, origin):
         vertices = tuple(vertices)
@@ -48,34 +57,55 @@ class FiniteNetwork:
         n = len(vertices)
         if n > MAX_VERTICES:  # before any n x n array
             raise NetworkError(f"{n} vertices refused: at most {MAX_VERTICES}")
-        cond = np.zeros((n, n))
+        # one pass over the edge list: validate, then collect each edge as
+        # an index pair lo < hi with its conductance, and adjacency lists
+        lo, hi, cs, given = [], [], [], set()
+        adj = [[] for _ in range(n)]
         for x, y, c in edges:
             i, j = index.get(x), index.get(y)
             if i is None or j is None:
                 raise NetworkError(
                     f"edge ({x!r}, {y!r}) names a vertex not in vertices")
-            if x == y:
+            if i == j:
                 raise NetworkError(f"self-loop at {x!r} (c_xx must be 0)")
             if not 0 < c < np.inf:
                 raise NetworkError(
                     f"conductance on ({x!r}, {y!r}) must be finite and > 0")
-            if cond[i, j]:
+            if i > j:
+                i, j = j, i
+            if (i, j) in given:
                 raise NetworkError(f"edge ({x!r}, {y!r}) given twice")
-            cond[i, j] = cond[j, i] = c
-        if n > 1 and np.any(cond.sum(axis=1) == 0):
+            given.add((i, j))
+            lo.append(i)
+            hi.append(j)
+            cs.append(c)
+            adj[i].append(j)
+            adj[j].append(i)
+        if n > 1 and not all(adj):
             raise NetworkError("isolated vertex (zero net conductance)")
-        seen, stack = {0}, [0]  # connectivity by depth-first search
+        seen, stack = [False] * n, [0]  # connectivity by depth-first search
+        seen[0] = True
         while stack:
-            new = set(np.flatnonzero(cond[stack.pop()]).tolist()) - seen
-            seen |= new
-            stack.extend(new)
-        if len(seen) != n:
+            for j in adj[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        if not all(seen):
             raise NetworkError("network is not connected")
-        cond.setflags(write=False)
+        # edges in row-major (iu < ju) order, the order the Grams sum in
+        lo, hi = np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)
+        order = np.lexsort((hi, lo))
+        iu, ju, c = lo[order], hi[order], np.array(cs, dtype=float)[order]
+        cond = np.zeros((n, n))
+        cond[iu, ju] = c
+        cond[ju, iu] = c
+        for arr in (iu, ju, c, cond):
+            arr.setflags(write=False)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "cond", cond)
         object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "edges", (iu, ju, c))
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteNetwork is immutable")
@@ -86,15 +116,6 @@ class FiniteNetwork:
     def net_conductance(self, x) -> float:
         """Total conductance c(x) at a vertex."""
         return float(self.cond[self.index[x]].sum())
-
-    @cached_property
-    def edges(self) -> tuple:
-        """Read-only edge arrays ``(iu, ju, c)``, one entry per edge iu < ju."""
-        iu, ju = np.nonzero(np.triu(self.cond))
-        out = (iu, ju, self.cond[iu, ju])
-        for arr in out:
-            arr.setflags(write=False)
-        return out
 
     @cached_property
     def laplacian_matrix(self) -> np.ndarray:
@@ -121,6 +142,23 @@ class FiniteNetwork:
             ) from exc
         K.setflags(write=False)
         return K
+
+    @cached_property
+    def laplacian_kernel(self) -> np.ndarray:
+        """Read-only ``laplacian_matrix @ kernel_matrix``: column x is
+        Delta v_x, which the pair and kernel checks both read."""
+        LK = self.laplacian_matrix @ self.kernel_matrix
+        LK.setflags(write=False)
+        return LK
+
+    @cached_property
+    def kernel_delta_gram(self) -> np.ndarray:
+        """Read-only energy Gram ``energy_gram(K, P)`` of the kernel matrix
+        against the pinned Dirac masses: entry (x, y) is <v_x, delta_y>_E.
+        The reproducing, Dirac-pairing and pair checks all read it."""
+        G = energy_gram(self, self.kernel_matrix, self.delta_matrix())
+        G.setflags(write=False)
+        return G
 
     def delta(self, x) -> "EnergyVector":
         """Dirac mass at x as an energy-space representative."""
@@ -173,18 +211,35 @@ class EnergyVector:
             raise NetworkError("energy vectors live on different networks")
 
 
+def _edge_blocks(net: FiniteNetwork, columns: int):
+    """Consecutive blocks ``(iu, ju, c[:, None])`` of the edge arrays, so
+    that an (edges x columns) temporary holds at most max(n^2, columns)
+    entries, whatever the edge count."""
+    iu, ju, c = net.edges
+    block = max(len(net) ** 2 // max(columns, 1), 1)
+    for s in range(0, len(c), block):
+        yield iu[s:s + block], ju[s:s + block], c[s:s + block, None]
+
+
 def energy_gram(net: FiniteNetwork, U: np.ndarray,
                 V: np.ndarray) -> np.ndarray:
     """``[<U[:, a], V[:, b]>_E]``: sums c (u(x)-u(y)) (v(x)-v(y)) once per
-    edge, never via the Laplacian, in edge blocks so that no temporary
-    holds more than max(n^2, columns) entries, whatever the edge count."""
-    iu, ju, c = net.edges
+    edge, never via the Laplacian, in edge blocks (``_edge_blocks``)."""
     G = np.zeros((U.shape[1], V.shape[1]))
-    block = max(len(net) ** 2 // max(U.shape[1], V.shape[1], 1), 1)
-    for s in range(0, len(c), block):
-        a, b = iu[s:s + block], ju[s:s + block]
-        G += (U[a] - U[b]).T @ (c[s:s + block, None] * (V[a] - V[b]))
+    for a, b, c in _edge_blocks(net, max(U.shape[1], V.shape[1])):
+        G += (U[a] - U[b]).T @ (c * (V[a] - V[b]))
     return G
+
+
+def energy_diagonal(net: FiniteNetwork, U: np.ndarray) -> np.ndarray:
+    """``[<U[:, a], U[:, a]>_E]``, the diagonal of ``energy_gram(net, U,
+    U)`` from the incidence squares c (u(x)-u(y))^2 alone, with no
+    columns x columns Gram."""
+    d = np.zeros(U.shape[1])
+    for a, b, c in _edge_blocks(net, U.shape[1]):
+        D = U[a] - U[b]
+        d += (D * (c * D)).sum(axis=0)
+    return d
 
 
 def energy(u: EnergyVector, v: EnergyVector) -> float:
@@ -217,9 +272,8 @@ def pair_K_Delta_check(net: FiniteNetwork) -> float:
     ``max |<Delta u, phi>_2 - <u, K phi>_E|`` over the basis pairs
     u = v_x (x != o), phi = delta_y.
     """
-    K = net.kernel_matrix
-    lap = (net.laplacian_matrix @ K).T
-    return float(np.max(np.abs(lap - energy_gram(net, K, net.delta_matrix()))))
+    return float(np.max(np.abs(net.laplacian_kernel.T
+                               - net.kernel_delta_gram)))
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +524,9 @@ def parse_graph(text: str) -> FiniteNetwork:
     origin = None
     order = {}  # vertices in order of first mention
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+        parts = line.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if parts[0] == "origin":
             if len(parts) != 2:
                 raise NetworkError(f"line {lineno}: malformed origin line")
@@ -485,7 +538,7 @@ def parse_graph(text: str) -> FiniteNetwork:
         except ValueError:
             raise NetworkError(f"line {lineno}: expected 'x y c' with a "
                                "numeric c") from None
-        order.update(dict.fromkeys((x, y)))
+        order[x] = order[y] = None
     if not edges:
         raise NetworkError("no edges in graph input")
     if origin is None:

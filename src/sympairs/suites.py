@@ -135,25 +135,28 @@ def suite_modular(n: int, rho, t_list, tol: float = DEFAULT_TOL):
 
 
 def suite_network(net: network.FiniteNetwork, tol: float = DEFAULT_TOL):
-    # energy side via energy_gram (incidence form), other side via the
-    # Laplacian or point values; K's zero column v_o adds zero residuals.
-    # Each residual matrix is reduced as soon as it is formed.
+    # energy side via the incidence form (energy_gram, energy_diagonal),
+    # other side via the Laplacian or point values; K's zero column v_o
+    # adds zero residuals.  Each Gram is formed once: E(K, P) is the
+    # network's cached kernel_delta_gram.
     K, P, o = net.kernel_matrix, net.delta_matrix(), net.index[net.origin]
-    LK = net.laplacian_matrix @ K
+    LK = net.laplacian_kernel
     expect = np.eye(len(net))  # Delta v_x = delta_x - delta_o
     expect[o] -= 1.0
-    E = network.energy_gram
     tol_k = max(tol, 1e-10)
+    # Lemma 5.15 E(P, K) = LK is the transpose of Thm 5.17's
+    # E(K, P) = LK^T, so one residual serves both records
+    pair_res = network.pair_K_Delta_check(net)
     checks = (
         ("dirac_energy", "Remark 5.8", max(tol, 1e-12),
-         abs(np.diag(E(net, P, P)) - net.cond.sum(axis=1)).max()),
+         abs(network.energy_diagonal(net, P) - net.cond.sum(axis=1)).max()),
         ("kernel_laplacian", "Eq (5.11)", tol_k, abs(LK - expect).max()),
         # probes u are the Diracs and the kernels: <v_x, u>_E = u(x) - u(o)
         ("reproducing_property", "Eq (5.5)", tol_k,
-         np.max([abs(E(net, K, U) - (U - U[o])).max() for U in (P, K)])),
-        ("dirac_pairing", "Lemma 5.15", tol_k, abs(E(net, P, K) - LK).max()),
-        ("pair_identity", "Thm 5.17", tol_k,
-         network.pair_K_Delta_check(net)),
+         np.max([abs(net.kernel_delta_gram - (P - P[o])).max(),
+                 abs(network.energy_gram(net, K, K) - (K - K[o])).max()])),
+        ("dirac_pairing", "Lemma 5.15", tol_k, pair_res),
+        ("pair_identity", "Thm 5.17", tol_k, pair_res),
     )
     return [make_record("network", name, anchor, res, t)
             for name, anchor, t, res in checks]

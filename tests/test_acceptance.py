@@ -114,7 +114,7 @@ def collect_pairs():
     for n in (2, 3):
         sf = modular.standard_form(n, random_rho(rng, n))
         S, _ = modular.build_S(sf.alg, sf.xi)
-        F, _ = modular.build_F(modular.commutant(sf.alg), sf.xi)
+        F = modular.build_F(modular.commutant(sf.alg), sf.xi)
         out.append((f"modular_n{n}", pairs.SymmetricPairSpec(S, F)))
     for i, net in enumerate(all_networks()):
         out.append((f"network_{i}", network_pair(net)))

@@ -264,8 +264,35 @@ def test_build_F_is_S_adjoint():
     sf = standard_form(3, np.diag([0.5, 0.3, 0.2]))
     comm = commutant(sf.alg)
     S, _ = build_S(sf.alg, sf.xi)
-    F, _ = build_F(comm, sf.xi)
+    F = build_F(comm, sf.xi)
     assert np.max(np.abs(adjoint(F).matrix - S.matrix)) < 1e-10
+
+
+def test_only_build_S_pays_for_a_condition_number(monkeypatch):
+    sf = standard_form(3, random_rho(np.random.default_rng(17), 3))
+    comm = commutant(sf.alg)
+    calls = []
+
+    def spy(M, *args, _real=np.linalg.cond, **kwargs):
+        calls.append(M.shape)
+        return _real(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", spy)
+    build_F(comm, sf.xi)
+    assert calls == []
+    modular_data(sf)
+    assert calls == [(9, 9)]
+
+
+def test_involutions_refuse_a_singular_solve():
+    # the diagonal algebra on C^2 with xi = e_0: the span is square but
+    # diag(0, 1) xi = 0, so xi is cyclic-sized yet not separating
+    alg = algebra_from_generators([np.diag([1.0, 0.0])])
+    xi = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(ModularError, match="build_S: vector is not separ"):
+        build_S(alg, xi)
+    with pytest.raises(ModularError, match="build_F: vector is not separ"):
+        build_F(alg, xi)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sympairs.network import (
@@ -15,6 +15,7 @@ from sympairs.network import (
     constant_halfline,
     defect_recurrence,
     energy,
+    energy_diagonal,
     energy_gram,
     energy_kernel,
     geometric_halfline,
@@ -275,6 +276,9 @@ def test_finite_network_validation():
         FiniteNetwork("ab", [("a", "b", 1.0)], "c")
     with pytest.raises(NetworkError):
         FiniteNetwork("aab", [("a", "b", 1.0)], "a")
+    nan = float("nan")  # nan != nan, yet both ends are the one vertex
+    with pytest.raises(NetworkError, match="self-loop at nan"):
+        FiniteNetwork([nan, 1], [(nan, nan, 1.0), (nan, 1, 1.0)], nan)
 
 
 @pytest.mark.parametrize("x, y", (("a", "b"), ("b", "a")))
@@ -290,6 +294,103 @@ def test_repeated_edge_refused(x, y):
                                  "params": {"graph": text}}]})
     [rec] = rep.records
     assert rec.check == "suite_error" and not rec.passed
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle for the edge-list construction: the per-edge numpy
+# writes and dense-row depth-first search it replaced.
+
+
+def construction_oracle(vertices, edges, origin):
+    """(cond, (iu, ju, c)) of a valid graph, built edge by edge; a bad
+    one raises the NetworkError of the first check it fails."""
+    vertices = tuple(vertices)
+    if origin not in vertices:
+        raise NetworkError(f"origin {origin!r} is not a vertex")
+    index = {v: i for i, v in enumerate(vertices)}
+    if len(index) != len(vertices):
+        raise NetworkError("duplicate vertex ids")
+    n = len(vertices)
+    cond = np.zeros((n, n))
+    for x, y, c in edges:
+        i, j = index.get(x), index.get(y)
+        if i is None or j is None:
+            raise NetworkError(
+                f"edge ({x!r}, {y!r}) names a vertex not in vertices")
+        if x == y:
+            raise NetworkError(f"self-loop at {x!r} (c_xx must be 0)")
+        if not 0 < c < np.inf:
+            raise NetworkError(
+                f"conductance on ({x!r}, {y!r}) must be finite and > 0")
+        if cond[i, j]:
+            raise NetworkError(f"edge ({x!r}, {y!r}) given twice")
+        cond[i, j] = cond[j, i] = c
+    if n > 1 and np.any(cond.sum(axis=1) == 0):
+        raise NetworkError("isolated vertex (zero net conductance)")
+    seen, stack = {0}, [0]
+    while stack:
+        new = set(np.flatnonzero(cond[stack.pop()]).tolist()) - seen
+        seen |= new
+        stack.extend(new)
+    if len(seen) != n:
+        raise NetworkError("network is not connected")
+    iu, ju = np.nonzero(np.triu(cond))
+    return cond, (iu, ju, cond[iu, ju])
+
+
+#: conductances that are refused, and edge cases that are not
+BAD_CONDUCTANCES = (0.0, -0.0, -1.5, float("nan"), float("inf"),
+                    -float("inf"))
+ODD_CONDUCTANCES = (5e-324, 1e-300, 1e300, np.finfo(float).max, 3, True)
+
+
+@st.composite
+def edge_lists(draw):
+    """Vertices v0..v{n-1}, an origin and an edge list that may hold an
+    unknown vertex 'zz', self-loops, repeated or reversed edges, bad
+    conductances, isolated vertices or several components."""
+    n = draw(st.integers(1, 9))
+    names = [f"v{i}" for i in range(n)]
+    label = st.sampled_from(names + ["zz"])
+    cond = st.one_of(st.floats(0.1, 10.0), st.floats(0.1, 10.0),
+                     st.floats(0.1, 10.0), st.sampled_from(BAD_CONDUCTANCES),
+                     st.sampled_from(ODD_CONDUCTANCES))
+    edges = []
+    if draw(st.booleans()):  # a spanning tree, so that valid graphs arise
+        for i in range(1, n):
+            j = draw(st.integers(0, i - 1))
+            edges.append((names[i], names[j], draw(st.floats(0.1, 10.0))))
+    edges += draw(st.lists(st.tuples(label, label, cond), max_size=6))
+    edges = draw(st.permutations(edges))
+    origin = draw(st.sampled_from(names + ["zz"]))
+    return names, edges, origin
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+@example((["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 2.0)], "a"))
+@example((["a", "b", "c"], [("a", "b", 1.0)], "a"))  # isolated vertex
+@example((["a", "b", "c", "d"], [("a", "b", 1.0), ("c", "d", 1.0)], "a"))
+@example((["a", "b"], [("a", "b", 1.0), ("b", "a", 1.0)], "a"))
+@example((["a", "b"], [("a", "a", 1.0)], "a"))
+@example((["a", "b"], [("a", "zz", 1.0)], "a"))
+@example((["a", "b"], [("a", "b", float("nan"))], "a"))
+@example((["a"], [], "a"))
+def test_construction_matches_per_edge_oracle(graph):
+    vertices, edges, origin = graph
+    try:
+        ref = construction_oracle(vertices, edges, origin)
+    except NetworkError as exc:
+        with pytest.raises(NetworkError) as got:
+            FiniteNetwork(vertices, edges, origin)
+        assert str(got.value) == str(exc)
+        return
+    net = FiniteNetwork(vertices, edges, origin)
+    cond, ref_edges = ref
+    assert net.cond.dtype == cond.dtype
+    assert net.cond.tobytes() == cond.tobytes()  # bit for bit
+    for got, want in zip(net.edges, ref_edges):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +488,10 @@ def test_network_data_is_lazy_cached_and_read_only():
     K = net.kernel_matrix
     assert net.kernel_matrix is K
     assert net.laplacian_matrix is net.laplacian_matrix
-    for arr in (iu, ju, c, K, net.laplacian_matrix):
+    assert net.laplacian_kernel is net.laplacian_kernel
+    assert net.kernel_delta_gram is net.kernel_delta_gram
+    for arr in (iu, ju, c, net.cond, K, net.laplacian_matrix,
+                net.laplacian_kernel, net.kernel_delta_gram):
         with pytest.raises(ValueError):
             arr[0] = 1
     with pytest.raises(AttributeError):
@@ -395,6 +499,40 @@ def test_network_data_is_lazy_cached_and_read_only():
     P = net.delta_matrix()
     for x in net.vertices:
         assert np.array_equal(P[:, net.index[x]], net.delta(x).values)
+
+
+def test_suite_network_forms_each_energy_gram_once(monkeypatch):
+    # E(K, K) and E(K, P) once each; the parent formed E(K, P) three times
+    # (once transposed) and the full E(P, P) for its diagonal alone
+    from sympairs import network
+
+    rng = np.random.default_rng(17)
+    net = FiniteNetwork(range(30), tree_plus_chords(rng, 30, 15), 0)
+    K, P = net.kernel_matrix, net.delta_matrix()
+    calls = []
+
+    def spy(n, U, V, _real=network.energy_gram):
+        calls.append(tuple("K" if np.array_equal(X, K) else
+                           "P" if np.array_equal(X, P) else "?"
+                           for X in (U, V)))
+        return _real(n, U, V)
+
+    monkeypatch.setattr(network, "energy_gram", spy)
+    recs = suite_network(net)
+    assert sorted(calls) == [("K", "K"), ("K", "P")]
+    assert len(recs) == 5 and all(r.passed for r in recs)
+    # Lemma 5.15 is the transpose of Thm 5.17: one residual
+    assert recs[3].residual == recs[4].residual
+
+
+def test_energy_diagonal_matches_gram_diagonal():
+    rng = np.random.default_rng(18)
+    net = FiniteNetwork(range(20), tree_plus_chords(rng, 20, 40), 3)
+    for U in (net.delta_matrix(), rng.normal(size=(20, 7)),
+              rng.normal(size=(20, 400))):  # 400 columns: edge blocks of 1
+        ref = np.diag(energy_gram(net, U, U))
+        assert np.allclose(energy_diagonal(net, U), ref, rtol=1e-13,
+                           atol=0.0)
 
 
 def test_suite_network_300_vertices():
