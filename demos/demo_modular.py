@@ -43,7 +43,7 @@ def main():
     comm = commutant(sf.alg)
     print(f"  J M J lands in the commutant: residual "
           f"{check_commutation(md.J, sf.alg, comm):.3e}")
-    flow = modular_flow_check(md.Delta, sf.alg, [0.5, 1.0, math.pi])
+    flow = modular_flow_check(md.eig, sf.alg, [0.5, 1.0, math.pi])
     print(f"  modular flow preserves the algebra: residual {flow:.3e}")
 
     sft = standard_form(2, tracial_rho(2))

@@ -35,17 +35,15 @@ def hermite_pair(max_deg):
 
 def main():
     spec = hermite_pair(6)
-    res = check_pair(spec)
     print("derivative/creation pair, degree <= 6")
-    print(f"  pairing residual <Au,v> - <u,Bv>: {res.residual:.3e}")
+    print(f"  pairing residual <Au,v> - <u,Bv>: {check_pair(spec):.3e}")
 
-    block = build_L(spec)
-    print(f"  block symmetry defect |L - L*|:   {symmetry_defect(block):.3e}")
-    lstar = build_Lstar(spec)
-    print(f"  L* block shape: {lstar.L.matrix.shape}")
+    L = build_L(spec)
+    print(f"  block symmetry defect |L - L*|:   {symmetry_defect(L):.3e}")
+    print(f"  L* block shape: {build_Lstar(spec).matrix.shape}")
 
-    dd = deficiency(spec)
-    print(f"  deficiency indices: ({dd.n_plus}, {dd.n_minus})  "
+    plus, minus = deficiency(spec)
+    print(f"  deficiency indices: ({len(plus)}, {len(minus)})  "
           "(finite symmetric sections are essentially self-adjoint)")
 
     # a skew probe with genuine +-i eigenvectors: columns of A orthonormal
@@ -55,7 +53,7 @@ def main():
     probe = SymmetricPairSpec(
         OperatorMatrix(Q[:, :3]), OperatorMatrix(-Q[:, :3].conj().T)
     )
-    lstar = build_Lstar(probe).L
+    lstar = build_Lstar(probe)
     plus = eig_space(lstar, 1j, 1e-9)
     print(f"\nskew probe: dim of the +i eigenspace of L*: {len(plus)}")
     v = plus[0]

@@ -17,17 +17,13 @@ from .core import (
     cayley,
     compose,
     eig_space,
-    identity,
     polar_decompose,
     spectrum,
     sqrt_psd,
     unitary_power,
 )
 from .pairs import (
-    BlockL,
-    DefectData,
     PairError,
-    PairReport,
     SymmetricPairSpec,
     build_L,
     build_Lstar,
@@ -98,7 +94,6 @@ from .network import (
     geometric_halfline,
     harmonic_flux,
     laplacian,
-    lemma520_check,
     lemma_dual_pairing,
     pair_K_Delta_check,
     parse_graph,

@@ -154,10 +154,7 @@ def _validate_config(config) -> dict:
             float(params.get("r", 0))
         except (TypeError, ValueError, OverflowError):
             raise UsageError(f"param 'r' is not a number: {params['r']!r}")
-        if params.get("expect") not in (None, network.CONVERGES,
-                                        network.DIVERGES):
-            raise UsageError(f"param 'expect' must be {network.CONVERGES} or "
-                             f"{network.DIVERGES}: {params['expect']!r}")
+        suites.check_expect(params.get("expect"))
         for key in ("graph", "graph_file"):
             if not isinstance(params.get(key, ""), str):
                 raise UsageError(f"param {key!r} must be a string")

@@ -119,10 +119,6 @@ class PartialIsometry:
     final_projection: OperatorMatrix
 
 
-def identity(n: int, linearity: str = LINEAR) -> OperatorMatrix:
-    return OperatorMatrix(np.eye(n), linearity)
-
-
 def adjoint(T: OperatorMatrix) -> OperatorMatrix:
     """Adjoint with the same linearity tag.
 

@@ -397,16 +397,16 @@ def check_sxs_commutes(S: OperatorMatrix, alg: np.ndarray) -> float:
 MAX_FLOW_T = 1e3
 
 
-def modular_flow_check(Delta: OperatorMatrix, alg: np.ndarray, t_list,
-                       tol: float = DEFAULT_TOL, eig=None) -> float:
-    """Max residual of expanding Delta^{it} x Delta^{-it} in the algebra;
-    ``eig`` is Delta's ``(w, U)`` if known (``ModularData.eig``)."""
+def modular_flow_check(eig, alg: np.ndarray, t_list,
+                       tol: float = DEFAULT_TOL) -> float:
+    """Max residual of expanding Delta^{it} x Delta^{-it} in the algebra,
+    from Delta's eigendecomposition ``eig = (w, U)`` (``ModularData.eig``)."""
     if not np.isfinite(t_list).all():
         raise ModularError(f"modular flow times must be finite: {t_list}")
     if np.any(np.abs(t_list) > MAX_FLOW_T):
         raise ModularError(
             f"modular flow times must satisfy |t| <= {MAX_FLOW_T:g}: {t_list}")
-    w, U = spectrum(Delta, tol, return_vectors=True) if eig is None else eig
+    w, U = eig
     worst = 0.0
     for t in t_list:
         flowed = (power_from_spectrum(w, U, float(t), tol) @ alg

@@ -113,10 +113,6 @@ class FiniteNetwork:
     def __len__(self):
         return len(self.vertices)
 
-    def net_conductance(self, x) -> float:
-        """Total conductance c(x) at a vertex."""
-        return float(self.cond[self.index[x]].sum())
-
     @cached_property
     def laplacian_matrix(self) -> np.ndarray:
         """Read-only ``diag(c(x)) - cond``."""
@@ -508,10 +504,6 @@ def lemma_dual_pairing(net: FiniteNetwork, x, h: EnergyVector) -> float:
     if abs(direct - via_energy) > 1e-9 * (1.0 + abs(direct)):
         raise NetworkError("internal inconsistency in dual pairing")
     return float(direct)
-
-
-#: the name tests/test_acceptance.py calls the dual-pairing check by
-lemma520_check = lemma_dual_pairing
 
 
 def parse_graph(text: str) -> FiniteNetwork:

@@ -64,40 +64,7 @@ class SymmetricPairSpec:
         return self.A.linearity
 
 
-@dataclass(frozen=True)
-class BlockL:
-    """Block operator on K = H1 (+) H2 with H1 coordinates first."""
-
-    L: OperatorMatrix
-    split: tuple
-
-
-@dataclass(frozen=True)
-class DefectData:
-    def_plus: list
-    def_minus: list
-
-    @property
-    def n_plus(self) -> int:
-        return len(self.def_plus)
-
-    @property
-    def n_minus(self) -> int:
-        return len(self.def_minus)
-
-
-@dataclass(frozen=True)
-class PairReport:
-    check: str
-    residual: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tol
-
-
-def check_pair(spec: SymmetricPairSpec, tol: float = DEFAULT_TOL) -> PairReport:
+def check_pair(spec: SymmetricPairSpec) -> float:
     """Max pairing defect over all standard basis pairs (phi, psi).
 
     Linear tag:      max |<A e_j, e_k> - <e_j, B e_k>|.
@@ -110,50 +77,48 @@ def check_pair(spec: SymmetricPairSpec, tol: float = DEFAULT_TOL) -> PairReport:
     if spec.linearity == CONJUGATE:
         B = np.conj(B)  # |conj(B) - A^H| = |B - A^T|, and A* = A^T here
     residual = np.max(np.abs(spec.A.matrix.conj().T - B), initial=0.0)
-    return PairReport("check_pair", float(residual), tol)
+    return float(residual)
 
 
-def build_L(spec: SymmetricPairSpec) -> BlockL:
+def build_L(spec: SymmetricPairSpec) -> OperatorMatrix:
     """Assemble ``L = [[0, B], [A, 0]]`` on K = H1 (+) H2."""
     n1, n2 = spec.dim_h1, spec.dim_h2
     L = np.zeros((n1 + n2, n1 + n2), dtype=complex)
     L[:n1, n1:] = spec.B.matrix
     L[n1:, :n1] = spec.A.matrix
-    return BlockL(OperatorMatrix(L, spec.linearity), (n1, n2))
+    return OperatorMatrix(L, spec.linearity)
 
 
-def build_Lstar(spec: SymmetricPairSpec) -> BlockL:
+def build_Lstar(spec: SymmetricPairSpec) -> OperatorMatrix:
     """Assemble ``L* = [[0, A*], [B*, 0]]``; equals adjoint(build_L)."""
     n1, n2 = spec.dim_h1, spec.dim_h2
     Ls = np.zeros((n1 + n2, n1 + n2), dtype=complex)
     Ls[:n1, n1:] = adjoint(spec.A).matrix
     Ls[n1:, :n1] = adjoint(spec.B).matrix
-    return BlockL(OperatorMatrix(Ls, spec.linearity), (n1, n2))
+    return OperatorMatrix(Ls, spec.linearity)
 
 
-def symmetry_defect(block: BlockL) -> float:
+def symmetry_defect(L: OperatorMatrix) -> float:
     """Entrywise deviation of L from its own adjoint."""
-    M = block.L.matrix
-    Ms = adjoint(block.L).matrix
+    M = L.matrix
+    Ms = adjoint(L).matrix
     return float(np.max(np.abs(M - Ms))) if M.size else 0.0
 
 
-def deficiency(spec: SymmetricPairSpec, tol: float = DEFAULT_TOL) -> DefectData:
-    """Defect spaces of L as the +-i eigenspaces of L*.
+def deficiency(spec: SymmetricPairSpec, tol: float = DEFAULT_TOL) -> tuple:
+    """Defect spaces ``(def_plus, def_minus)`` of L as the +-i
+    eigenspaces of L*, each a list of basis vectors.
 
     Requires L symmetric within tol.  A conjugate-linear L* is first
     realified (``realify``), a real symmetric matrix for a symmetric L:
     its complexification has no +-i eigenvalues, so again (0, 0).
     """
-    block = build_L(spec)
-    if symmetry_defect(block) > tol:
+    if symmetry_defect(build_L(spec)) > tol:
         raise PairError("L is not symmetric within tolerance")
-    lstar = build_Lstar(spec).L
+    lstar = build_Lstar(spec)
     if not lstar.is_linear:
         lstar = OperatorMatrix(realify(lstar), LINEAR)
-    plus = eig_space(lstar, 1j, tol)
-    minus = eig_space(lstar, -1j, tol)
-    return DefectData(plus, minus)
+    return eig_space(lstar, 1j, tol), eig_space(lstar, -1j, tol)
 
 
 def defect_flip(v, split) -> np.ndarray:
@@ -170,7 +135,7 @@ def defect_flip(v, split) -> np.ndarray:
 def is_maximal(spec: SymmetricPairSpec, tol: float = DEFAULT_TOL):
     """Maximality B = A* as (verdict, |A-B*|, |B-A*|), both deviations being
     the check_pair residual; kept because perfbench's metrics name it."""
-    res = check_pair(spec, tol).residual
+    res = check_pair(spec)
     return res < tol, res, res
 
 

@@ -94,18 +94,6 @@ class Report:
             },
         }
 
-    @staticmethod
-    def from_dict(obj: dict) -> "Report":
-        rep = Report()
-        for r in obj["records"]:
-            rep.records.append(
-                Record(
-                    r["suite"], r["check"], r["anchor"],
-                    r["residual"], r["tol"], r["pass"], r.get("message", ""),
-                )
-            )
-        return rep
-
 
 FORMATS = ("json", "csv", "human")
 

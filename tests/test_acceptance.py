@@ -128,7 +128,7 @@ def test_criterion_01_pair_residuals():
     start = time.perf_counter()
     worst = 0.0
     for name, spec in ALL_PAIRS:
-        res = pairs.check_pair(spec).residual
+        res = pairs.check_pair(spec)
         worst = max(worst, res)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 10.0
@@ -140,20 +140,20 @@ def test_criterion_02_block_algebra():
     worst_sym = 0.0
     worst_adj = 0.0
     for name, spec in ALL_PAIRS:
-        res = pairs.check_pair(spec).residual
-        block = pairs.build_L(spec)
-        defect = pairs.symmetry_defect(block)
+        res = pairs.check_pair(spec)
+        L = pairs.build_L(spec)
+        defect = pairs.symmetry_defect(L)
         worst_sym = max(worst_sym, defect - 2.0 * res)
         lstar = pairs.build_Lstar(spec)
-        dev = float(np.max(np.abs(lstar.L.matrix - adjoint(block.L).matrix)))
+        dev = float(np.max(np.abs(lstar.matrix - adjoint(L).matrix)))
         worst_adj = max(worst_adj, dev)
     # deficiency indices vanish on the exact symmetric sections
     defi_ok = True
     for name, spec in ALL_PAIRS:
-        if pairs.check_pair(spec).residual > 1e-12:
+        if pairs.check_pair(spec) > 1e-12:
             continue
-        dd = pairs.deficiency(spec)
-        defi_ok = defi_ok and (dd.n_plus, dd.n_minus) == (0, 0)
+        plus, minus = pairs.deficiency(spec)
+        defi_ok = defi_ok and (len(plus), len(minus)) == (0, 0)
     # the flip maps the positive defect space into the negative one on
     # synthetic non-symmetric probes with exact +-i eigenvectors
     worst_flip = 0.0
@@ -165,7 +165,7 @@ def test_criterion_02_block_algebra():
         probe = pairs.SymmetricPairSpec(
             OperatorMatrix(A), OperatorMatrix(-A.conj().T)
         )
-        lstar = pairs.build_Lstar(probe).L
+        lstar = pairs.build_Lstar(probe)
         for v in eig_space(lstar, 1j, 1e-9):
             out = pairs.defect_flip(v, (probe.dim_h1, probe.dim_h2))
             worst_flip = max(
@@ -313,7 +313,7 @@ def test_criterion_06_modular_suite():
         md.S.matrix - Mj @ np.conj(sqrt_psd(md.Delta).matrix)
     )))
     jmj = modular.check_commutation(md.J, sf.alg, comm)
-    flow = modular.modular_flow_check(md.Delta, sf.alg, [0.5, 1.0, math.pi])
+    flow = modular.modular_flow_check(md.eig, sf.alg, [0.5, 1.0, math.pi])
     adj_dev = float(np.max(np.abs(adjoint(md.F).matrix - md.S.matrix)))
     # tracial state: Delta is the identity and J is the adjoint map
     sft = modular.standard_form(2, modular.tracial_rho(2))
@@ -343,7 +343,7 @@ def test_criterion_07_network_identities():
         for x in net.vertices:
             dx = net.delta(x)
             worst = max(worst, abs(
-                network.energy(dx, dx) - net.net_conductance(x)
+                network.energy(dx, dx) - net.cond[net.index[x]].sum()
             ))
         kernels = {x: network.energy_kernel(net, x)
                    for x in net.vertices if x != net.origin}
@@ -400,7 +400,7 @@ def test_criterion_09_royden_harmonic():
     v1 = network.energy_kernel(net, 1)
     _, _, c_v1 = network.royden_project(v1, h)
     worst_pair = max(
-        network.lemma520_check(net, x, h) for x in (1, -5, 10, W - 1)
+        network.lemma_dual_pairing(net, x, h) for x in (1, -5, 10, W - 1)
     )
     ok = (worst_energy < 1e-12 and abs(c_delta) < 1e-12
           and abs(c_v1 - 0.25) < 1e-10 and worst_pair < 1e-14)

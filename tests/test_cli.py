@@ -40,8 +40,10 @@ def test_emit_json_round_trip():
     rep.records.append(make_record("pair", "identity", "x", 3e-12, 1e-10))
     rep.records.append(make_record("net", "kernel", "y", 2.0, 1e-10,
                                    message="note"))
-    back = Report.from_dict(json.loads(emit(rep, "json")))
-    assert back.records == rep.records
+    back = [Record(r["suite"], r["check"], r["anchor"], r["residual"],
+                   r["tol"], r["pass"], r["message"])
+            for r in json.loads(emit(rep, "json"))["records"]]
+    assert back == rep.records
 
 
 def test_emit_rejects_unknown_format():

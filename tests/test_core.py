@@ -10,7 +10,6 @@ from sympairs.core import (
     cayley,
     compose,
     eig_space,
-    identity,
     polar_decompose,
     realify,
     spectrum,
@@ -68,7 +67,7 @@ def test_json_round_trip():
 
 
 def test_adjoint_identity_is_identity():
-    T = identity(3)
+    T = OperatorMatrix(np.eye(3))
     assert np.array_equal(adjoint(T).matrix, np.eye(3))
 
 
@@ -204,7 +203,7 @@ def test_spectrum_reconstruction():
 
 
 def test_sqrt_psd_examples():
-    assert np.allclose(sqrt_psd(identity(3)).matrix, np.eye(3))
+    assert np.allclose(sqrt_psd(OperatorMatrix(np.eye(3))).matrix, np.eye(3))
     assert np.allclose(
         sqrt_psd(OperatorMatrix(np.diag([4.0, 9.0]))).matrix,
         np.diag([2.0, 3.0]),
@@ -246,7 +245,8 @@ def test_cayley_rejects_non_symmetric():
 
 
 def test_unitary_power_examples():
-    assert np.allclose(unitary_power(identity(3), 2.5).matrix, np.eye(3))
+    assert np.allclose(unitary_power(OperatorMatrix(np.eye(3)), 2.5).matrix,
+                       np.eye(3))
     assert np.allclose(
         unitary_power(OperatorMatrix(np.diag([4.0])), 0.0).matrix, [[1.0]]
     )
@@ -262,7 +262,7 @@ def test_unitary_power_rejects_nonpositive():
 
 def test_eig_space_kernel_examples():
     # lam = 0 gives the kernel, with the threshold still relative to |T|
-    assert eig_space(identity(4), 0.0) == []
+    assert eig_space(OperatorMatrix(np.eye(4)), 0.0) == []
     basis = eig_space(OperatorMatrix(np.zeros((3, 3))), 0.0)
     assert len(basis) == 3
     basis = eig_space(OperatorMatrix(np.array([[1.0, 1.0], [1.0, 1.0]])), 0.0)
@@ -273,7 +273,7 @@ def test_eig_space_kernel_examples():
 
 
 def test_eig_space_examples():
-    assert len(eig_space(identity(3), 1.0)) == 3
+    assert len(eig_space(OperatorMatrix(np.eye(3)), 1.0)) == 3
     basis = eig_space(OperatorMatrix(np.diag([1j, -1j])), 1j)
     assert len(basis) == 1
     assert np.max(np.abs(basis[0] - np.array([1.0, 0.0]))) < 1e-12

@@ -21,7 +21,6 @@ from sympairs.network import (
     geometric_halfline,
     harmonic_flux,
     laplacian,
-    lemma520_check,
     lemma_dual_pairing,
     pair_K_Delta_check,
     parse_graph,
@@ -51,7 +50,7 @@ def test_parse_graph_examples():
     net = path3()
     assert net.vertices == ("a", "b", "c")
     assert net.origin == "a"
-    assert net.net_conductance("b") == 2.0
+    assert net.cond[net.index["b"]].sum() == 2.0
     # origin defaults to the first vertex mentioned
     net = parse_graph("x y 0.5\n")
     assert net.origin == "x"
@@ -259,7 +258,6 @@ def test_lemma_dual_pairing_examples():
     for x in (1, 2):
         expect = abs(lap[net.index[x]] - lap[net.index[0]])
         assert abs(lemma_dual_pairing(net, x, d) - expect) < 1e-12
-    assert lemma520_check is lemma_dual_pairing
 
 
 def test_twosided_window_network_shape():
@@ -541,6 +539,66 @@ def test_suite_network_300_vertices():
     recs = suite_network(net)
     assert len(recs) == 5
     assert all(r.passed and r.residual < 1e-12 for r in recs)
+
+
+def scan_networks():
+    """(name, scale, edges) on vertices 0..n-1: unit paths, whose rounding
+    grows with n max|K| = n^2, and random graphs with conductances scaled
+    by ``scale``."""
+    for n in (200, 1000):
+        yield f"path{n}", 1.0, [(i, i + 1, 1.0) for i in range(n - 1)]
+    for n in (60, 300):
+        edges = tree_plus_chords(np.random.default_rng(n), n, n // 2)
+        for s in (1e-6, 1.0, 1e6):
+            yield f"random{n}x{s:g}", s, [(i, j, s * c) for i, j, c in edges]
+
+
+def network_of(edges):
+    return FiniteNetwork(range(max(j for _, j, _ in edges) + 1), edges, 0)
+
+
+SCAN = [pytest.param(s, edges, id=name) for name, s, edges in scan_networks()]
+
+
+@pytest.mark.parametrize("scale, edges", SCAN)
+def test_network_scan_every_record_passes(scale, edges):
+    # absolute tolerances failed true identities: the 1000-vertex path and
+    # the 1e-6 scale (reproducing property), the 1e6 scale (Dirac energy)
+    recs = suite_network(network_of(edges))
+    assert all(r.passed for r in recs), [(r.check, r.residual, r.tol)
+                                         for r in recs]
+
+
+@pytest.mark.parametrize("scale, edges", SCAN)
+def test_network_scan_kernel_column_mutation_fails(scale, edges):
+    net = network_of(edges)
+    K = net.kernel_matrix.copy()
+    K[:, np.argmax(np.abs(K).max(axis=0))] *= 1 + 1e-6
+    K.setflags(write=False)
+    net.__dict__["kernel_matrix"] = K  # the cached solve, one column off
+    recs = {r.check: r for r in suite_network(net)}
+    assert not recs["reproducing_property"].passed
+
+
+# below scale 1, 1e-9 c(x) is under the 1e-12 floor of the Dirac energy
+@pytest.mark.parametrize("scale, edges", [p for p in SCAN
+                                          if p.values[0] >= 1.0])
+def test_network_scan_conductance_row_mutation_fails(scale, edges):
+    net = network_of(edges)
+    net.laplacian_kernel, net.kernel_delta_gram  # solved from the true cond
+    cond = net.cond.copy()
+    cond[np.argmax(cond.sum(axis=1))] *= 1 + 1e-9  # c(x) off by 1e-9
+    object.__setattr__(net, "cond", cond)
+    recs = {r.check: r for r in suite_network(net)}
+    assert not recs["dirac_energy"].passed
+
+
+@pytest.mark.parametrize("expect", [5, "converges"])
+def test_unknown_defect_expect_is_a_suite_error(expect):
+    [rec] = run_suite({"suites": [{"kind": "defect",
+                                   "params": {"expect": expect}}]}).records
+    assert rec.check == "suite_error" and not rec.passed
+    assert "'expect'" in rec.message
 
 
 def residual_oracle(seq, psi, nmax):
