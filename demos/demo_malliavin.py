@@ -14,10 +14,8 @@ from sympairs import (
     exp_vector,
     gaussian_expectation,
     h1_inner,
-    h2_inner,
     mult_phi,
     number_operator,
-    zero_vector,
 )
 
 

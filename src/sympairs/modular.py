@@ -9,6 +9,7 @@ conjugate-linear involution with no quadrature.
 
 A *-algebra is held as its orthonormal basis (trace inner product), a
 read-only complex (k, m, m) stack: M of the standard form, M' and M''.
+Those three depend on n alone and are built once per n per process.
 
 Conjugate-linear compositions go through the tag algebra of the core
 module (two conjugations cancel); realification is used only for the
@@ -17,6 +18,7 @@ conjugate-linear eigenproblem at the end.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,13 +206,18 @@ class StandardForm:
     n: int
     rho: np.ndarray
     xi: np.ndarray
-    alg: np.ndarray  # orthonormal basis E_ij (x) 1 / sqrt(n), read-only
+    # read-only orthonormal bases, shared by every standard form at this n
+    alg: np.ndarray  # M: E_ij (x) 1 / sqrt(n)
+    comm: np.ndarray  # M' = commutant(alg)
+    comm2: np.ndarray  # M'' = commutant(comm)
 
 
-#: largest n accepted.  suite_modular takes about 3 ms at n = 3, 10 ms at
-#: n = 4 and 33 ms at n = 5 (one BLAS thread); a larger n needs a byte
-#: preflight for the n^8-entry (k, k, m, m) commutator stack of
-#: check_sxs_commutes.
+#: largest n accepted, and so the most entries _algebras caches.
+#: M, M' and M'' are built once per n per process: suite_modular takes
+#: about 3.5 ms at n = 3 and 40 ms at n = 5 on a first call, and 1.5 ms
+#: and 15 ms on later calls at the same n (one BLAS thread); a larger n
+#: needs a byte preflight for the n^8-entry (k, k, m, m) commutator
+#: stack of check_sxs_commutes.
 MAX_N = 5
 
 
@@ -219,15 +226,32 @@ def _check_n(n: int) -> None:
         raise ModularError(f"matrix size n={n} is outside 1..{MAX_N}")
 
 
+@functools.cache
+def _algebras(n: int) -> tuple:
+    """(M, M', M'') of the standard form at n: they do not depend on rho.
+
+    M has the closed-form basis E_ij (x) 1 / sqrt(n)
+    (``|E_ij (x) 1|_F = sqrt(n)``).  commutant is seeded and checks its
+    result, so a cached stack is the one a fresh build would give, and
+    read-only stacks cannot be changed by the callers that share them.
+    """
+    # left multiplications by the matrix units E_ij; with row-major vec,
+    # vec(x a) = (x kron I) vec(a), and (E_ij kron I)[ak, bl] = d_ia d_jb d_kl
+    eye = np.eye(n, dtype=complex)
+    alg = np.einsum("ia,jb,kl->ijakbl", eye, eye, eye / np.sqrt(n))
+    alg = _readonly(alg.reshape((n * n,) * 3))
+    comm = commutant(alg)
+    return alg, comm, commutant(comm)
+
+
 def standard_form(n: int, rho) -> StandardForm:
     """Hilbert-Schmidt standard form of the left-multiplication algebra.
 
-    Ambient space: n x n matrices with trace inner product; algebra: the
-    left multiplications, with the closed-form orthonormal basis
-    E_ij (x) 1 / sqrt(n) (``|E_ij (x) 1|_F = sqrt(n)``); vector:
-    rho^{1/2}.  rho must be Hermitian and positive definite with unit
-    trace, so the vector is both cyclic and separating (``m xi = 0`` for
-    algebra m forces m = 0).
+    Ambient space: n x n matrices with trace inner product; algebra M:
+    the left multiplications, with its commutant M' and M'' (see
+    ``_algebras``); vector: rho^{1/2}.  rho must be Hermitian and
+    positive definite with unit trace, so the vector is both cyclic and
+    separating (``m xi = 0`` for algebra m forces m = 0).
     """
     _check_n(n)
     rho = np.asarray(rho, dtype=complex)
@@ -245,12 +269,7 @@ def standard_form(n: int, rho) -> StandardForm:
             "(some algebra element m != 0 would satisfy m xi = 0)"
         )
     root = (U * np.sqrt(w)) @ U.conj().T
-    xi = root.reshape(-1)
-    # left multiplications by the matrix units E_ij; with row-major vec,
-    # vec(x a) = (x kron I) vec(a), and (E_ij kron I)[ak, bl] = d_ia d_jb d_kl
-    eye = np.eye(n, dtype=complex)
-    alg = np.einsum("ia,jb,kl->ijakbl", eye, eye, eye / np.sqrt(n))
-    return StandardForm(n, rho, xi, _readonly(alg.reshape((n * n,) * 3)))
+    return StandardForm(n, rho, root.reshape(-1), *_algebras(n))
 
 
 def tracial_rho(n: int) -> np.ndarray:
@@ -323,7 +342,6 @@ class ModularData:
     F: OperatorMatrix
     Delta: OperatorMatrix
     J: OperatorMatrix
-    comm: np.ndarray  # orthonormal commutant basis, read-only (k, m, m)
     cond: float  # condition number of the build_S solve
     eig: tuple  # (w, U) of Delta
     root: OperatorMatrix  # Delta^{1/2}
@@ -355,13 +373,12 @@ def modular_J(S: OperatorMatrix, root: OperatorMatrix, w) -> OperatorMatrix:
 
 
 def modular_data(sf: StandardForm, tol: float = DEFAULT_TOL) -> ModularData:
-    comm = commutant(sf.alg)
     S, cond = build_S(sf.alg, sf.xi)
-    F = build_F(comm, sf.xi)
+    F = build_F(sf.comm, sf.xi)
     Delta, eig = _delta_and_spectrum(S, tol)
     root = OperatorMatrix(root_from_spectrum(*eig))
-    return ModularData(sf.xi, S, F, Delta, modular_J(S, root, eig[0]), comm,
-                       cond, eig, root)
+    return ModularData(sf.xi, S, F, Delta, modular_J(S, root, eig[0]), cond,
+                       eig, root)
 
 
 def conjugation_action_matrix(rho) -> np.ndarray:

@@ -25,6 +25,20 @@ from .core import (
 from .report import Record, Report, make_record, verdict_record
 
 
+#: rounding factor of the scaled tolerances: true network identities
+#: reached at most 7.2 eps-scales (graphs to 2,000 vertices, conductances
+#: scaled by 1e-6..1e6), and every perfbench graph (seeds 0-199) keeps its
+#: floors; the J and Delta records reached 1.2 eps cond(Delta) on rotated
+#: density matrices (n = 2..5, cond(rho) up to 1e8)
+ROUNDING = 64
+
+
+def rounding_tol(floor: float, scale: float) -> float:
+    """max(floor, ROUNDING eps scale): a tolerance that grows with the
+    rounding of a computation whose errors scale with ``scale``."""
+    return max(floor, ROUNDING * np.finfo(float).eps * scale)
+
+
 def suite_pair(spec: pairs.SymmetricPairSpec, tol: float = DEFAULT_TOL):
     # |B - A*| once; |A - B*| is its conjugate transpose, same entries
     res = pairs.check_pair(spec)
@@ -90,11 +104,18 @@ def suite_modular(n: int, rho, t_list, tol: float = DEFAULT_TOL):
     md = modular.modular_data(sf, tol)
     S, F, Mj, cond, alg = md.S, md.F, md.J.matrix, md.cond, sf.alg
     eye = np.eye(Mj.shape[0])
-    tol9, tol_j = max(tol, 1e-9), max(tol, 1e-12 * cond + 1e-12)
+    w = md.eig[0]  # cond(Delta) = w[-1] / w[0]: Delta is PSD
+    cond_delta = w[-1] / w[0]
+    tol9 = max(tol, 1e-9)
+    # J = S Delta^{-1/2} and the oracle rho (x) conj(rho^{-1}) carry
+    # rounding of about eps cond(Delta): the J and Delta records scale
+    # their floors with it
+    tol_p, tol_j, tol_d = (rounding_tol(floor, cond_delta) for floor in
+                           (tol, max(tol, 1e-12 * cond + 1e-12), tol9))
     cyc, sep = modular.cyclic_separating(alg, sf.xi)
     # double commutant returns the algebra
-    comm2 = modular.commutant(md.comm)
-    double = modular.span_residual(alg, comm2) + abs(len(comm2) - len(alg))
+    double = (modular.span_residual(alg, sf.comm2)
+              + abs(len(sf.comm2) - len(alg)))
     pair_res = pairs.check_pair(pairs.SymmetricPairSpec(S, F))
     oracle = modular.conjugation_action_matrix(sf.rho)
     checks = [
@@ -105,25 +126,24 @@ def suite_modular(n: int, rho, t_list, tol: float = DEFAULT_TOL):
         ("involution_squares", "Thm 4.10",
          abs(compose(S, S).matrix - eye).max(), max(tol, 1e-9 * cond), ""),
         ("polar_reconstruction", "Eq (4.9)",
-         abs(S.matrix - Mj @ np.conj(md.root.matrix)).max(), tol, ""),
+         abs(S.matrix - Mj @ np.conj(md.root.matrix)).max(), tol_p, ""),
         ("conjugation_isometry", "Remark 2.8",
          abs(Mj.conj().T @ Mj - eye).max(), tol_j, ""),
         ("conjugation_involution", "Eq (4.9)",
          abs(Mj @ np.conj(Mj) - eye).max(), tol_j, ""),
         ("delta_conjugation_oracle", "Eq (4.8)",
-         abs(md.Delta.matrix - oracle).max(), tol9, ""),
+         abs(md.Delta.matrix - oracle).max(), tol_d, ""),
         ("sandwich_commutes", "Eq (4.11)",
          modular.check_sxs_commutes(S, alg), tol9, ""),
         ("conjugation_swaps_commutant", "Thm 4.10",
-         modular.check_commutation(md.J, alg, md.comm), tol9, ""),
+         modular.check_commutation(md.J, alg, sf.comm), tol_d, ""),
     ]
     if t_list:
         # Delta^{it} carries a phase error of about eps |t| cond(Delta);
         # on 300 seeded rho (n = 2..5, cond(rho) up to 1e4, |t| <= 1e3)
         # a true flow reaches at most 1/12 of this tolerance
         flow = modular.modular_flow_check(md.eig, alg, t_list, tol)
-        w = md.eig[0]  # cond(Delta) = w[-1] / w[0]: Delta is PSD
-        flow_tol = max(tol9, 1e-15 * np.max(np.abs(t_list)) * (w[-1] / w[0]))
+        flow_tol = max(tol9, 1e-15 * np.max(np.abs(t_list)) * cond_delta)
         checks.append(("modular_flow", "Eq (4.10)", flow, flow_tol, ""))
     zdim = modular.antilinear_defect_dimension(F, alg, sf.xi)
     checks += [
@@ -132,12 +152,6 @@ def suite_modular(n: int, rho, t_list, tol: float = DEFAULT_TOL):
          f"real_dim={zdim}"),
     ]
     return [make_record("modular", *check) for check in checks]
-
-
-#: rounding factor of the network tolerances: true identities reached at
-#: most 7.2 eps-scales (graphs to 2,000 vertices, conductances scaled by
-#: 1e-6..1e6), and every perfbench graph (seeds 0-199) keeps its floors
-ROUNDING = 64
 
 
 def suite_network(net: network.FiniteNetwork, tol: float = DEFAULT_TOL):
@@ -152,9 +166,9 @@ def suite_network(net: network.FiniteNetwork, tol: float = DEFAULT_TOL):
     tol_k = max(tol, 1e-10)
     # rounding grows with c(x) in the Dirac energies and with n max|K| in
     # the kernel Grams, so each of those tolerances scales from its floor
-    cx, eps = net.cond.sum(axis=1), np.finfo(float).eps
-    tol_d = max(tol, 1e-12, ROUNDING * eps * cx.max())
-    tol_r = max(tol_k, ROUNDING * eps * len(net) * max(1.0, abs(K).max()))
+    cx = net.cond.sum(axis=1)
+    tol_d = rounding_tol(max(tol, 1e-12), cx.max())
+    tol_r = rounding_tol(tol_k, len(net) * max(1.0, abs(K).max()))
     # Lemma 5.15 E(P, K) = LK is the transpose of Thm 5.17's
     # E(K, P) = LK^T, so one residual serves both records
     pair_res = network.pair_K_Delta_check(net)
