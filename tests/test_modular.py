@@ -122,8 +122,7 @@ def test_cyclic_separating_converse():
 def test_build_S_tracial_is_adjoint():
     # for the tracial state S is h -> h^H exactly
     sf = standard_form(2, tracial_rho(2))
-    S, cond = build_S(sf.alg, sf.xi)
-    assert cond < 10.0
+    S = build_S(sf.alg, sf.xi)
     for h in (np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]),
               np.array([[1j, 2.0], [0.5, -1j]])):
         v = h.astype(complex).reshape(-1)
@@ -134,7 +133,7 @@ def test_build_S_tracial_is_adjoint():
 def test_build_S_fixes_xi_and_squares():
     for rho in (tracial_rho(2), np.diag([0.7, 0.3])):
         sf = standard_form(2, rho)
-        S, _ = build_S(sf.alg, sf.xi)
+        S = build_S(sf.alg, sf.xi)
         assert np.max(np.abs(S.apply(sf.xi) - sf.xi)) < 1e-10
         for j in range(4):
             e = np.zeros(4, dtype=complex)
@@ -149,7 +148,7 @@ def test_build_S_matrix_units_diagonal_rho():
     # S must send that to E_ji rho^{1/2}
     rho = np.diag([0.7, 0.3])
     sf = standard_form(2, rho)
-    S, _ = build_S(sf.alg, sf.xi)
+    S = build_S(sf.alg, sf.xi)
     root = np.diag(np.sqrt(np.diag(rho)))
     for i in range(2):
         for j in range(2):
@@ -208,7 +207,8 @@ def test_check_commutation_and_sxs():
         md = modular_data(sf)
         comm = commutant(sf.alg)
         assert check_commutation(md.J, sf.alg, comm) < 1e-9
-        assert check_sxs_commutes(md.S, sf.alg) < 1e-9
+        assert check_sxs_commutes(md.S, sf.alg, comm) < 1e-9
+        assert sxs_oracle(md.S, sf.alg) < 1e-9
 
 
 def test_modular_flow_examples():
@@ -264,25 +264,9 @@ def test_antilinear_defect_dimension_zero():
 def test_build_F_is_S_adjoint():
     sf = standard_form(3, np.diag([0.5, 0.3, 0.2]))
     comm = commutant(sf.alg)
-    S, _ = build_S(sf.alg, sf.xi)
+    S = build_S(sf.alg, sf.xi)
     F = build_F(comm, sf.xi)
     assert np.max(np.abs(adjoint(F).matrix - S.matrix)) < 1e-10
-
-
-def test_only_build_S_pays_for_a_condition_number(monkeypatch):
-    sf = standard_form(3, random_rho(np.random.default_rng(17), 3))
-    comm = commutant(sf.alg)
-    calls = []
-
-    def spy(M, *args, _real=np.linalg.cond, **kwargs):
-        calls.append(M.shape)
-        return _real(M, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "cond", spy)
-    build_F(comm, sf.xi)
-    assert calls == []
-    modular_data(sf)
-    assert calls == [(9, 9)]
 
 
 def test_involutions_refuse_a_singular_solve():
@@ -299,7 +283,7 @@ def test_involutions_refuse_a_singular_solve():
 # ---------------------------------------------------------------------------
 # reference oracles: the Sylvester solves, the SVD closure loop and the
 # per-element loops that commutant, algebra_from_generators, span_residual
-# and check_sxs_commutes replace; algebra_from_generators is itself the
+# and the sandwich checks replace; algebra_from_generators is itself the
 # oracle of the standard form's closed-form basis
 
 
@@ -362,6 +346,8 @@ def span_residual_oracle(x, basis):
 
 
 def sxs_oracle(S, alg):
+    """Worst commutator [S x S, y] over pairs of algebra basis elements:
+    S x S lies in M' iff it commutes with all of M."""
     worst = 0.0
     for x in alg:
         sx = S.matrix @ np.conj(x) @ np.conj(S.matrix)
@@ -586,8 +572,13 @@ def test_batched_checks_match_loop_oracles():
         for b in sf.alg[:3]:
             assert abs(span_residual(b, sf.comm)
                        - span_residual_oracle(b, sf.comm)) <= 1e-12
-        assert abs(check_sxs_commutes(md.S, sf.alg)
-                   - sxs_oracle(md.S, sf.alg)) <= 1e-12
+        # S x S lies in M': a projection onto it, and the commutators
+        # with M on their own path, both read rounding level
+        Ms = md.S.matrix
+        ref = max(span_residual_oracle(Ms @ np.conj(x) @ np.conj(Ms),
+                                       sf.comm) for x in sf.alg)
+        assert abs(check_sxs_commutes(md.S, sf.alg, sf.comm) - ref) <= 1e-12
+        assert sxs_oracle(md.S, sf.alg) <= 1e-12
         Mj = md.J.matrix
         ref = max(span_residual_oracle(Mj @ np.conj(x) @ np.conj(Mj),
                                        sf.comm) for x in sf.alg)
@@ -602,8 +593,12 @@ def test_standard_form_carries_commutants_and_modular_data_cond():
         projector(commutant(sf.alg)), abs=1e-12)
     assert projector(sf.comm2) == pytest.approx(projector(sf.alg), abs=1e-12)
     md = modular_data(sf)
-    S, cond = build_S(sf.alg, sf.xi)
-    assert md.cond == cond and np.array_equal(md.S.matrix, S.matrix)
+    assert np.array_equal(md.S.matrix, build_S(sf.alg, sf.xi).matrix)
+    # the solve's span matrix is (1 (x) xi^T) / sqrt(n): its condition
+    # number is cond(Delta)^{1/4}, read from Delta's eigenvalues
+    w = md.eig[0]
+    assert (w[-1] / w[0]) ** 0.25 == pytest.approx(
+        np.linalg.cond((sf.alg @ sf.xi).T), rel=1e-12)
 
 
 @pytest.mark.parametrize("n, rho", [
@@ -918,3 +913,133 @@ def test_j_and_delta_records_keep_floors_and_catch_mutations(monkeypatch):
     recs = {r.check: r for r in suite_modular(3, rho, [0.5])}
     for name in (*J_RECORDS, *DELTA_RECORDS):
         assert not recs[name].passed, recs[name]
+
+
+# ---------------------------------------------------------------------------
+# one sandwich check: S x S and J x J are both projections onto M'
+
+
+def perturbed(rel, seed, size):
+    """1 + E for a seeded random E of spectral norm ``rel``."""
+    E = np.random.default_rng(seed).normal(size=(size, size))
+    return np.eye(size) + rel * E / np.linalg.norm(E, 2)
+
+
+def test_sandwich_check_catches_a_perturbed_S(monkeypatch):
+    rho = rotated_rho(np.random.default_rng(36), 3, 3.0)
+    sf = standard_form(3, rho)
+    S = modular_data(sf).S
+    good = {r.check: r for r in suite_modular(3, rho, [0.5])}
+    assert good["sandwich_commutes"].passed
+    # S off by 1e-8 relative is no involution of the standard form
+    bad = OperatorMatrix(S.matrix @ perturbed(1e-8, 37, 9), CONJUGATE)
+    monkeypatch.setattr(modular, "build_S", lambda *a: bad)
+    [rec] = [r for r in suite_modular(3, rho, [0.5])
+             if r.check == "sandwich_commutes"]
+    assert not rec.passed and rec.residual > 5 * rec.tol, rec
+    # the all-pairs commutators, on their own path, read rounding level
+    # on the true S and flag the perturbed one
+    assert sxs_oracle(S, sf.alg) <= 1e-14
+    assert sxs_oracle(bad, sf.alg) > 1e-9
+
+
+def test_suite_modular_takes_no_span_matrix_svd(monkeypatch):
+    # the solve's conditioning is cond(Delta)^{1/4}, from Delta's one eigh
+    rho = random_rho(np.random.default_rng(17), 3)
+    sf = standard_form(3, rho)
+    span = (sf.alg @ sf.xi).T
+    calls = []
+    for name in ("cond", "svd"):
+        def spy(a, *args, _real=getattr(np.linalg, name), _name=name,
+                **kwargs):
+            calls.append(_name if _name == "cond" or np.array_equal(
+                np.asarray(a), span) else None)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+        monkeypatch.setattr(LINALG_IMPL, name, spy)
+    recs = {r.check: r for r in suite_modular(3, rho, [0.5])}
+    assert [c for c in calls if c] == []
+    w = modular_data(sf).eig[0]
+    assert recs["pair_identity"].message == \
+        f"solve_cond={(w[-1] / w[0]) ** 0.25:.1e}"
+
+
+def test_warm_suite_modular_allocates_no_all_pairs_stack():
+    # at n = 5 the (k, k, m, m) commutator stack alone took 6.25 MB
+    import tracemalloc
+
+    rho = random_rho(np.random.default_rng(38), 5)
+    suite_modular(5, rho, [0.5])  # fills the per-n cache
+    tracemalloc.start()
+    try:
+        suite_modular(5, rho, [0.5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+
+
+# ---------------------------------------------------------------------------
+# the pair records scale with cond(rho); past MAX_COND_RHO rho is refused
+
+
+def test_every_record_passes_on_rotated_rho_up_to_1e6():
+    # fixed tolerances failed pair_identity and maximality from
+    # cond(rho) = 1e6; S and F carry rounding of about eps cond(rho)
+    rng = np.random.default_rng(39)
+    for n in (2, 3, 4, 5):
+        for cond in (1.0, 1e2, 1e4, 1e6):
+            for _ in range(3):
+                recs = suite_modular(n, rotated_rho(rng, n, cond), [0.5, 10.0])
+                assert all(r.passed for r in recs), \
+                    (n, cond, [r for r in recs if not r.passed])
+
+
+def test_pair_records_pass_on_the_diagonal_ill_conditioned_example():
+    # 1.1e-10 against a fixed 1e-10 before the tolerance scaled
+    recs = {r.check: r for r in suite_modular(2, np.diag([1 - 1e-6, 1e-6]),
+                                              [0.5])}
+    for name in ("pair_identity", "maximality"):
+        assert recs[name].passed and recs[name].tol > 1e-10, recs[name]
+
+
+def test_pair_records_keep_floor_and_catch_a_perturbed_F(monkeypatch):
+    rho = rotated_rho(np.random.default_rng(36), 3, 3.0)
+    recs = {r.check: r for r in suite_modular(3, rho, [0.5])}
+    for name in ("pair_identity", "maximality"):
+        assert recs[name].passed and recs[name].tol == 1e-10, recs[name]
+    # F off by 1e-8 relative is not the adjoint of S
+    real = modular.build_F
+    monkeypatch.setattr(modular, "build_F", lambda *a: OperatorMatrix(
+        real(*a).matrix @ perturbed(1e-8, 40, 9), CONJUGATE))
+    recs = {r.check: r for r in suite_modular(3, rho, [0.5])}
+    for name in ("pair_identity", "maximality"):
+        assert not recs[name].passed, recs[name]
+
+
+def test_ill_conditioned_rho_refused():
+    assert 1e6 < modular.MAX_COND_RHO < 1e8
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 4, 5):
+        with pytest.raises(ModularError, match=r"ill-conditioned rho: "
+                           r"cond\(rho\) = 1\.0e\+08") as info:
+            suite_modular(n, rotated_rho(rng, n, 1e8), [0.5])
+        assert "\n" not in str(info.value)
+    # the bound is on cond(rho) itself: the eigenvalues' ratio just inside
+    # is admitted, just outside refused
+    inside = modular.MAX_COND_RHO * (1 - 1e-9)
+    standard_form(2, np.diag([inside, 1.0]) / (inside + 1))
+    outside = modular.MAX_COND_RHO * (1 + 1e-9)
+    with pytest.raises(ModularError, match="ill-conditioned"):
+        standard_form(2, np.diag([outside, 1.0]) / (outside + 1))
+
+
+def test_cli_refuses_ill_conditioned_rho(tmp_path, capsys):
+    from sympairs import cli
+
+    path = tmp_path / "rho.json"
+    path.write_text("[[0.99999999, 0], [0, 1e-8]]")
+    assert cli.main(["check", "modular", "--rho", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "ill-conditioned rho" in err and err.count("\n") == 1, err
