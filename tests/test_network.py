@@ -323,7 +323,7 @@ def construction_oracle(vertices, edges, origin):
         if cond[i, j]:
             raise NetworkError(f"edge ({x!r}, {y!r}) given twice")
         cond[i, j] = cond[j, i] = c
-    if n > 1 and np.any(cond.sum(axis=1) == 0):
+    if n > 1 and not cond.any(axis=1).all():  # a row sum may overflow
         raise NetworkError("isolated vertex (zero net conductance)")
     seen, stack = {0}, [0]
     while stack:
@@ -374,6 +374,8 @@ def edge_lists(draw):
 @example((["a", "b"], [("a", "zz", 1.0)], "a"))
 @example((["a", "b"], [("a", "b", float("nan"))], "a"))
 @example((["a"], [], "a"))
+@example((["a", "b", "c"], [("a", "b", np.finfo(float).max),
+                            ("a", "c", 1e300)], "a"))  # row sum overflows
 def test_construction_matches_per_edge_oracle(graph):
     vertices, edges, origin = graph
     try:
