@@ -221,10 +221,10 @@ class StandardForm:
 #: (k, k, m, m) commutator array: a larger n needs a byte preflight.
 MAX_N = 5
 
-#: largest cond(rho) accepted.  On rotated rho (n = 2..5, 160 draws per
-#: cond) the sandwich residual grows like eps cond(rho) against a fixed
-#: tolerance: it reached 0.24 of it at cond(rho) = 2e6 and failed 3 true
-#: identities at 1e7; at 1e8 the defect rank flips to real dimension 1.
+#: largest cond(rho) accepted.  No tolerance binds: on rotated rho (n =
+#: 2..5, 160 draws per cond) every record passed up to cond(rho) = 5e7.
+#: At 1e8 the defect rank flips to real dimension 1 in half the draws and
+#: Delta can come out singular; the bound keeps a factor 50 below that.
 MAX_COND_RHO = 2e6
 
 
@@ -396,10 +396,10 @@ def check_sxs_commutes(S: OperatorMatrix, alg: np.ndarray,
 
 
 #: largest |t| accepted by modular_flow_check.  The flow residual grows
-#: with |t| cond(Delta), and suite_modular's tolerance
-#: max(tol, 1e-9, 1e-15 |t| cond(Delta)) was measured for |t| <= 1e3
-#: only: for the tracial rho at n = 2 the residual is 1.08e-15 |t|, so
-#: a true identity would fail from |t| = 1e6 on.
+#: like eps |t| cond(Delta), and so does suite_modular's tolerance: on
+#: rotated rho (n = 2..5, cond(rho) up to 1e6) a true flow stayed below
+#: 0.09 of it for |t| from 1 to 1e12.  So the bound keeps no true flow
+#: passing; it caps how far a large |t| loosens the record.
 MAX_FLOW_T = 1e3
 
 

@@ -30,13 +30,11 @@ class Record:
     message: str = ""
 
 
-def make_record(suite, check, anchor, residual, tol, message="",
-                passed=None) -> Record:
+def make_record(suite, check, anchor, residual, tol, message="") -> Record:
+    """A record that passes iff its residual is at most its tolerance."""
     residual = canon_float(residual)
     tol = canon_float(tol)
-    if passed is None:
-        passed = residual <= tol
-    return Record(suite, check, anchor, residual, tol, bool(passed), message)
+    return Record(suite, check, anchor, residual, tol, residual <= tol, message)
 
 
 def verdict_record(suite, check, anchor, verdict, expected=None,

@@ -268,7 +268,7 @@ def test_integral_size_accepted_in_any_form(tmp_path, capsys, N):
 
 
 @pytest.mark.parametrize("kind, flags, params, code", [
-    ("defect", [], {}, 0),  # the recurrence floors its tolerance at 1e-12
+    ("defect", [], {}, 0),  # the relative residual is within 64 eps
     ("malliavin", ["--d", "1", "--N", "3"], {"d": 1, "N": 3}, 1),
 ])
 def test_tol_zero_same_from_every_door(tmp_path, capsys, monkeypatch, kind,

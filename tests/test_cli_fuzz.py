@@ -14,7 +14,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sympairs import chaos, cli, modular, network
@@ -220,6 +220,11 @@ def run_cli(argv, files, oversized):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cli_cases())
+# tolerance scales past the float range: n max|K| and max c(x) max|K|
+@example(case=(["run", "-c", "cfg.json"], {"cfg.json": {"suites": [
+    {"kind": "network", "params": {"graph": "a b 1e-308\n"}},
+    {"kind": "network", "params": {"graph": "a b 1e300\nb c 1e-300\n"}},
+]}}, False))
 def test_cli_never_tracebacks(case):
     argv, files, oversized = case
     code, out, err = run_cli(argv, files, oversized)

@@ -12,6 +12,7 @@ import sympairs
 from sympairs import modular, suites
 from sympairs.core import (
     CONJUGATE,
+    DEFAULT_TOL,
     OperatorMatrix,
     adjoint,
     power_from_spectrum,
@@ -643,12 +644,14 @@ def ill_conditioned_rho(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("t", [100.0, 1000.0])
 def test_modular_flow_tolerance_scales_with_t_and_cond(monkeypatch, seed, t):
-    # a true flow reaches 5.4e-8 at t = 1000 (seed 0): past a fixed 1e-9
+    # a true flow reaches about 5e-8 at t = 1000 (seed 0): past a fixed 1e-9
     rho = ill_conditioned_rho(seed)
     recs = suite_modular(2, rho, [t])
     assert all(r.passed for r in recs), [(r.check, r.residual) for r in recs]
     [flow] = [r for r in recs if r.check == "modular_flow"]
-    assert flow.tol == pytest.approx(1e-15 * t * 0.999**2 / 0.001**2)
+    # scale max(1, |t|) cond(Delta)
+    assert flow.tol == pytest.approx(suites.rounding_tol(
+        DEFAULT_TOL, t * 0.999**2 / 0.001**2))
     # a flow of Delta + eps E is no modular flow; its record fails
     E = np.random.default_rng(99).normal(size=(4, 4))
     E = OperatorMatrix(1e-8 * (E + E.T) / np.linalg.norm(E + E.T, 2))
@@ -660,7 +663,7 @@ def test_modular_flow_tolerance_scales_with_t_and_cond(monkeypatch, seed, t):
         modular.spectrum(D, return_vectors=True), *a))
     [bad] = [r for r in suite_modular(2, rho, [t])
              if r.check == "modular_flow"]
-    assert not bad.passed and bad.residual > 10 * bad.tol
+    assert not bad.passed and bad.residual > 4 * bad.tol
 
 
 def test_suite_modular_n4_passes():
@@ -859,12 +862,15 @@ def rotated_rho(rng, n, cond):
     return (U * (w / w.sum())) @ U.conj().T
 
 
-#: the records of J and Delta, whose tolerances scale with cond(Delta),
-#: and the floor each keeps at a well-conditioned rho
-J_RECORDS = {"polar_reconstruction": 1e-10, "conjugation_isometry": 1e-10,
-             "conjugation_involution": 1e-10,
-             "conjugation_swaps_commutant": 1e-9}
-DELTA_RECORDS = {"delta_conjugation_oracle": 1e-9}
+#: the records of J and Delta, whose tolerances scale with cond(Delta)
+J_RECORDS = ("polar_reconstruction", "conjugation_isometry",
+             "conjugation_involution", "conjugation_swaps_commutant")
+DELTA_RECORDS = ("delta_conjugation_oracle",)
+
+
+def cond_delta(rho):
+    w = modular_data(standard_form(len(rho), rho)).eig[0]
+    return w[-1] / w[0]
 
 
 def test_rounding_tol():
@@ -892,15 +898,21 @@ def test_j_records_pass_on_the_rotated_ill_conditioned_example():
     U = np.array([[0.8, -0.6], [0.6, 0.8]])
     rho = U @ np.diag([1.0, 1e-4]) @ U.T / (1 + 1e-4)
     recs = {r.check: r for r in suite_modular(2, rho, [0.5, 1.0])}
-    for name, floor in {**J_RECORDS, **DELTA_RECORDS}.items():
-        assert recs[name].passed and recs[name].tol > floor, recs[name]
+    tol = canon_float(suites.rounding_tol(DEFAULT_TOL, cond_delta(rho)))
+    for name in (*J_RECORDS, *DELTA_RECORDS):
+        assert recs[name].passed and recs[name].tol == tol > DEFAULT_TOL, \
+            recs[name]
 
 
 def test_j_and_delta_records_keep_floors_and_catch_mutations(monkeypatch):
     rho = rotated_rho(np.random.default_rng(36), 3, 3.0)
-    recs = {r.check: r for r in suite_modular(3, rho, [0.5])}
-    for name, floor in {**J_RECORDS, **DELTA_RECORDS}.items():
-        assert recs[name].passed and recs[name].tol == floor, recs[name]
+    # the floor is --tol; at 1e-13 the rounding allowance of cond(Delta) = 9
+    # lies above it
+    for tol in (DEFAULT_TOL, 1e-13):
+        recs = {r.check: r for r in suite_modular(3, rho, [0.5], tol)}
+        expect = canon_float(suites.rounding_tol(tol, cond_delta(rho)))
+        for name in (*J_RECORDS, *DELTA_RECORDS):
+            assert recs[name].passed and recs[name].tol == expect, recs[name]
     # J off by 1e-8 relative is no modular conjugation
     E = np.random.default_rng(37).normal(size=(9, 9))
     E = 1e-8 * E / np.linalg.norm(E, 2)
@@ -986,14 +998,60 @@ def test_warm_suite_modular_allocates_no_all_pairs_stack():
 
 def test_every_record_passes_on_rotated_rho_up_to_1e6():
     # fixed tolerances failed pair_identity and maximality from
-    # cond(rho) = 1e6; S and F carry rounding of about eps cond(rho)
+    # cond(rho) = 1e6; S and F carry rounding of about eps cond(rho).
+    # With --tol as the floor, true identities pass at a tight tol too.
     rng = np.random.default_rng(39)
     for n in (2, 3, 4, 5):
         for cond in (1.0, 1e2, 1e4, 1e6):
             for _ in range(3):
-                recs = suite_modular(n, rotated_rho(rng, n, cond), [0.5, 10.0])
-                assert all(r.passed for r in recs), \
-                    (n, cond, [r for r in recs if not r.passed])
+                rho = rotated_rho(rng, n, cond)
+                for tol in (DEFAULT_TOL, 1e-13):
+                    recs = suite_modular(n, rho, [0.5, 10.0, MAX_FLOW_T], tol)
+                    assert all(r.passed for r in recs), \
+                        (n, cond, tol, [r for r in recs if not r.passed])
+
+
+def hermitian_perturbed(M, rel, seed):
+    """M + E for a seeded random Hermitian E of spectral norm rel |M|."""
+    rng = np.random.default_rng(seed)
+    E = rng.normal(size=M.shape) + 1j * rng.normal(size=M.shape)
+    E = E + E.conj().T
+    return M + rel * np.linalg.norm(M, 2) * E / np.linalg.norm(E, 2)
+
+
+@pytest.mark.parametrize("target, records", [
+    ("S", ["sandwich_commutes"]),
+    ("J", ["conjugation_isometry", "conjugation_swaps_commutant"]),
+    ("Delta", ["delta_conjugation_oracle"]),
+    ("flow", ["modular_flow"]),
+])
+def test_tight_tol_catches_an_error_of_1e_11_relative(monkeypatch, target,
+                                                       records):
+    # at --tol 1e-13 on a well-conditioned rho every rounding allowance
+    # lies below 1e-12; the fixed 1e-9 floors of sandwich_commutes,
+    # conjugation_swaps_commutant, the Delta oracle and the flow admitted
+    # each of these errors
+    rho, t_list = rotated_rho(np.random.default_rng(36), 3, 3.0), [0.5, 3.0]
+    assert all(r.passed for r in suite_modular(3, rho, t_list, 1e-13))
+    if target in ("S", "J"):
+        name = "build_S" if target == "S" else "modular_J"
+        real = getattr(modular, name)
+        monkeypatch.setattr(modular, name, lambda *a: OperatorMatrix(
+            real(*a).matrix @ perturbed(1e-11, 37, 9), CONJUGATE))
+    else:
+        real = modular.modular_data
+
+        def data(*a):  # Delta itself, or the eigendecomposition the flow uses
+            md = real(*a)
+            D = hermitian_perturbed(md.Delta.matrix, 1e-11, 37)
+            if target == "Delta":
+                return replace(md, Delta=OperatorMatrix(D))
+            return replace(md, eig=np.linalg.eigh(D))
+
+        monkeypatch.setattr(modular, "modular_data", data)
+    recs = {r.check: r for r in suite_modular(3, rho, t_list, 1e-13)}
+    for name in records:
+        assert not recs[name].passed, recs[name]
 
 
 def test_pair_records_pass_on_the_diagonal_ill_conditioned_example():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sympairs.core import DEFAULT_TOL
 from sympairs.network import (
     CONVERGES,
     DIVERGES,
@@ -565,10 +566,13 @@ SCAN = [pytest.param(s, edges, id=name) for name, s, edges in scan_networks()]
 @pytest.mark.parametrize("scale, edges", SCAN)
 def test_network_scan_every_record_passes(scale, edges):
     # absolute tolerances failed true identities: the 1000-vertex path and
-    # the 1e-6 scale (reproducing property), the 1e6 scale (Dirac energy)
-    recs = suite_network(network_of(edges))
-    assert all(r.passed for r in recs), [(r.check, r.residual, r.tol)
-                                         for r in recs]
+    # the 1e-6 scale (reproducing property), the 1e6 scale (Dirac energy);
+    # with --tol as the floor they pass at a tight tol too
+    net = network_of(edges)
+    for tol in (DEFAULT_TOL, 1e-13):
+        recs = suite_network(net, tol)
+        assert all(r.passed for r in recs), [(tol, r.check, r.residual, r.tol)
+                                             for r in recs]
 
 
 @pytest.mark.parametrize("scale, edges", SCAN)
@@ -582,17 +586,41 @@ def test_network_scan_kernel_column_mutation_fails(scale, edges):
     assert not recs["reproducing_property"].passed
 
 
-# below scale 1, 1e-9 c(x) is under the 1e-12 floor of the Dirac energy
-@pytest.mark.parametrize("scale, edges", [p for p in SCAN
-                                          if p.values[0] >= 1.0])
+@pytest.mark.parametrize("scale, edges", SCAN)
 def test_network_scan_conductance_row_mutation_fails(scale, edges):
+    # at scale 1e-6, 1e-9 c(x) is about 1e-15: no floor above --tol hides it
     net = network_of(edges)
     net.laplacian_kernel, net.kernel_delta_gram  # solved from the true cond
     cond = net.cond.copy()
     cond[np.argmax(cond.sum(axis=1))] *= 1 + 1e-9  # c(x) off by 1e-9
     object.__setattr__(net, "cond", cond)
-    recs = {r.check: r for r in suite_network(net)}
+    recs = {r.check: r for r in suite_network(net, 1e-16)}
     assert not recs["dirac_energy"].passed
+
+
+@pytest.mark.parametrize("target", ["K", "c"])
+def test_tight_tol_catches_an_error_of_1e_11_relative(target):
+    # 20 vertices, conductances in [1e-3, 2e-2]: max c(x) max|K| = 12, so at
+    # --tol 1e-13 the allowances lie below 2e-13, while the fixed floors
+    # (1e-10 for K, 1e-12 for c(x) <= 0.05) admitted these errors
+    edges = [(i, j, 0.01 * c) for i, j, c in
+             tree_plus_chords(np.random.default_rng(20), 20, 10)]
+    assert all(r.passed for r in suite_network(network_of(edges), 1e-13))
+    net = network_of(edges)
+    if target == "K":  # Delta K from one kernel column off by 1e-11
+        K = net.kernel_matrix.copy()
+        K[:, np.argmax(np.abs(K).max(axis=0))] *= 1 + 1e-11
+        K.setflags(write=False)
+        net.__dict__["kernel_matrix"] = K
+        record = "kernel_laplacian"
+    else:  # c(x) off by 1e-11, after every solve
+        net.laplacian_kernel, net.kernel_delta_gram
+        cond = net.cond.copy()
+        cond[np.argmax(cond.sum(axis=1))] *= 1 + 1e-11
+        object.__setattr__(net, "cond", cond)
+        record = "dirac_energy"
+    recs = {r.check: r for r in suite_network(net, 1e-13)}
+    assert not recs[record].passed, recs[record]
 
 
 @pytest.mark.parametrize("expect", [5, "converges"])

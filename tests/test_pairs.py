@@ -239,9 +239,23 @@ def test_suite_pair_records_carry_one_adjoint_deviation(pair):
     recs = {r.check: r for r in suite_pair(spec, 1e-10)}
     for check in ("pair_identity", "block_symmetry", "maximality"):
         assert recs[check].residual == canon_float(dev), check
-    assert recs["pair_identity"].passed == (canon_float(dev) <= 1e-10)
+        assert recs[check].passed == (canon_float(dev) <= 1e-10), check
     assert recs["maximality"].message == f"|A-B*|={dev:.3e} |B-A*|={dev:.3e}"
     assert recs["block_adjoint"].residual == 0.0
+
+
+def test_suite_pair_one_entry_off_fails_three_records():
+    # one pass rule: each record passes iff its residual <= tol, so a broken
+    # pair fails the pair identity, the block symmetry and maximality alike
+    spec = hermite_sections(3)
+    B = spec.B.matrix.copy()
+    B[0, 1] += 1e-6
+    bad = SymmetricPairSpec(spec.A, OperatorMatrix(B, spec.linearity))
+    for pair, ok in ((spec, True), (bad, False)):
+        recs = {r.check: r for r in suite_pair(pair, DEFAULT_TOL)}
+        for check in ("pair_identity", "block_symmetry", "maximality"):
+            assert recs[check].passed == ok, recs[check]
+        assert recs["block_adjoint"].passed, recs["block_adjoint"]
 
 
 def test_pair_from_json_round_trip():
