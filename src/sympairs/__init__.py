@@ -48,7 +48,6 @@ from .chaos import (
     h1_inner,
     h2_inner,
     hermite_coefficients,
-    matrix_preflight,
     mult_phi,
     multiply,
     number_operator,

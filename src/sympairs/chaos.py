@@ -20,6 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .core import check_budget
+
 
 class ChaosError(ValueError):
     pass
@@ -58,10 +60,8 @@ class ChaosBasis:
     def __init__(self, d: int, N: int):
         if d < 1 or N < 0:
             raise ChaosError("need d >= 1 and N >= 0")
-        if N >= 170:
-            raise ChaosError("N >= 170 refused: (N+1)! overflows a float")
-        if (B := math.comb(N + d, d)) > 10**6:
-            raise ChaosError("basis too large: C(N+d, d) exceeds 10^6")
+        check_budget(basis_bytes(d, N), f"basis d={d}, N={N}", ChaosError)
+        B = math.comb(N + d, d)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "N", N)
         # alpha_j is the j-th gap of d bars in N + d slots, put at its _rank
@@ -156,6 +156,27 @@ class ChaosBasis:
 
 def basis_build(d: int, N: int) -> ChaosBasis:
     return ChaosBasis(d, N)
+
+
+def basis_bytes(d: int, N: int) -> int:
+    """Peak bytes of ChaosBasis(d, N) and its ladders: eight int64 (B, d)
+    arrays while the alphas are ranked, or two of them and six int64
+    (d, B', d) arrays while the ladders rank alpha + e_i (B = C(N + d, d),
+    B' = C(N - 1 + d, d)).  N >= 170 is refused first, so k < 170 in every
+    binomial here and in ``term_count``."""
+    if N >= 170:
+        raise ChaosError("N >= 170 refused: (N+1)! overflows a float")
+    B, Bs = math.comb(N + d, d), math.comb(N - 1 + d, d)
+    return 8 * d * max(8 * B, 2 * B + 6 * d * Bs)
+
+
+def term_count(d: int, N: int) -> int:
+    """Number of terms ``product_terms`` yields for the Eq 3.14 pairs,
+    deg p + deg q <= N - 1: a pair contributes prod_i (min(p_i, q_i) + 1),
+    whose series per slot is 1 / ((1 - x)^3 (1 + x)), so the count is the
+    x^(N-1) coefficient of 1 / ((1 - x)^(3d + 1) (1 + x)^d); O(N) work."""
+    return sum((-1) ** j * math.comb(d - 1 + j, j)
+               * math.comb(3 * d + N - 1 - j, 3 * d) for j in range(N))
 
 
 @dataclass(frozen=True)
@@ -271,21 +292,6 @@ def S_apply(G: ChaosVector, k):
     return out - Tk_apply(G, k), sum(abs(ki) * li for ki, _, li in prods)
 
 
-#: largest d*B x B complex matrix (t_matrix, phi_matrix) a basis may build
-MAX_MATRIX_BYTES = 2**28
-
-
-def matrix_preflight(d: int, N: int) -> None:
-    """Refuse from d and N alone, before any index is enumerated, a basis
-    whose d*B x B complex matrices exceed MAX_MATRIX_BYTES."""
-    nbytes = 16 * d * math.comb(N + d, d) ** 2 if d > 0 and 0 <= N < 170 else 0
-    if nbytes > MAX_MATRIX_BYTES:  # bad d or N are left to ChaosBasis
-        size = (f"{nbytes / 2**30:.3g} GiB" if nbytes < 2**1000  # a float
-                else f"over 2^{nbytes.bit_length() - 1} bytes")
-        raise ChaosError(f"d={d}, N={N} refused: a d*B x B matrix needs "
-                         f"{size} (limit 256 MiB)")
-
-
 def t_matrix(basis: ChaosBasis) -> np.ndarray:
     """Matrix of the derivative in natural coordinates, stacked over slots.
 
@@ -293,8 +299,9 @@ def t_matrix(basis: ChaosBasis) -> np.ndarray:
     in one scatter from the basis' cached lowering ladders.  A dense form
     for tests and oracles: ``suite_malliavin`` reads the ladders instead.
     """
-    matrix_preflight(basis.d, basis.N)
     B, lad = len(basis), basis.ladders
+    check_budget(16 * basis.d * B * B, f"d={basis.d}, N={basis.N} matrix",
+                 ChaosError)
     M = np.zeros((basis.d * B, B), dtype=complex)
     M[np.arange(basis.d)[:, None] * B + lad.src, lad.up] = lad.rank
     return M
@@ -304,7 +311,8 @@ def phi_matrix(basis: ChaosBasis) -> np.ndarray:
     """(d, |basis|, |basis|) stack of the matrices of ``mult_phi(i, .)``
     (mass past degree N dropped), filled in one scatter along the ladders.
     A dense form for tests and oracles, like ``t_matrix``."""
-    matrix_preflight(basis.d, basis.N)
+    check_budget(16 * basis.d * len(basis) ** 2,
+                 f"d={basis.d}, N={basis.N} matrix", ChaosError)
     lad, slot = basis.ladders, np.arange(basis.d)[:, None]
     X = np.zeros((basis.d, len(basis), len(basis)), dtype=complex)
     X[slot, lad.up, lad.src] = 1.0

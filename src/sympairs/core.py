@@ -20,9 +20,37 @@ CONJUGATE = "conjugate"
 #: default tolerance for identity-style residual checks
 DEFAULT_TOL = 1e-10
 
+#: rounding factor of every residual tolerance: judged against
+#: ROUNDING eps scale alone, the worst true residual read 0.38 of it
+#: (``double_commutant``) on rotated rho (n = 2..5, cond(rho) up to 1.9e6,
+#: |t| up to 1e3), graphs to 2,000 vertices (conductances scaled by
+#: 1e-6..1e6) and defect recurrences
+ROUNDING = 64
+
+#: the one memory budget, for arrays a problem would build; it admits
+#: every size the default batch, benchmark and CI run (the largest,
+#: malliavin d=2 N=40, peaks at 491 MiB) and refuses d=6 N=8 (872 MiB)
+MAX_BYTES = 3 * 2**28
+
 
 class OperatorError(ValueError):
     """Raised for malformed operators or violated preconditions."""
+
+
+def rounding_tol(floor: float, scale: float) -> float:
+    """max(floor, ROUNDING eps scale): the tolerance of a record whose
+    rounding errors scale with ``scale``; ``floor`` is ``--tol``."""
+    return max(floor, ROUNDING * np.finfo(float).eps * scale)
+
+
+def check_budget(nbytes: int, what: str, error: type) -> None:
+    """Refuse ``what`` with ``error`` when ``nbytes``, an exact integer
+    price of the arrays it is about to build, exceeds MAX_BYTES."""
+    if nbytes > MAX_BYTES:
+        size = (f"{nbytes / 2**30:.4g} GiB" if nbytes < 2**1000  # a float
+                else f"over 2^{nbytes.bit_length() - 1} bytes")
+        raise error(f"{what} refused: needs {size} "
+                    f"(limit {MAX_BYTES / 2**30:g} GiB)")
 
 
 class OperatorMatrix:
@@ -164,8 +192,18 @@ def _require_linear(T: OperatorMatrix, op_name: str):
         raise OperatorError(f"{op_name} requires a linear operator")
 
 
-def _hermiticity_defect(M: np.ndarray) -> float:
-    return float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
+def _self_adjoint(T: OperatorMatrix, op_name: str, tol: float,
+                  message: str) -> np.ndarray:
+    """T's matrix, once T is linear, square and within ``tol * (1 +
+    max|T|)`` of its adjoint; otherwise OperatorError (``message``)."""
+    _require_linear(T, op_name)
+    M = T.matrix
+    if M.shape[0] != M.shape[1]:
+        raise OperatorError(f"{op_name} requires a square matrix")
+    if M.size and np.max(np.abs(M - M.conj().T)) > tol * (
+            1.0 + np.max(np.abs(M))):
+        raise OperatorError(message)
+    return M
 
 
 def polar_decompose(T: OperatorMatrix, tol: float = 1e-12):
@@ -194,13 +232,8 @@ def spectrum(H: OperatorMatrix, tol: float = DEFAULT_TOL, return_vectors=False):
     ``tol * (1 + max|H|)``.  With ``return_vectors=True`` also returns
     the orthonormal eigenvector columns.
     """
-    _require_linear(H, "spectrum")
-    M = H.matrix
-    if M.shape[0] != M.shape[1]:
-        raise OperatorError("spectrum requires a square matrix")
-    scale = 1.0 + (float(np.max(np.abs(M))) if M.size else 0.0)
-    if _hermiticity_defect(M) > tol * scale:
-        raise OperatorError("matrix is not self-adjoint within tolerance")
+    M = _self_adjoint(H, "spectrum", tol,
+                      "matrix is not self-adjoint within tolerance")
     w, U = np.linalg.eigh(M)
     if return_vectors:
         return w, U
@@ -233,13 +266,8 @@ def cayley(T: OperatorMatrix, tol: float = DEFAULT_TOL) -> OperatorMatrix:
 
     For bounded everywhere-defined symmetric T the result is unitary.
     """
-    _require_linear(T, "cayley")
-    M = T.matrix
-    if M.shape[0] != M.shape[1]:
-        raise OperatorError("cayley requires a square matrix")
-    scale = 1.0 + (float(np.max(np.abs(M))) if M.size else 0.0)
-    if _hermiticity_defect(M) > tol * scale:
-        raise OperatorError("cayley requires a symmetric (self-adjoint) matrix")
+    M = _self_adjoint(T, "cayley", tol,
+                      "cayley requires a symmetric (self-adjoint) matrix")
     n = M.shape[0]
     shift = 1j * np.eye(n)
     # (i - T)(i + T)^{-1}; solve on the right to avoid an explicit inverse

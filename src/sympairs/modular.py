@@ -25,14 +25,15 @@ import numpy as np
 
 from .core import (
     CONJUGATE,
-    DEFAULT_TOL,
     OperatorError,
     OperatorMatrix,
     adjoint,
+    check_budget,
     compose,
     power_from_spectrum,
     realify,
     root_from_spectrum,
+    rounding_tol,
     spectrum,
 )
 
@@ -212,15 +213,6 @@ class StandardForm:
     comm2: np.ndarray  # M'' = commutant(comm)
 
 
-#: largest n accepted, and so the most entries _algebras caches.
-#: M, M' and M'' are built once per n per process: suite_modular takes
-#: about 3.5 ms at n = 3 and 40 ms at n = 5 on a first call, and 1.5 ms
-#: and 15 ms on later calls at the same n (one BLAS thread).  Both
-#: sandwich checks are projections onto M', so the one all-pairs stack
-#: left is commutant's self-check on a first build, an n^8-entry
-#: (k, k, m, m) commutator array: a larger n needs a byte preflight.
-MAX_N = 5
-
 #: largest cond(rho) accepted.  No tolerance binds: on rotated rho (n =
 #: 2..5, 160 draws per cond) every record passed up to cond(rho) = 5e7.
 #: At 1e8 the defect rank flips to real dimension 1 in half the draws and
@@ -229,13 +221,21 @@ MAX_COND_RHO = 2e6
 
 
 def _check_n(n: int) -> None:
-    if not 1 <= n <= MAX_N:
-        raise ModularError(f"matrix size n={n} is outside 1..{MAX_N}")
+    """Refuse n < 1, and an n whose cold ``_algebras(n)`` build is over
+    budget, cached or not: commutant's self-check holds the (k, k, m, m)
+    complex products B X and X B (k = m = n^2) beside about six (k, m, m)
+    stacks (M, M', the new basis and its blocks, the sandwiches)."""
+    if n < 1:
+        raise ModularError(f"matrix size n={n} must be at least 1")
+    check_budget(16 * (2 * n**8 + 6 * n**6), f"matrix size n={n}",
+                 ModularError)
 
 
 @functools.cache
 def _algebras(n: int) -> tuple:
     """(M, M', M'') of the standard form at n: they do not depend on rho.
+    The memory budget (``_check_n``) admits n <= 8, so the cache holds
+    at most eight entries.
 
     M has the closed-form basis E_ij (x) 1 / sqrt(n)
     (``|E_ij (x) 1|_F = sqrt(n)``).  commutant is seeded and checks its
@@ -337,17 +337,6 @@ class ModularData:
     root: OperatorMatrix  # Delta^{1/2}
 
 
-def _delta_and_spectrum(S: OperatorMatrix, tol: float):
-    """Delta = S* S (linear: the conjugations cancel; h -> rho h rho^{-1},
-    see conjugation_action_matrix) and its eigendecomposition (w, U),
-    checked PSD."""
-    prod = compose(adjoint(S), S)
-    w, U = spectrum(prod, tol, return_vectors=True)
-    if w.size and w[0] < -tol * max(1.0, float(w[-1])):
-        raise ModularError(f"S* S is not PSD: smallest eigenvalue {w[0]:.3e}")
-    return prod, (w, U)
-
-
 def modular_J(S: OperatorMatrix, root: OperatorMatrix, w) -> OperatorMatrix:
     """Conjugate-linear isometry J in the polar split S = J Delta^{1/2},
     from ``root`` = Delta^{1/2} and the eigenvalues ``w`` of Delta.
@@ -362,12 +351,19 @@ def modular_J(S: OperatorMatrix, root: OperatorMatrix, w) -> OperatorMatrix:
     return OperatorMatrix(S.matrix @ np.conj(inv), CONJUGATE)
 
 
-def modular_data(sf: StandardForm, tol: float = DEFAULT_TOL) -> ModularData:
+def modular_data(sf: StandardForm) -> ModularData:
+    """Delta = S* S = A A^H (A = S^T, m columns) is checked self-adjoint
+    and PSD within ROUNDING eps m, a rounding allowance (each entry is
+    off by about m eps max|Delta|), never within ``--tol``."""
     S = build_S(sf.alg, sf.xi)
-    F = build_F(sf.comm, sf.xi)
-    Delta, eig = _delta_and_spectrum(S, tol)
-    root = OperatorMatrix(root_from_spectrum(*eig))
-    return ModularData(S, F, Delta, modular_J(S, root, eig[0]), eig, root)
+    Delta = compose(adjoint(S), S)
+    allowance = rounding_tol(0.0, Delta.rows)
+    w, U = spectrum(Delta, allowance, return_vectors=True)
+    if w.size and w[0] < -allowance * max(1.0, float(w[-1])):
+        raise ModularError(f"S* S is not PSD: smallest eigenvalue {w[0]:.3e}")
+    root = OperatorMatrix(root_from_spectrum(w, U))
+    return ModularData(S, build_F(sf.comm, sf.xi), Delta,
+                       modular_J(S, root, w), (w, U), root)
 
 
 def conjugation_action_matrix(rho) -> np.ndarray:
@@ -403,10 +399,10 @@ def check_sxs_commutes(S: OperatorMatrix, alg: np.ndarray,
 MAX_FLOW_T = 1e3
 
 
-def modular_flow_check(eig, alg: np.ndarray, t_list,
-                       tol: float = DEFAULT_TOL) -> float:
+def modular_flow_check(eig, alg: np.ndarray, t_list) -> float:
     """Max residual of expanding Delta^{it} x Delta^{-it} in the algebra,
-    from Delta's eigendecomposition ``eig = (w, U)`` (``ModularData.eig``)."""
+    from Delta's eigendecomposition ``eig = (w, U)`` (``ModularData.eig``);
+    Delta^{it} needs w > 0, which modular_J already checked."""
     if not np.isfinite(t_list).all():
         raise ModularError(f"modular flow times must be finite: {t_list}")
     if np.any(np.abs(t_list) > MAX_FLOW_T):
@@ -415,8 +411,8 @@ def modular_flow_check(eig, alg: np.ndarray, t_list,
     w, U = eig
     worst = 0.0
     for t in t_list:
-        flowed = (power_from_spectrum(w, U, float(t), tol) @ alg
-                  @ power_from_spectrum(w, U, -float(t), tol))
+        flowed = (power_from_spectrum(w, U, float(t), 0.0) @ alg
+                  @ power_from_spectrum(w, U, -float(t), 0.0))
         worst = max(worst, span_residual(flowed, alg))
     return worst
 

@@ -22,14 +22,11 @@ from functools import cached_property
 
 import numpy as np
 
+from .core import check_budget
+
 
 class NetworkError(ValueError):
     pass
-
-
-#: largest FiniteNetwork: n x n dense, cubic solve (`check network` on a
-#: 2,000-vertex path: 3 s, 400 MB on one BLAS thread of a 2-core Xeon VM)
-MAX_VERTICES = 4096
 
 
 class FiniteNetwork:
@@ -55,8 +52,10 @@ class FiniteNetwork:
         if len(index) != len(vertices):
             raise NetworkError("duplicate vertex ids")
         n = len(vertices)
-        if n > MAX_VERTICES:  # before any n x n array
-            raise NetworkError(f"{n} vertices refused: at most {MAX_VERTICES}")
+        # before any n x n array: suite_network holds twelve float64 ones
+        # (cond, L, the pinned block and its identity, K, LK, the kernel-
+        # Dirac Gram, P, expect and energy_gram's block differences)
+        check_budget(12 * 8 * n * n, f"{n} vertices", NetworkError)
         # one pass over the edge list: validate, then collect each edge as
         # an index pair lo < hi with its conductance, and adjacency lists
         lo, hi, cs, given = [], [], [], set()
@@ -331,8 +330,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 TAIL_RATIO = 0.9
 BLOWUP_FACTOR = 1e6
 STAGNATION = 1e-12
-#: largest half-line recurrence: about a second and 8 MB an array
-MAX_NMAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -362,8 +359,12 @@ def defect_recurrence(seq: ConductanceSequence, nmax: int,
     """
     if seq.kind != HALFLINE:
         raise NetworkError("defect_recurrence needs a half-line sequence")
-    if not 3 <= nmax <= MAX_NMAX:  # refused before any allocation
-        raise NetworkError(f"need 3 <= nmax <= {MAX_NMAX}, got {nmax}")
+    if nmax < 3:
+        raise NetworkError(f"need nmax >= 3, got {nmax}")
+    # before any allocation: eleven (nmax + 1) float64 arrays (psi and its
+    # shift, c and its shift, residuals, scales and their temporaries,
+    # energy increments and partial sums)
+    check_budget(11 * 8 * (nmax + 1), f"nmax={nmax}", NetworkError)
     seq.c(nmax - 1)  # refuse an overflowing nmax before allocating
     psi = np.zeros(nmax + 1)
     psi[0] = psi0

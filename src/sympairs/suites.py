@@ -20,23 +20,11 @@ from .core import (
     DEFAULT_TOL,
     OperatorMatrix,
     adjoint,
+    check_budget,
     compose,
+    rounding_tol,
 )
 from .report import Record, Report, make_record, verdict_record
-
-
-#: rounding factor of every residual tolerance: judged against
-#: ROUNDING eps scale alone, the worst true residual read 0.38 of it
-#: (``double_commutant``) on rotated rho (n = 2..5, cond(rho) up to 1.9e6,
-#: |t| up to 1e3), graphs to 2,000 vertices (conductances scaled by
-#: 1e-6..1e6) and defect recurrences
-ROUNDING = 64
-
-
-def rounding_tol(floor: float, scale: float) -> float:
-    """max(floor, ROUNDING eps scale): the tolerance of a record whose
-    rounding errors scale with ``scale``; ``floor`` is ``--tol``."""
-    return max(floor, ROUNDING * np.finfo(float).eps * scale)
 
 
 def suite_pair(spec: pairs.SymmetricPairSpec, tol: float = DEFAULT_TOL):
@@ -58,9 +46,22 @@ def suite_pair(spec: pairs.SymmetricPairSpec, tol: float = DEFAULT_TOL):
 
 
 def suite_malliavin(d: int, N: int, tol: float = DEFAULT_TOL):
-    chaos.matrix_preflight(d, N)
     if d < 1 or N < 2:  # the pair sections need degree-1 functions
         raise chaos.ChaosError("need d >= 1 and N >= 2")
+    # six (d n2, n1) complex pair sections live in check_pair (A, B, their
+    # OperatorMatrix copies, A^H, B - A^H) beside four (B, d) int64 arrays
+    # (alphas, ladders, derivation_residual's down) and 1 MiB of small ones
+    basis_price = chaos.basis_bytes(d, N)  # refuses N >= 170 first
+    B, n1, n2 = (math.comb(N - k + d, N - k) for k in range(3))
+    section, what = 16 * d * n1 * n2, f"d={d}, N={N}"
+    live = 32 * B * d + 4 * section + 2**20
+    cheap = max(basis_price, live + 2 * section)
+    check_budget(cheap, what, chaos.ChaosError)
+    # the O(N) term count once that passed: per Eq 3.14 term 12 + 7 d int64
+    # or float64 entries (product_terms' t, k, gamma, rank and weights,
+    # derivation_residual's copies and sums), and the (N + 1)^3 lin table
+    terms = 8 * (12 + 7 * d) * chaos.term_count(d, N) + 8 * (N + 1) ** 3
+    check_budget(max(cheap, live + terms), what, chaos.ChaosError)
     basis = chaos.basis_build(d, N)
     # symmetric-pair identity for the derivative/divergence sections
     A, Bs = chaos.pair_sections(basis)
@@ -101,7 +102,7 @@ def suite_malliavin(d: int, N: int, tol: float = DEFAULT_TOL):
 
 def suite_modular(n: int, rho, t_list, tol: float = DEFAULT_TOL):
     sf = modular.standard_form(n, rho)
-    md = modular.modular_data(sf, tol)
+    md = modular.modular_data(sf)
     S, F, Mj, alg = md.S, md.F, md.J.matrix, sf.alg
     eye = np.eye(Mj.shape[0])
     w = md.eig[0]  # cond(Delta) = w[-1] / w[0]: Delta is PSD
@@ -144,7 +145,7 @@ def suite_modular(n: int, rho, t_list, tol: float = DEFAULT_TOL):
     if t_list:
         # Delta^{it} carries a phase error of about eps |t| cond(Delta):
         # scale max(1, max |t|) cond(Delta)
-        flow = modular.modular_flow_check(md.eig, alg, t_list, tol)
+        flow = modular.modular_flow_check(md.eig, alg, t_list)
         flow_tol = rounding_tol(tol, max(1.0, *map(abs, t_list)) * cond_delta)
         checks.append(("modular_flow", "Eq (4.10)", flow, flow_tol, ""))
     zdim = modular.antilinear_defect_dimension(F, alg, sf.xi)
@@ -167,11 +168,16 @@ def suite_network(net: network.FiniteNetwork, tol: float = DEFAULT_TOL):
     expect[o] -= 1.0
     # rounding scales: max c(x) for the Dirac energies, max c(x) max|K| for
     # Delta K and the pairing, n max|K| for the kernel Grams; in Python
-    # floats a scale past the float range reads inf, unwarned
+    # floats a scale past the float range reads inf, unwarned, and a
+    # tolerance of inf would check nothing
     cx = net.cond.sum(axis=1)
     cmax, kmax = float(cx.max()), float(abs(K).max())
-    tol_d, tol_ck, tol_r = (rounding_tol(tol, scale) for scale in (
-        cmax, cmax * kmax, len(net) * max(1.0, kmax)))
+    scales = (cmax, cmax * kmax, len(net) * max(1.0, kmax))
+    if not all(map(math.isfinite, scales)):
+        raise network.NetworkError(
+            f"a rounding scale is past the float range: max c(x) = "
+            f"{cmax:.3g}, max|K| = {kmax:.3g}")
+    tol_d, tol_ck, tol_r = (rounding_tol(tol, scale) for scale in scales)
     # Lemma 5.15 E(P, K) = LK is the transpose of Thm 5.17's
     # E(K, P) = LK^T, so one residual serves both records
     pair_res = network.pair_K_Delta_check(net)

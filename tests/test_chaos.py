@@ -2,8 +2,8 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -693,18 +693,27 @@ def test_phi_matrix_columns_are_mult_phi():
 
 
 def test_matrix_preflight_refuses_before_allocating(monkeypatch):
-    # d=3, N=100: C(103, 3) = 176,851 passes the basis guard, but one
-    # derivative matrix would take 1.5 TB; nothing may be built first
-    def refuse(*args):
-        raise AssertionError("basis built before the byte check")
+    # the dense forms price their one d*B x B complex matrix against the
+    # memory budget: at d=3, N=30 (B = 5,456) that is 1.33 GiB
+    b = basis_build(3, 30)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("array allocated before the byte check")
+
+    monkeypatch.setattr(chaos.np, "zeros", refuse)
+    for dense in (t_matrix, phi_matrix):
+        with pytest.raises(ChaosError, match=r"needs 1\.331 GiB \(limit"):
+            dense(b)
+    monkeypatch.undo()
+    # the suite is priced from d and N before any basis: at d=3, N=100
+    # one pair section takes 1.4 TB, and six are live at once
     monkeypatch.setattr(chaos, "basis_build", refuse)
-    with pytest.raises(ChaosError, match="GiB"):
-        t_matrix(SimpleNamespace(d=3, N=100))
     from sympairs.suites import suite_malliavin
 
-    with pytest.raises(ChaosError, match="refused"):
-        suite_malliavin(3, 100)
+    for d, N, size in ((3, 100, "7675 GiB"), (6, 8, "0.8521 GiB")):
+        with pytest.raises(ChaosError, match=f"d={d}, N={N} refused: needs "
+                           + re.escape(size)):
+            suite_malliavin(d, N)
 
 
 @pytest.mark.parametrize("d,N", ((1, 6), (2, 5), (3, 4)))

@@ -317,7 +317,7 @@ UNIT = {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}
     ("modular", {"n": 2, "rho": [[0.5, 0.0], [0.5]]}),  # ragged
     ("modular", {"n": 2, "rho": [[0.5, 0.1], [0.0, 0.5]]}),  # not Hermitian
     ("modular", {"n": 2, "t_list": 1.5}),
-    ("modular", {"n": 6}),  # oversized: refused before any work
+    ("modular", {"n": 9}),  # over the memory budget: refused before work
     # JSON integers past the float range raised OverflowError
     ("pair", {"A": {"rows": 1, "cols": 1, "entries": [[10**400, 0]]},
               "B": UNIT}),
@@ -377,8 +377,8 @@ def test_defect_float_edge_prints_no_warnings(capsys, argv):
 
 
 def test_malliavin_byte_preflight_exit_2(tmp_path, capsys, monkeypatch):
-    # C(103, 3) passes the basis guard, but t_matrix would need 1.5 TB:
-    # refused from d and N alone, before any basis is built
+    # d=3, N=100: one pair section alone would take 1.4 TB, past the
+    # memory budget: refused from d and N alone, before any basis is built
     from sympairs import chaos
 
     def refuse(*args):
@@ -392,7 +392,8 @@ def test_malliavin_byte_preflight_exit_2(tmp_path, capsys, monkeypatch):
         {"suites": [{"kind": "malliavin", "params": {"d": 3, "N": 100}}]}))
     assert cli.main(["run", "-c", str(cfg)]) == 1
     [rec] = json.loads(capsys.readouterr().out)["records"]
-    assert rec["check"] == "suite_error" and "GiB" in rec["message"]
+    assert rec["check"] == "suite_error" and "GiB (limit 0.75 GiB)" in \
+        rec["message"]
 
 
 def test_fuzz_found_inputs_exit_cleanly(tmp_path, capsys):
@@ -406,7 +407,7 @@ def test_fuzz_found_inputs_exit_cleanly(tmp_path, capsys):
     rho.write_text("[[Infinity]]")
     cfg = tmp_path / "big.json"
     cfg.write_text(json.dumps(
-        {"suites": [{"kind": "malliavin", "params": {"d": 1e308, "N": 1}}]}))
+        {"suites": [{"kind": "malliavin", "params": {"d": 1e308, "N": 2}}]}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for argv in (["check", "network", "-g", str(graph)],
@@ -538,7 +539,7 @@ def test_pair_tol_precedence_is_shared(tmp_path, capsys, monkeypatch,
     (["modular", "--t", "0.5,abc"], {"kind": "modular",
                                      "params": {"n": 2,
                                                 "t_list": ["0.5", "abc"]}}),
-    (["modular", "--n", "6"], {"kind": "modular", "params": {"n": 6}}),
+    (["modular", "--n", "9"], {"kind": "modular", "params": {"n": 9}}),
     (["defect", "--nmax", "2"], {"kind": "defect", "params": {"nmax": 2}}),
 ])
 def test_bad_input_same_message_from_both_doors(tmp_path, capsys, argv,

@@ -29,14 +29,14 @@ SMALL_FLOAT = st.sampled_from([2.0, 1.0, 0.5, 3.0, 0.0, -1.0, 1e-300, 1e300,
 TOL_TEXT = st.sampled_from(["1e-10", "0", "1e-3", "-1", "nan", "inf", "abc"])
 # (suite, sizes) far past a guard; each must be refused before any work
 OVERSIZED = st.sampled_from([
-    ("malliavin", {"d": 3, "N": 100}),  # 1.5 TB derivative matrix
-    ("malliavin", {"d": 6, "N": 8}),  # 866 MB
+    ("malliavin", {"d": 3, "N": 100}),  # 1.4 TB a pair section
+    ("malliavin", {"d": 6, "N": 8}),  # 0.852 GiB
     ("malliavin", {"d": 1, "N": 400}),  # (N+1)! overflows
     ("malliavin", {"d": 10**6, "N": 2}),
     ("malliavin", {"d": 2, "N": 10**9}),
-    ("modular", {"n": 6}),
+    ("modular", {"n": 9}),  # 1.33 GiB
     ("modular", {"n": 10**9}),
-    ("defect", {"rule": "constant", "r": 1.0, "nmax": 10**7}),
+    ("defect", {"rule": "constant", "r": 1.0, "nmax": 10**7}),  # 0.82 GiB
     ("defect", {"rule": "geometric", "r": 1.0, "nmax": 10**18}),
     ("defect", {"rule": "geometric", "r": 2.0, "nmax": 10**9}),
 ])

@@ -290,3 +290,20 @@ def test_eig_space_orthonormal():
     basis = eig_space(OperatorMatrix(np.eye(3) * 2.0), 2.0)
     B = np.column_stack(basis)
     assert np.max(np.abs(B.conj().T @ B - np.eye(3))) < 1e-12
+
+
+@pytest.mark.parametrize("op, message", [
+    (spectrum, "matrix is not self-adjoint within tolerance"),
+    (cayley, r"cayley requires a symmetric \(self-adjoint\) matrix"),
+])
+def test_self_adjoint_guard_is_shared(op, message):
+    # one rule for spectrum and cayley: |M - M^H| <= tol (1 + max|M|)
+    name = op.__name__
+    M = np.array([[2.0, 1.0], [1.0 + 3e-3, 2.0]])  # defect 3e-3, max|M| 2
+    op(OperatorMatrix(M), tol=1e-3)
+    with pytest.raises(OperatorError, match=message):
+        op(OperatorMatrix(M), tol=0.999e-3)
+    with pytest.raises(OperatorError, match=f"{name} requires a square"):
+        op(OperatorMatrix(np.ones((2, 3))))
+    with pytest.raises(OperatorError, match=f"{name} requires a linear"):
+        op(OperatorMatrix(np.eye(2), CONJUGATE))

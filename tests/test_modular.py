@@ -1,4 +1,6 @@
+import json
 import pathlib
+import re
 import runpy
 import sys
 from dataclasses import replace
@@ -9,13 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sympairs
-from sympairs import modular, suites
+from sympairs import modular
 from sympairs.core import (
     CONJUGATE,
     DEFAULT_TOL,
+    ROUNDING,
     OperatorMatrix,
     adjoint,
     power_from_spectrum,
+    rounding_tol,
     sqrt_psd,
     unitary_power,
 )
@@ -650,7 +654,7 @@ def test_modular_flow_tolerance_scales_with_t_and_cond(monkeypatch, seed, t):
     assert all(r.passed for r in recs), [(r.check, r.residual) for r in recs]
     [flow] = [r for r in recs if r.check == "modular_flow"]
     # scale max(1, |t|) cond(Delta)
-    assert flow.tol == pytest.approx(suites.rounding_tol(
+    assert flow.tol == pytest.approx(rounding_tol(
         DEFAULT_TOL, t * 0.999**2 / 0.001**2))
     # a flow of Delta + eps E is no modular flow; its record fails
     E = np.random.default_rng(99).normal(size=(4, 4))
@@ -688,17 +692,20 @@ def test_oversized_n_refused_before_any_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the size guard let an oversized n through")
 
+    monkeypatch.setattr(modular, "_algebras", forbidden)
     monkeypatch.setattr(modular, "commutant", forbidden)
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
-    for n in (6, 10**9):
-        with pytest.raises(ModularError, match=r"outside 1\.\.5"):
+    # n = 9 is the smallest n whose cold build is over the memory budget
+    for n, size in ((9, "1.33 GiB"), (10**9, "2.98e+64 GiB")):
+        refused = rf"matrix size n={n} refused: needs {re.escape(size)}"
+        with pytest.raises(ModularError, match=refused):
             tracial_rho(n)
         # rho stays a placeholder: the guard runs before rho is read
-        with pytest.raises(ModularError, match=r"outside 1\.\.5"):
+        with pytest.raises(ModularError, match=refused):
             standard_form(n, None)
-        with pytest.raises(ModularError, match=r"outside 1\.\.5"):
+        with pytest.raises(ModularError, match=refused):
             suite_modular(n, None, [0.5])
-    with pytest.raises(ModularError, match=r"outside 1\.\.5"):
+    with pytest.raises(ModularError, match="must be at least 1"):
         standard_form(0, np.zeros((0, 0)))
 
 
@@ -831,8 +838,8 @@ def test_standard_forms_share_stacks_per_n():
 def test_size_guard_runs_before_the_cached_build(monkeypatch):
     calls = count_commutant(monkeypatch)
     info = modular._algebras.cache_info()
-    for n in (0, 6):
-        with pytest.raises(ModularError, match=r"outside 1\.\.5"):
+    for n in (0, 9):
+        with pytest.raises(ModularError, match="at least 1|refused"):
             standard_form(n, np.eye(max(n, 1)) / max(n, 1))
     assert calls == [] and modular._algebras.cache_info() == info
 
@@ -875,8 +882,8 @@ def cond_delta(rho):
 
 def test_rounding_tol():
     eps = np.finfo(float).eps
-    assert suites.rounding_tol(1e-10, 1.0) == 1e-10
-    assert suites.rounding_tol(1e-10, 1e8) == suites.ROUNDING * eps * 1e8
+    assert rounding_tol(1e-10, 1.0) == 1e-10
+    assert rounding_tol(1e-10, 1e8) == ROUNDING * eps * 1e8
 
 
 def test_j_and_delta_records_pass_on_rotated_rho_scan():
@@ -898,7 +905,7 @@ def test_j_records_pass_on_the_rotated_ill_conditioned_example():
     U = np.array([[0.8, -0.6], [0.6, 0.8]])
     rho = U @ np.diag([1.0, 1e-4]) @ U.T / (1 + 1e-4)
     recs = {r.check: r for r in suite_modular(2, rho, [0.5, 1.0])}
-    tol = canon_float(suites.rounding_tol(DEFAULT_TOL, cond_delta(rho)))
+    tol = canon_float(rounding_tol(DEFAULT_TOL, cond_delta(rho)))
     for name in (*J_RECORDS, *DELTA_RECORDS):
         assert recs[name].passed and recs[name].tol == tol > DEFAULT_TOL, \
             recs[name]
@@ -910,7 +917,7 @@ def test_j_and_delta_records_keep_floors_and_catch_mutations(monkeypatch):
     # lies above it
     for tol in (DEFAULT_TOL, 1e-13):
         recs = {r.check: r for r in suite_modular(3, rho, [0.5], tol)}
-        expect = canon_float(suites.rounding_tol(tol, cond_delta(rho)))
+        expect = canon_float(rounding_tol(tol, cond_delta(rho)))
         for name in (*J_RECORDS, *DELTA_RECORDS):
             assert recs[name].passed and recs[name].tol == expect, recs[name]
     # J off by 1e-8 relative is no modular conjugation
@@ -1101,3 +1108,22 @@ def test_cli_refuses_ill_conditioned_rho(tmp_path, capsys):
     assert cli.main(["check", "modular", "--rho", str(path)]) == 2
     err = capsys.readouterr().err
     assert "ill-conditioned rho" in err and err.count("\n") == 1, err
+
+
+def test_tol_sets_no_modular_guard(tmp_path, capsys):
+    # --tol is each record's floor, never a guard: Delta's self-adjoint
+    # and PSD checks take a rounding allowance, and the flow's positivity
+    # floor is 0, so no tol turns a density matrix into a usage error
+    from sympairs import cli
+
+    rho_file = tmp_path / "rho.json"
+    for seed in range(20):
+        for n in range(2, 6):
+            rho = random_rho(np.random.default_rng(seed), n)
+            rho_file.write_text(json.dumps(
+                [[[z.real, z.imag] for z in row] for row in rho]))
+            assert cli.main(["check", "modular", "--rho", str(rho_file),
+                             "--tol", "0", "--format", "csv"]) in (0, 1)
+    # tracial Delta is the identity: eigenvalues 1 are positive at any tol
+    assert cli.main(["check", "modular", "--n", "2", "--tol", "1"]) in (0, 1)
+    assert "error" not in capsys.readouterr().err

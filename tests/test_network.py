@@ -698,14 +698,24 @@ def test_defect_float_edge_is_overflow_without_warnings(seq, nmax):
 
 
 def test_network_vertex_cap(monkeypatch, tmp_path, capsys):
-    from sympairs import cli, network
+    from sympairs import cli, core, network
 
-    # the real cap, before any n x n array: 4,097 vertices on a path
-    path = "".join(f"v{i} v{i + 1} 1\n" for i in range(network.MAX_VERTICES))
-    with pytest.raises(NetworkError, match="4097 vertices refused"):
+    def refuse(*args, **kwargs):
+        raise AssertionError("n x n array allocated before the byte check")
+
+    # the memory budget prices twelve n x n float64 arrays: a path of
+    # 2,896 vertices is the largest admitted, and refusing 2,897 comes
+    # before any n x n array
+    monkeypatch.setattr(network.np, "zeros", refuse)
+    path = "".join(f"v{i} v{i + 1} 1\n" for i in range(2896))
+    with pytest.raises(NetworkError,
+                       match=r"2897 vertices refused: needs 0\.7504 GiB"):
         parse_graph(path)
-    monkeypatch.setattr(network, "MAX_VERTICES", 3)
-    with pytest.raises(NetworkError, match="at most 3"):
+    with pytest.raises(AssertionError, match="allocated"):
+        parse_graph(path[:path.rindex("v2895 ")])
+    monkeypatch.undo()
+    monkeypatch.setattr(core, "MAX_BYTES", 12 * 8 * 3 * 3)
+    with pytest.raises(NetworkError, match="4 vertices refused"):
         parse_graph("a b 1\nb c 1\nc d 1\n")
     assert len(parse_graph("a b 1\nb c 1\n")) == 3
     graph = tmp_path / "g.txt"
@@ -717,9 +727,43 @@ def test_network_vertex_cap(monkeypatch, tmp_path, capsys):
     assert rec.check == "suite_error" and not rec.passed
 
 
-def test_defect_nmax_cap():
+def test_defect_nmax_cap(monkeypatch):
+    from sympairs import network
+
     res = defect_recurrence(constant_halfline(1.0), 10**6)
     assert len(res.psi) == 10**6 + 1
-    for nmax in (2, 10**6 + 1):
-        with pytest.raises(NetworkError, match="nmax"):
+    with pytest.raises(NetworkError, match="nmax >= 3"):
+        defect_recurrence(constant_halfline(1.0), 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("array allocated")
+
+    # the memory budget prices eleven (nmax + 1) float64 arrays: 9,151,207
+    # is the largest nmax admitted, and a larger one allocates nothing
+    monkeypatch.setattr(network.np, "zeros", refuse)
+    with pytest.raises(AssertionError, match="allocated"):
+        defect_recurrence(constant_halfline(1.0), 9_151_207)
+    for nmax in (9_151_208, 10**18):
+        with pytest.raises(NetworkError, match=f"nmax={nmax} refused"):
             defect_recurrence(constant_halfline(1.0), nmax)
+
+
+@pytest.mark.parametrize("graph", [
+    "a b 1e300\nb c 1e-300\norigin a\n",  # max c(x) max|K| overflows
+    "a b 1e-308\n",  # n max|K| overflows
+])
+def test_overflowing_rounding_scale_refused(graph, tmp_path, capsys):
+    # a tolerance of inf would pass any residual (2.0e292 on the second
+    # graph), so the network is refused instead of judged
+    from sympairs import cli
+
+    with pytest.raises(NetworkError, match="past the float range"):
+        suite_network(parse_graph(graph))
+    path = tmp_path / "g.txt"
+    path.write_text(graph)
+    assert cli.main(["check", "network", "-g", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a rounding scale") and err.count("\n") == 1
+    rec, = run_suite({"suites": [{"kind": "network",
+                                  "params": {"graph": graph}}]}).records
+    assert rec.check == "suite_error" and not rec.passed
