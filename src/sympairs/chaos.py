@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import check_budget
+from .core import CooOperator, check_budget
 
 
 class ChaosError(ValueError):
@@ -91,38 +91,52 @@ class ChaosBasis:
 
     @cached_property
     def binom(self) -> np.ndarray:
-        """``binom[s, r] = C(s + r, r)`` for s <= 2N, r <= d (Pascal rows)."""
-        c = np.ones((2 * self.N + 1, self.d + 1), dtype=np.int64)
-        for s in range(1, 2 * self.N + 1):
-            c[s] = np.cumsum(c[s - 1])
-        return _frozen(c)
+        """``binom[s, r] = C(s + r, r)`` for s <= 2N, r <= d."""
+        return _frozen(np.array([[math.comb(s + r, r) for r in range(
+            self.d + 1)] for s in range(2 * self.N + 1)], dtype=np.int64))
 
     @cached_property
     def linearisation(self) -> np.ndarray:
         """Per-slot ``lin[m, n, k] = k! C(m,k) C(n,k)`` (0 if k > m or n),
         so ``He_m He_n = sum_k lin[m, n, k] He_{m+n-2k}``; exact integers
-        below 2^53, inf from 2^1023 on."""
-        lin = np.zeros((self.N + 1,) * 3)
-        for m, n in itertools.combinations_with_replacement(
-                range(self.N + 1), 2):  # m <= n; lin is symmetric in m, n
-            v = 1
-            for k in range(m + 1):
-                lin[m, n, k] = lin[n, m, k] = v if v < 2**1023 else math.inf
-                v = v * (m - k) * (n - k) // (k + 1)
+        below 2^53, inf from 2^1023 on, the exact value rounded once
+        between.  A float product of exact integer factors is exact below
+        2^53 and at least 2^53 past it, so only the m that reach 2^53 are
+        redone in integers, one m at a time, n >= m by symmetry."""
+        N = self.N
+        comb = [[math.comb(n, k) for k in range(N + 1)] for n in range(N + 1)]
+        fact = [math.factorial(k) for k in range(N + 1)]
+        cf = np.array(comb, dtype=float)
+        with np.errstate(over="ignore"):
+            lin = np.array(fact, dtype=float) * cf[:, None] * cf
+        comb, fact = np.array(comb, object), np.array(fact, object)
+        for m in np.flatnonzero(lin.max(axis=(1, 2)) >= 2**53):
+            exact = fact[:m + 1] * comb[m, :m + 1] * comb[m:, :m + 1]
+            over = exact >= 2**1023
+            exact[over] = 0
+            lin[m, m:, :m + 1] = lin[m:, m, :m + 1] = np.where(
+                over, math.inf, exact.astype(float))
         return _frozen(lin)
 
     @cached_property
     def ladders(self) -> Ladders:
-        """Read-only ladder index arrays, O(d * |basis|) in size."""
-        idx = self.alphas.astype(float)
+        """Read-only ladder index arrays, O(d * |basis|) in size.
+
+        alpha + e_0 lies C(|alpha| + d, d - 1) past alpha in ``_rank``'s
+        order.  Raising slot j instead of slot j - 1 adds one to the suffix
+        sum at j alone, which moves the rank back by C(s_j + r, r), with
+        s_j = |alpha[j:]| and r = d - 1 - j: O(d) work per source."""
+        c, d = self.binom, self.d
         src = np.flatnonzero(self.degrees < self.N)
         top = np.flatnonzero(self.degrees == self.N)
-        # rank alpha + e_i for every slot i and source alpha at once
-        raised = self.alphas[src] + np.eye(self.d, dtype=np.intp)[:, None]
-        up = _rank(self, raised.reshape(-1, self.d)).astype(np.intp) \
-            .reshape(self.d, len(src))
-        lad = Ladders(src, up, idx[src].T + 1.0, top,
-                      self.norms[top] * (idx[top].T + 1.0))
+        up = np.empty((d, len(src)), dtype=np.intp)
+        s = self.degrees[src]
+        up[0] = src + c[s + 1, d - 1]
+        for j in range(1, d):
+            s = s - self.alphas[src, j - 1]
+            up[j] = up[j - 1] - c[s, d - 1 - j]
+        lad = Ladders(src, up, self.alphas[src].T + 1.0, top,
+                      self.norms[top] * (self.alphas[top].T + 1.0))
         for arr in vars(lad).values():
             _frozen(arr)
         return lad
@@ -160,14 +174,12 @@ def basis_build(d: int, N: int) -> ChaosBasis:
 
 def basis_bytes(d: int, N: int) -> int:
     """Peak bytes of ChaosBasis(d, N) and its ladders: eight int64 (B, d)
-    arrays while the alphas are ranked, or two of them and six int64
-    (d, B', d) arrays while the ladders rank alpha + e_i (B = C(N + d, d),
-    B' = C(N - 1 + d, d)).  N >= 170 is refused first, so k < 170 in every
-    binomial here and in ``term_count``."""
+    arrays while the alphas are ranked (B = C(N + d, d)); the ladders take
+    fewer, three (B, d) arrays' worth.  N >= 170 is refused first, so
+    k < 170 in every binomial here and in ``term_count``."""
     if N >= 170:
         raise ChaosError("N >= 170 refused: (N+1)! overflows a float")
-    B, Bs = math.comb(N + d, d), math.comb(N - 1 + d, d)
-    return 8 * d * max(8 * B, 2 * B + 6 * d * Bs)
+    return 64 * d * math.comb(N + d, d)
 
 
 def term_count(d: int, N: int) -> int:
@@ -606,15 +618,17 @@ def pair_sections(basis: ChaosBasis):
     entries (``t_matrix``) and B the raising ones (the divergence
     ``phi_matrix - t_matrix``, ``S_apply`` on basis vectors, whose lowering
     halves cancel), both rescaled into orthonormal coordinates.  Returns
-    (A, B).
+    (A, B) as CooOperators straight from the ladders: one entry per row of
+    A, slot i and source j at row i n2 + j, and per column of B.
     """
     if basis.N < 2:
         raise ChaosError("need N >= 2 for a nontrivial section")
     d, sn, lad = basis.d, np.sqrt(basis.norms), basis.ladders
     n1, n2 = basis.binom[basis.N - 1, d], basis.binom[basis.N - 2, d]
-    slot, src, up = np.arange(d)[:, None], lad.src[:n2], lad.up[:, :n2]
-    A = np.zeros((d, n2, n1), dtype=complex)
-    A[slot, src, up] = lad.rank[:, :n2].astype(complex) * sn[src] / sn[up]
-    S = np.zeros((n1, d, n2), dtype=complex)
-    S[up, slot, src] = np.ones(up.shape, dtype=complex) * sn[up] / sn[src]
-    return A.reshape(-1, n1), S.reshape(n1, -1)
+    src, up = lad.src[:n2], lad.up[:, :n2]
+    h2 = np.arange(d)[:, None] * n2 + src
+    A = CooOperator(h2, up, lad.rank[:, :n2].astype(complex)
+                    * sn[src] / sn[up], (d * n2, n1))
+    B = CooOperator(up, h2, np.ones(up.shape, dtype=complex)
+                    * sn[up] / sn[src], (n1, d * n2))
+    return A, B

@@ -1,7 +1,8 @@
-"""Dense complex linear algebra substrate.
+"""Complex linear algebra substrate.
 
-Operators are stored as dense complex matrices together with a linearity
-tag.  A *linear* operator acts as ``v -> M v``; a *conjugate-linear*
+Operators are stored as dense complex matrices, or as coordinate triples
+(``CooOperator``) when each row holds a few entries, together with a
+linearity tag.  A *linear* operator acts as ``v -> M v``; a *conjugate-linear*
 operator acts as ``v -> M conj(v)``.  All inner products are
 conjugate-linear in the FIRST argument, i.e. ``<u, v> = u^H v``, and
 every function here is pure: inputs are never mutated.
@@ -29,7 +30,7 @@ ROUNDING = 64
 
 #: the one memory budget, for arrays a problem would build; it admits
 #: every size the default batch, benchmark and CI run (the largest,
-#: malliavin d=2 N=40, peaks at 491 MiB) and refuses d=6 N=8 (872 MiB)
+#: malliavin d=2 N=40, peaks at 413 MiB) and refuses d=10 N=8 (971 MiB)
 MAX_BYTES = 3 * 2**28
 
 
@@ -47,10 +48,16 @@ def check_budget(nbytes: int, what: str, error: type) -> None:
     """Refuse ``what`` with ``error`` when ``nbytes``, an exact integer
     price of the arrays it is about to build, exceeds MAX_BYTES."""
     if nbytes > MAX_BYTES:
-        size = (f"{nbytes / 2**30:.4g} GiB" if nbytes < 2**1000  # a float
-                else f"over 2^{nbytes.bit_length() - 1} bytes")
-        raise error(f"{what} refused: needs {size} "
-                    f"(limit {MAX_BYTES / 2**30:g} GiB)")
+        limit = f"{MAX_BYTES / 2**30:g} GiB"
+        if 1000 * nbytes <= 1001 * MAX_BYTES:
+            # 4 digits in GiB would read as the limit: MiB, tenths rounded up
+            size, limit = (f"{-(-10 * nbytes // 2**20) / 10:.1f} MiB",
+                           f"{MAX_BYTES / 2**20:.1f} MiB")
+        elif nbytes < 2**1000:  # a float
+            size = f"{nbytes / 2**30:.4g} GiB"
+        else:
+            size = f"over 2^{nbytes.bit_length() - 1} bytes"
+        raise error(f"{what} refused: needs {size} (limit {limit})")
 
 
 class OperatorMatrix:
@@ -132,6 +139,87 @@ class OperatorMatrix:
                                 "rows*cols entries")
         data = np.array(data, dtype=complex).reshape(rows, cols)
         return OperatorMatrix(data, obj.get("linearity", LINEAR))
+
+
+class CooOperator:
+    """An operator held as coordinate triples, tagged like OperatorMatrix.
+
+    Entry ``(row[t], col[t])`` holds ``vals[t]``; repeated coordinates
+    add, in listed order, and an unlisted coordinate is zero.  Immutable:
+    the three arrays are marked read-only on construction.
+    """
+
+    __slots__ = ("row", "col", "vals", "shape", "linearity")
+
+    def __init__(self, row, col, vals, shape, linearity: str = LINEAR):
+        row, col = (np.array(a, dtype=np.intp).ravel() for a in (row, col))
+        vals = np.array(vals, dtype=complex).ravel()
+        shape = tuple(int(n) for n in shape)
+        if len(shape) != 2 or min(shape) < 0:
+            raise OperatorError(f"bad operator shape {shape}")
+        if not len(row) == len(col) == len(vals):
+            raise OperatorError("row, col and vals differ in length")
+        if len(row) and not (0 <= min(row.min(), col.min()) and row.max()
+                             < shape[0] and col.max() < shape[1]):
+            raise OperatorError(f"a coordinate lies outside {shape}")
+        if not np.all(np.isfinite(vals)):
+            raise OperatorError("operator has non-finite entries")
+        if linearity not in (LINEAR, CONJUGATE):
+            raise OperatorError(f"unknown linearity tag {linearity!r}")
+        self._fill(row, col, vals, shape, linearity)
+
+    def _fill(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CooOperator is immutable")
+
+    @property
+    def rows(self) -> int:
+        return self.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.shape[1]
+
+    @property
+    def is_linear(self) -> bool:
+        return self.linearity == LINEAR
+
+    def apply(self, v):
+        """Apply the operator to a (cols,) vector or the columns of a
+        (cols, k) block, honoring the linearity tag."""
+        v = np.asarray(v, dtype=complex)
+        if v.ndim not in (1, 2) or v.shape[0] != self.cols:
+            raise OperatorError(
+                f"dimension mismatch: operator is {self.rows}x{self.cols}, "
+                f"vector has shape {v.shape}"
+            )
+        if not self.is_linear:
+            v = np.conj(v)
+        vals = self.vals if v.ndim == 1 else self.vals[:, None]
+        out = np.zeros((self.rows, *v.shape[1:]), dtype=complex)
+        np.add.at(out, self.row, vals * v[self.col])
+        return out
+
+    def adjoint(self) -> "CooOperator":
+        """Adjoint with the same tag, as ``adjoint``: rows and cols swap,
+        and the entries are conjugated only when linear."""
+        out = object.__new__(CooOperator)  # valid already: no second check
+        out._fill(self.col, self.row,
+                  self.vals.conj() if self.is_linear else self.vals,
+                  self.shape[::-1], self.linearity)
+        return out
+
+    def to_dense(self) -> np.ndarray:
+        """The dense matrix, an oracle form: repeated coordinates are
+        summed in listed order."""
+        M = np.zeros(self.shape, dtype=complex)
+        np.add.at(M, (self.row, self.col), self.vals)
+        return M
 
 
 @dataclass(frozen=True)

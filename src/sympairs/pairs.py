@@ -23,6 +23,7 @@ from .core import (
     CONJUGATE,
     DEFAULT_TOL,
     LINEAR,
+    CooOperator,
     OperatorError,
     OperatorMatrix,
     adjoint,
@@ -37,12 +38,15 @@ class PairError(OperatorError):
 
 @dataclass(frozen=True)
 class SymmetricPairSpec:
-    """Candidate pair A: H1 -> H2, B: H2 -> H1 with a shared linearity tag."""
+    """Candidate pair A: H1 -> H2, B: H2 -> H1 with a shared linearity tag
+    and a shared storage (OperatorMatrix or CooOperator)."""
 
-    A: OperatorMatrix
-    B: OperatorMatrix
+    A: OperatorMatrix | CooOperator
+    B: OperatorMatrix | CooOperator
 
     def __post_init__(self):
+        if type(self.A) is not type(self.B):
+            raise PairError("A and B must share a storage")
         if self.A.linearity != self.B.linearity:
             raise PairError("A and B must share a linearity tag")
         if self.A.cols != self.B.rows or self.A.rows != self.B.cols:
@@ -72,12 +76,35 @@ def check_pair(spec: SymmetricPairSpec) -> float:
     Both are max |B - A*|, the entrywise deviation of B from the adjoint
     of A.  At finite dimension this one number is both the pair identity
     and maximality (B = A*), so the suites attach both anchors to it.
+    On CooOperator pairs the same entries come from the two coordinate
+    lists, and an entry listed on one side only is compared with zero.
     """
+    if isinstance(spec.A, CooOperator):
+        return _coo_residual(spec.A.adjoint(), spec.B)
     B = spec.B.matrix
     if spec.linearity == CONJUGATE:
         B = np.conj(B)  # |conj(B) - A^H| = |B - A^T|, and A* = A^T here
     residual = np.max(np.abs(spec.A.matrix.conj().T - B), initial=0.0)
     return float(residual)
+
+
+def _coo_residual(Astar: CooOperator, B: CooOperator) -> float:
+    """max |B - A*| over coordinates.  Both lists are sorted together by
+    (row, col); each side's entries at a coordinate are summed in listed
+    order, as ``CooOperator.to_dense`` sums them, and a side with none
+    there holds zero, so the entries are the dense form's, up to the sign
+    of a zero."""
+    row = np.concatenate((B.row, Astar.row))
+    col = np.concatenate((B.col, Astar.col))
+    order = np.lexsort((col, row))
+    row, col = row[order], col[order]
+    new = np.ones(len(row), dtype=bool)
+    new[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+    sums = np.zeros((np.count_nonzero(new), 2), dtype=complex)
+    side = (order >= len(B.row)).astype(np.intp)  # 0 for B, 1 for A*
+    np.add.at(sums, (np.cumsum(new) - 1, side),
+              np.concatenate((B.vals, Astar.vals))[order])
+    return float(np.max(np.abs(sums[:, 0] - sums[:, 1]), initial=0.0))
 
 
 def build_L(spec: SymmetricPairSpec) -> OperatorMatrix:

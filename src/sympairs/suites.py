@@ -18,7 +18,6 @@ from . import chaos, modular, network, pairs
 from .core import (
     CONJUGATE,
     DEFAULT_TOL,
-    OperatorMatrix,
     adjoint,
     check_budget,
     compose,
@@ -48,14 +47,15 @@ def suite_pair(spec: pairs.SymmetricPairSpec, tol: float = DEFAULT_TOL):
 def suite_malliavin(d: int, N: int, tol: float = DEFAULT_TOL):
     if d < 1 or N < 2:  # the pair sections need degree-1 functions
         raise chaos.ChaosError("need d >= 1 and N >= 2")
-    # six (d n2, n1) complex pair sections live in check_pair (A, B, their
-    # OperatorMatrix copies, A^H, B - A^H) beside four (B, d) int64 arrays
-    # (alphas, ladders, derivation_residual's down) and 1 MiB of small ones
+    # beside four (B, d) int64 arrays (alphas, ladders, derivation_residual's
+    # down) and 1 MiB of small ones, the two pair sections hold d n2
+    # coordinate triples each (32 bytes: row, col, complex value), and
+    # check_pair's sorted copies and per-coordinate sums up to seven more
     basis_price = chaos.basis_bytes(d, N)  # refuses N >= 170 first
-    B, n1, n2 = (math.comb(N - k + d, N - k) for k in range(3))
-    section, what = 16 * d * n1 * n2, f"d={d}, N={N}"
-    live = 32 * B * d + 4 * section + 2**20
-    cheap = max(basis_price, live + 2 * section)
+    B, n2 = math.comb(N + d, d), math.comb(N - 2 + d, d)
+    section, what = 32 * d * n2, f"d={d}, N={N}"
+    live = 32 * B * d + 2 * section + 2**20
+    cheap = max(basis_price, live + 7 * section)
     check_budget(cheap, what, chaos.ChaosError)
     # the O(N) term count once that passed: per Eq 3.14 term 12 + 7 d int64
     # or float64 entries (product_terms' t, k, gamma, rank and weights,
@@ -64,8 +64,7 @@ def suite_malliavin(d: int, N: int, tol: float = DEFAULT_TOL):
     check_budget(max(cheap, live + terms), what, chaos.ChaosError)
     basis = chaos.basis_build(d, N)
     # symmetric-pair identity for the derivative/divergence sections
-    A, Bs = chaos.pair_sections(basis)
-    spec = pairs.SymmetricPairSpec(OperatorMatrix(A), OperatorMatrix(Bs))
+    spec = pairs.SymmetricPairSpec(*chaos.pair_sections(basis))
     # kernel of the derivative section is the constants
     kdim = chaos.kernel_dimension(basis)
     # exponential vectors: inner product and eigen-style identity, with

@@ -109,7 +109,7 @@ def collect_pairs():
         basis = chaos.basis_build(d, 6)
         A, B = chaos.pair_sections(basis)
         out.append((f"malliavin_d{d}", pairs.SymmetricPairSpec(
-            OperatorMatrix(A), OperatorMatrix(B))))
+            OperatorMatrix(A.to_dense()), OperatorMatrix(B.to_dense()))))
     rng = np.random.default_rng(42)
     for n in (2, 3):
         sf = modular.standard_form(n, random_rho(rng, n))

@@ -36,9 +36,16 @@ def spy_prices(monkeypatch):
 
 def test_budget_message():
     core.check_budget(core.MAX_BYTES, "at the limit", ModularError)
-    with pytest.raises(ModularError, match=r"^x refused: needs 0\.75 GiB "
-                       r"\(limit 0\.75 GiB\)$"):
+    # within 0.1% of the limit the price reads in MiB, tenths rounded up,
+    # so it never reads as the limit itself
+    with pytest.raises(ModularError, match=r"^x refused: needs 768\.1 MiB "
+                       r"\(limit 768\.0 MiB\)$"):
         core.check_budget(core.MAX_BYTES + 1, "x", ModularError)
+    with pytest.raises(ModularError, match=r"needs 768\.8 MiB \(limit 768"):
+        core.check_budget(core.MAX_BYTES * 1001 // 1000, "x", ModularError)
+    with pytest.raises(ModularError, match=r"needs 0\.7508 GiB \(limit 0\.75 "):
+        core.check_budget(core.MAX_BYTES * 1001 // 1000 + 1, "x",
+                          ModularError)
     with pytest.raises(core.OperatorError, match=r"needs over 2\^1200 bytes"):
         core.check_budget(2**1200 + 1, "y", core.OperatorError)
 
@@ -48,7 +55,9 @@ SWEEP = [
     ("malliavin", {"d": 2, "N": 30}),
     ("malliavin", {"d": 2, "N": 40}),
     ("malliavin", {"d": 3, "N": 16}),
-    ("malliavin", {"d": 5, "N": 8}),
+    ("malliavin", {"d": 5, "N": 9}),
+    ("malliavin", {"d": 8, "N": 8}),
+    ("malliavin", {"d": 64, "N": 3}),
     ("modular", {"n": 6}),
     ("modular", {"n": 7}),
     ("modular", {"n": 8}),
@@ -59,7 +68,8 @@ SWEEP = [
 
 @pytest.mark.parametrize("kind, params", SWEEP,
                          ids=["malliavin-2-30", "malliavin-2-40",
-                              "malliavin-3-16", "malliavin-5-8", "modular-6",
+                              "malliavin-3-16", "malliavin-5-9",
+                              "malliavin-8-8", "malliavin-64-3", "modular-6",
                               "modular-7", "modular-8", "network-1000",
                               "defect-1e6"])
 def test_price_bounds_the_measured_peak(monkeypatch, kind, params):
@@ -112,40 +122,46 @@ def verdict(monkeypatch, kind, params):
     ("network", {"graph": path(2896)}),
     ("defect", {"rule": "constant", "r": 1.0, "nmax": 10**6}),
     ("defect", {"rule": "constant", "r": 1.0, "nmax": 9_151_207}),
+    *(("malliavin", {"d": d, "N": N}) for d, N in ((8, 8), (64, 3))),
 ])
 def test_sizes_in_use_stay_admitted(monkeypatch, kind, params):
     assert verdict(monkeypatch, kind, params) == "admitted"
 
 
 @pytest.mark.parametrize("kind, params, size", [
-    ("malliavin", {"d": 6, "N": 8}, "0.8521 GiB"),
-    ("malliavin", {"d": 2, "N": 43}, "0.7784 GiB"),
-    ("malliavin", {"d": 3, "N": 21}, "0.9916 GiB"),
-    ("malliavin", {"d": 10**6, "N": 2}, "5.215e+10 GiB"),
+    # the smallest d refused at N = 8, and the smallest N at d = 2 and 3
+    ("malliavin", {"d": 10, "N": 8}, "0.9483 GiB"),
+    ("malliavin", {"d": 2, "N": 44}, "0.7688 GiB"),
+    ("malliavin", {"d": 3, "N": 23}, "0.9802 GiB"),
+    ("malliavin", {"d": 10**6, "N": 2}, "2.98e+10 GiB"),
     ("modular", {"n": 9}, "1.33 GiB"),
-    ("network", {"graph": path(2897)}, "0.7504 GiB"),
-    ("defect", {"rule": "constant", "r": 1.0, "nmax": 9_151_208}, "0.75 GiB"),
+    # within 0.1% of the limit: MiB, tenths rounded up
+    ("network", {"graph": path(2897)}, "768.4 MiB"),
+    ("defect", {"rule": "constant", "r": 1.0, "nmax": 9_151_208},
+     "768.1 MiB"),
 ])
 def test_oversized_refused_before_any_large_array(monkeypatch, kind, params,
                                                    size):
     message = verdict(monkeypatch, kind, params)
-    assert message.endswith(f"refused: needs {size} (limit 0.75 GiB)")
+    limit = "768.0 MiB" if size.endswith("MiB") else "0.75 GiB"
+    assert message.endswith(f"refused: needs {size} (limit {limit})")
 
 
 def test_cheaper_price_first(monkeypatch):
-    # huge d or N are refused by the sections' price, O(1) binomials, before
-    # the O(N) term count runs
+    # huge d is refused by the basis price, O(1) binomials, before the O(N)
+    # term count runs
     monkeypatch.setattr(chaos, "term_count", admit)
     monkeypatch.setattr(chaos, "basis_build", admit)
-    for d, N in ((10**6, 2), (10**400, 3), (2, 169)):
+    for d, N in ((10**6, 2), (10**400, 3), (20, 169)):
         with pytest.raises(ChaosError, match="refused: needs"):
             suites.suite_malliavin(d, N)
     # N >= 170 is refused before any binomial, whatever d
     for d, N in ((2, 10**9), (10**6, 10**6), (10**400, 10**400)):
         with pytest.raises(ChaosError, match="N >= 170 refused"):
             suites.suite_malliavin(d, N)
-    with pytest.raises(Admitted):  # d = 2, N = 10 reaches the term count
-        suites.suite_malliavin(2, 10)
+    for d, N in ((2, 10), (2, 169)):  # small d reaches the term count
+        with pytest.raises(Admitted):
+            suites.suite_malliavin(d, N)
 
 
 def slot_series(N):

@@ -36,6 +36,7 @@ from sympairs.chaos import (
     t_star_matrix,
     zero_vector,
 )
+from sympairs.core import CooOperator
 
 
 def oracle_indices(d, N):
@@ -671,6 +672,44 @@ def test_basis_matches_sorted_enumeration_oracle():
         assert np.array_equal(chaos._rank(b, big), np.arange(len(big)))
 
 
+def linearisation_loop(N):
+    """Reference oracle: the linearisation table from exact integers, one
+    (m, n, k) at a time, k! C(m,k) C(n,k) by its ratio recurrence in k."""
+    lin = np.zeros((N + 1,) * 3)
+    for m, n in itertools.combinations_with_replacement(range(N + 1), 2):
+        v = 1
+        for k in range(m + 1):
+            lin[m, n, k] = lin[n, m, k] = v if v < 2**1023 else math.inf
+            v = v * (m - k) * (n - k) // (k + 1)
+    return lin
+
+
+def test_linearisation_matches_the_integer_loop():
+    # the table at N is the leading block of the loop's at N = 169, bit for
+    # bit: exact below 2^53, rounded once past it, inf from 2^1023 on
+    ref = linearisation_loop(169)
+    assert np.isinf(ref).any() and ((2**53 < ref) & (ref < 2**1023)).any()
+    for N in range(170):
+        lin = basis_build(1, N).linearisation
+        block = ref[:N + 1, :N + 1, :N + 1]
+        assert np.array_equal(lin, block), N
+        assert np.array_equal(np.signbit(lin), np.signbit(block)), N
+
+
+def test_ladder_ranks_match_rank_of_the_raised_index():
+    # up[i, j] is _rank(alpha + e_i) for alpha = alphas[src[j]], computed a
+    # slot at a time: every admitted d <= 5, N <= 10, and four wide bases
+    sizes = [(d, N) for d in range(1, 6) for N in range(11)]
+    for d, N in sizes + [(2, 40), (20, 4), (64, 3), (242, 2)]:
+        b = basis_build(d, N)
+        lad = b.ladders
+        assert lad.up.shape == (d, len(lad.src)) and lad.up.dtype == np.intp
+        for i in range(d):
+            raised = b.alphas[lad.src].copy()
+            raised[:, i] += 1
+            assert np.array_equal(lad.up[i], chaos._rank(b, raised)), (d, N)
+
+
 def test_linearisation_table_is_lazy_and_exact():
     b = basis_build(2, 6)
     assert "linearisation" not in vars(b)
@@ -706,11 +745,12 @@ def test_matrix_preflight_refuses_before_allocating(monkeypatch):
             dense(b)
     monkeypatch.undo()
     # the suite is priced from d and N before any basis: at d=3, N=100
-    # one pair section takes 1.4 TB, and six are live at once
+    # the Eq 3.14 terms take 146 TB; d=10, N=8 is the smallest d refused
+    # at N=8
     monkeypatch.setattr(chaos, "basis_build", refuse)
     from sympairs.suites import suite_malliavin
 
-    for d, N, size in ((3, 100, "7675 GiB"), (6, 8, "0.8521 GiB")):
+    for d, N, size in ((3, 100, "1.364e+05 GiB"), (10, 8, "0.9483 GiB")):
         with pytest.raises(ChaosError, match=f"d={d}, N={N} refused: needs "
                            + re.escape(size)):
             suite_malliavin(d, N)
@@ -917,8 +957,9 @@ def test_pair_sections_residual_zero():
 
     for d, N in ((1, 5), (2, 4)):
         A, B = pair_sections(basis_build(d, N))
-        spec = SymmetricPairSpec(OperatorMatrix(A), OperatorMatrix(B))
-        assert check_pair(spec) < 1e-12
+        spec = SymmetricPairSpec(OperatorMatrix(A.to_dense()),
+                                 OperatorMatrix(B.to_dense()))
+        assert check_pair(SymmetricPairSpec(A, B)) == check_pair(spec) < 1e-12
 
 
 def small_bases(max_size=400):
@@ -972,7 +1013,8 @@ def test_ladder_checks_match_dense_oracles_on_small_bases():
             continue
         dense = dense_malliavin(b)
         A, S = pair_sections(b)
-        assert np.array_equal(A, dense["A"]) and np.array_equal(S, dense["S"])
+        assert np.array_equal(A.to_dense(), dense["A"])
+        assert np.array_equal(S.to_dense(), dense["S"])
         assert chaos.ibp_residual(b) == dense["ibp"]
         assert chaos.mult_split_residual(b) == dense["split"]
 
@@ -1014,7 +1056,7 @@ def test_section_maximality_is_the_pair_residual(d, N):
 
     recs = {r.check: r for r in suite_malliavin(d, N)}
     A, B = pair_sections(basis_build(d, N))
-    dev = canon_float(np.max(np.abs(B - A.conj().T)))
+    dev = canon_float(np.max(np.abs(B.to_dense() - A.to_dense().conj().T)))
     assert recs["section_maximality"].residual == dev
     assert recs["pair_identity"].residual == dev
 
@@ -1096,9 +1138,39 @@ def test_rank_off_by_one_fails_ladder_checks(monkeypatch, alpha, extra):
     assert chaos.mult_split_residual(b) == dense["split"] > 0.1
     assert chaos.ibp_residual(b) == dense["ibp"]
     A, S = pair_sections(b)
-    assert np.array_equal(A, dense["A"]) and np.array_equal(S, dense["S"])
+    assert np.array_equal(A.to_dense(), dense["A"])
+    assert np.array_equal(S.to_dense(), dense["S"])
     assert {"number_operator", "mult_split", "pair_identity"} | extra \
         <= set(failed_checks(2, 4))
+
+
+@pytest.mark.parametrize("side", (0, 1))
+def test_one_section_entry_off_fails_the_pair_records(monkeypatch, side):
+    # one coordinate triple of A or B off by 1e-6 relative: Eq 3.15 and
+    # Thm 3.13 fail, and no other record moves
+    from sympairs.suites import suite_malliavin
+
+    real = chaos.pair_sections
+    good = {r.check: r for r in suite_malliavin(3, 5)}
+
+    def off(basis):
+        ops = list(real(basis))
+        op = ops[side]
+        vals = op.vals.copy()
+        vals[len(vals) // 2] *= 1 + 1e-6
+        ops[side] = CooOperator(op.row, op.col, vals, op.shape,
+                                op.linearity)
+        return tuple(ops)
+
+    monkeypatch.setattr(chaos, "pair_sections", off)
+    recs = {r.check: r for r in suite_malliavin(3, 5)}
+    assert {c for c, r in recs.items() if not r.passed} \
+        == {"pair_identity", "section_maximality"}
+    assert 1e-7 < recs["pair_identity"].residual < 1e-5
+    assert good["pair_identity"].passed
+    for check, rec in recs.items():
+        if check not in ("pair_identity", "section_maximality"):
+            assert rec == good[check], check
 
 
 def test_number_diagonal_matches_dense_product_on_small_bases():

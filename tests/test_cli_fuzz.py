@@ -29,8 +29,8 @@ SMALL_FLOAT = st.sampled_from([2.0, 1.0, 0.5, 3.0, 0.0, -1.0, 1e-300, 1e300,
 TOL_TEXT = st.sampled_from(["1e-10", "0", "1e-3", "-1", "nan", "inf", "abc"])
 # (suite, sizes) far past a guard; each must be refused before any work
 OVERSIZED = st.sampled_from([
-    ("malliavin", {"d": 3, "N": 100}),  # 1.4 TB a pair section
-    ("malliavin", {"d": 6, "N": 8}),  # 0.852 GiB
+    ("malliavin", {"d": 3, "N": 100}),  # 146 TB of Eq 3.14 terms
+    ("malliavin", {"d": 10, "N": 8}),  # 0.948 GiB
     ("malliavin", {"d": 1, "N": 400}),  # (N+1)! overflows
     ("malliavin", {"d": 10**6, "N": 2}),
     ("malliavin", {"d": 2, "N": 10**9}),

@@ -4,6 +4,7 @@ import pytest
 from sympairs.core import (
     CONJUGATE,
     LINEAR,
+    CooOperator,
     OperatorError,
     OperatorMatrix,
     adjoint,
@@ -307,3 +308,69 @@ def test_self_adjoint_guard_is_shared(op, message):
         op(OperatorMatrix(np.ones((2, 3))))
     with pytest.raises(OperatorError, match=f"{name} requires a linear"):
         op(OperatorMatrix(np.eye(2), CONJUGATE))
+
+
+def random_coo(rng, shape, nnz, tag):
+    """A CooOperator with nnz random entries, coordinates drawn with
+    repeats so that some of them add."""
+    row = rng.integers(0, shape[0], nnz)
+    col = rng.integers(0, shape[1], nnz)
+    return CooOperator(row, col, rand_complex(rng, nnz, 1), shape, tag)
+
+
+def test_coo_to_dense_sums_repeats_in_order():
+    T = CooOperator([0, 1, 0], [2, 0, 2], [1.0, 2j, 0.5], (2, 3))
+    assert np.array_equal(T.to_dense(), [[0, 0, 1.5], [2j, 0, 0]])
+    assert (T.rows, T.cols, T.is_linear) == (2, 3, True)
+    empty = CooOperator([], [], [], (2, 3), CONJUGATE)
+    assert np.array_equal(empty.to_dense(), np.zeros((2, 3)))
+    assert np.array_equal(empty.apply(np.ones(3)), np.zeros(2))
+
+
+def test_coo_apply_and_adjoint_match_the_dense_form():
+    rng = np.random.default_rng(6)
+    for tag in (LINEAR, CONJUGATE):
+        T = random_coo(rng, (4, 5), 12, tag)
+        dense = OperatorMatrix(T.to_dense(), tag)
+        v = rand_complex(rng, 5, 1)[:, 0]
+        block = rand_complex(rng, 5, 3)
+        assert np.allclose(T.apply(v), dense.apply(v), rtol=0, atol=1e-12)
+        assert np.allclose(T.apply(block), dense.apply(block), rtol=0,
+                           atol=1e-12)
+        Ts = T.adjoint()
+        # conj commutes with the sums, so the adjoint is exact
+        assert np.array_equal(Ts.to_dense(), adjoint(dense).matrix)
+        assert Ts.linearity == tag and Ts.shape == (5, 4)
+        back = Ts.adjoint()
+        assert np.array_equal(back.to_dense(), T.to_dense())
+        # the defining identity, with the conjugation the tag asks for
+        u, w = rand_complex(rng, 5, 1)[:, 0], rand_complex(rng, 4, 1)[:, 0]
+        lhs, rhs = np.vdot(T.apply(u), w), np.vdot(u, Ts.apply(w))
+        assert abs(lhs - (rhs if tag == LINEAR else np.conj(rhs))) < 1e-12
+
+
+@pytest.mark.parametrize("args, match", [
+    (([0], [0, 1], [1.0, 1.0], (2, 2)), "differ in length"),
+    (([2], [0], [1.0], (2, 2)), "outside"),
+    (([0], [-1], [1.0], (2, 2)), "outside"),
+    (([0], [0], [np.nan], (2, 2)), "non-finite"),
+    (([0], [0], [1.0], (2, 2), "antilinear"), "linearity tag"),
+    (([0], [0], [1.0], (2, -1)), "shape"),
+    (([0], [0], [1.0], (2, 2, 2)), "shape"),
+])
+def test_coo_validation(args, match):
+    with pytest.raises(OperatorError, match=match):
+        CooOperator(*args)
+
+
+def test_coo_is_immutable_and_owns_its_arrays():
+    row = np.array([0, 1])
+    T = CooOperator(row, [1, 0], [1.0, 2.0], (2, 2))
+    row[0] = 1
+    assert T.row.tolist() == [0, 1]
+    with pytest.raises(AttributeError):
+        T.vals = np.zeros(2)
+    for arr in (T.row, T.col, T.vals, T.adjoint().vals):
+        assert not arr.flags.writeable
+    with pytest.raises(OperatorError, match="dimension mismatch"):
+        T.apply(np.ones(3))

@@ -709,7 +709,7 @@ def test_network_vertex_cap(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(network.np, "zeros", refuse)
     path = "".join(f"v{i} v{i + 1} 1\n" for i in range(2896))
     with pytest.raises(NetworkError,
-                       match=r"2897 vertices refused: needs 0\.7504 GiB"):
+                       match=r"2897 vertices refused: needs 768\.4 MiB"):
         parse_graph(path)
     with pytest.raises(AssertionError, match="allocated"):
         parse_graph(path[:path.rindex("v2895 ")])

@@ -9,6 +9,7 @@ from sympairs.core import (
     CONJUGATE,
     DEFAULT_TOL,
     LINEAR,
+    CooOperator,
     OperatorMatrix,
     adjoint,
     eig_space,
@@ -256,6 +257,70 @@ def test_suite_pair_one_entry_off_fails_three_records():
         for check in ("pair_identity", "block_symmetry", "maximality"):
             assert recs[check].passed == ok, recs[check]
         assert recs["block_adjoint"].passed, recs["block_adjoint"]
+
+
+def coo_triples(rng, rows, cols, nnz):
+    """nnz random complex entries on a rows x cols grid; on small grids
+    some coordinates repeat."""
+    return (rng.integers(0, rows, nnz), rng.integers(0, cols, nnz),
+            rng.normal(size=nnz) + 1j * rng.normal(size=nnz))
+
+
+@st.composite
+def coo_pairs(draw):
+    """(A, B) CooOperator pairs: B is A*'s triples shuffled, with some
+    entries split into repeated summands, some dropped, some added on B's
+    side only, and a perturbation of drawn size; either may be empty."""
+    n1, n2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    tag = draw(st.sampled_from([LINEAR, CONJUGATE]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = CooOperator(*coo_triples(rng, n2, n1, draw(st.integers(0, 12))),
+                    (n2, n1), tag)
+    Astar = A.adjoint()
+    row, col, vals = Astar.row, Astar.col, Astar.vals
+    if draw(st.booleans()):  # split entries into two repeated summands
+        split = rng.random(len(vals)) < 0.5
+        t = rng.random(np.count_nonzero(split))
+        row, col = (np.concatenate((a, a[split])) for a in (row, col))
+        vals = np.concatenate((vals, vals[split] * t))
+        vals[:len(split)][split] *= 1 - t
+    if draw(st.booleans()):  # entries of A* with no partner in B
+        keep = rng.random(len(vals)) < 0.7
+        row, col, vals = row[keep], col[keep], vals[keep]
+    extra = coo_triples(rng, n1, n2, draw(st.integers(0, 4)))
+    row, col, vals = (np.concatenate(pair) for pair in
+                      zip((row, col, vals), extra))
+    scale = draw(st.sampled_from([0.0, 1e-13, 1e-6, 1.0]))
+    vals = vals + scale * (rng.normal(size=len(vals))
+                           + 1j * rng.normal(size=len(vals)))
+    order = rng.permutation(len(vals))
+    B = CooOperator(row[order], col[order], vals[order], (n1, n2), tag)
+    return A, B
+
+
+@settings(max_examples=300, deadline=None)
+@given(coo_pairs())
+def test_coo_check_pair_is_the_dense_check_bit_for_bit(pair):
+    A, B = pair
+    dense = SymmetricPairSpec(OperatorMatrix(A.to_dense(), A.linearity),
+                              OperatorMatrix(B.to_dense(), B.linearity))
+    res = check_pair(SymmetricPairSpec(A, B))
+    assert res == check_pair(dense) == adjoint_deviation_oracle(
+        A.to_dense(), B.to_dense(), A.linearity)
+
+
+def test_coo_check_pair_edge_cases():
+    empty = CooOperator([], [], [], (2, 3), CONJUGATE)
+    assert check_pair(SymmetricPairSpec(empty, empty.adjoint())) == 0.0
+    # an entry listed on one side only is compared with zero
+    A = CooOperator([1], [0], [3 - 4j], (3, 2), CONJUGATE)
+    assert check_pair(SymmetricPairSpec(A, empty)) == 5.0
+    assert check_pair(SymmetricPairSpec(A, A.adjoint())) == 0.0
+    # repeats add before the comparison: 1 + 1 - 2 is exact
+    B = CooOperator([0, 0], [1, 1], [1 - 4j, 2.0], (2, 3), CONJUGATE)
+    assert check_pair(SymmetricPairSpec(A, B)) == 0.0
+    with pytest.raises(PairError, match="share a storage"):
+        SymmetricPairSpec(A, OperatorMatrix(B.to_dense(), CONJUGATE))
 
 
 def test_pair_from_json_round_trip():
