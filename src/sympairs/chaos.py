@@ -526,19 +526,50 @@ def _rank(basis: ChaosBasis, gamma) -> np.ndarray:
 
 def product_terms(basis: ChaosBasis, P, Q):
     """Terms of H_p * H_q for all pairs (p, q) = (P[t], Q[t]), one per k <=
-    min(p, q) slotwise in (pair, k lex) order: (t, rank of gamma, gamma =
-    p + q - 2k, prod_i lin[p_i, q_i, k_i]); O(terms) memory, no masks."""
-    a, b, lin = basis.alphas[P], basis.alphas[Q], basis.linearisation
+    min(p, q) slotwise in (pair, k lex) order: (t, p, q, gamma = p + q -
+    2k, w = prod_i lin[p_i, q_i, k_i]), the slot arrays (terms, d) with
+    contiguous columns; O(terms) memory, no masks."""
+    a, b = basis.alphas.T.take(P, axis=1), basis.alphas.T.take(Q, axis=1)
     box = np.minimum(a, b) + 1
-    count = box.prod(axis=1)
+    count = box.prod(axis=0)
     t = np.repeat(np.arange(len(count)), count)
     r = np.arange(len(t)) - np.repeat(np.cumsum(count) - count, count)
-    k = np.empty((len(t), basis.d), dtype=np.intp)
+    k = np.empty((basis.d, len(t)), dtype=np.intp)
     for i in range(basis.d - 1, -1, -1):  # the last slot is the fastest digit
-        r, k[:, i] = np.divmod(r, box[t, i])
-    a, b = a.take(t, axis=0), b.take(t, axis=0)
-    gamma = a + b - 2 * k
-    return t, _rank(basis, gamma), gamma, lin[a, b, k].prod(axis=1)
+        r, k[i] = np.divmod(r, box[i].take(t))
+    a, b = a.take(t, axis=1), b.take(t, axis=1)
+    n1 = basis.N + 1
+    w = basis.linearisation.ravel().take((a * n1 + b) * n1 + k).T.prod(axis=1)
+    k *= -2  # gamma in place of k
+    k += a
+    k += b
+    return t, a.T, b.T, k.T, w
+
+
+def _leibniz_defects(basis: ChaosBasis, a, b, gamma, w):
+    """Per slot, the terms' R of ``derivation_residual``, 0.0 within their
+    bound.  c_i is a running prefix times a suffix product: exact in any
+    order at every admitted size (for d >= 4 all weights are integers
+    below 2^53; for d <= 3 c_i has at most two factors)."""
+    d, n1, lin = basis.d, basis.N + 1, basis.linearisation.ravel()
+    bound = (d + 2) * np.finfo(float).eps
+    # flat[i]: where each term's lin[p_i, q_i, k_i] lies in the table
+    flat = [(p * n1 + q) * n1 + (p + q - g) // 2
+            for p, q, g in zip(a.T, b.T, gamma.T)]
+    suffix = [1.0]  # suffix[j]: product of the factors of the last j slots
+    for f in flat[:0:-1]:
+        suffix.append(lin.take(f) * suffix[-1])
+    prefix = 1.0
+    for i, (p, q, f) in enumerate(zip(a.T, b.T, flat)):
+        c = prefix * suffix[d - 1 - i]
+        gw = gamma[:, i] * w
+        x = q * lin.take(f - np.minimum(q, 1) * n1)
+        y = p * lin.take(f - np.minimum(p, 1) * n1 * n1)
+        R = gw - c * (x + y)
+        if R.any():  # exact weights leave R = 0: no scale to form
+            R[abs(R) <= bound * (abs(gw) + abs(c) * (abs(x) + abs(y)))] = 0.0
+        yield R
+        prefix = prefix * lin.take(f)
 
 
 def derivation_residual(basis: ChaosBasis) -> float:
@@ -554,31 +585,27 @@ def derivation_residual(basis: ChaosBasis) -> float:
     exceeds (d + 2) eps times its own backward-error scale |gamma_i w| +
     |c_i q_i lin| + |c_i p_i lin|; (d + 2) eps bounds, to first order,
     the rounding of the factors and sums behind it.  A term within that
-    bound adds 0.0, and a norm past the float range reads as inf."""
-    d, lad, lin = basis.d, basis.ladders, basis.linearisation
+    bound adds 0.0, so a passing table takes one pass and places no term;
+    otherwise the terms are ranked after that pass and a second one weighs
+    the slots with survivors.  A norm past the float range reads as inf,
+    and a nan or inf table entry as nan or inf."""
     room = basis.N - 1 - basis.degrees[basis.degrees < basis.N]
-    width = basis.binom[room, d]  # the q of p: a prefix of the basis
+    width = basis.binom[room, basis.d]  # the q of p: a prefix of the basis
     P = np.repeat(np.arange(len(width)), width)
     Q = np.arange(len(P)) - np.repeat(np.cumsum(width) - width, width)
-    t, pos, gamma, w = product_terms(basis, P, Q)
-    a, b = basis.alphas.take(P[t], axis=0), basis.alphas.take(Q[t], axis=0)
-    k = (a + b - gamma) // 2
-    factors = lin[a, b, k]
-    down = np.zeros((d, len(basis)), dtype=np.intp)  # position of alpha - e_i
-    down[np.arange(d)[:, None], lad.up] = lad.src
-    bound = (d + 2) * np.finfo(float).eps
-    worst = 0.0
-    for i, (p, q, ki) in enumerate(zip(a.T, b.T, k.T)):
-        c = np.delete(factors, i, axis=1).prod(axis=1)
-        gw = gamma[:, i] * w
-        x, y = (q * lin[p, np.maximum(q - 1, 0), ki],
-                p * lin[np.maximum(p - 1, 0), q, ki])
-        R = gw - c * (x + y)
-        if R.any():  # exact weights leave R = 0: no scale to form
-            R[abs(R) <= bound * (abs(gw) + abs(c) * (abs(x) + abs(y)))] = 0.0
-        with np.errstate(over="ignore"):
-            col = np.bincount(t, weights=basis.norms[down[i, pos]] * R ** 2)
-        worst = max(worst, col.max())
+    worst, lad = 0.0, basis.ladders
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, a, b, gamma, w = product_terms(basis, P, Q)
+        del P, Q
+        if not any(R.any() for R in _leibniz_defects(basis, a, b, gamma, w)):
+            return 0.0
+        pos = _rank(basis, gamma)
+        for i, R in enumerate(_leibniz_defects(basis, a, b, gamma, w)):
+            if R.any():  # the norm of each term's gamma - e_i
+                down = np.zeros(len(basis), dtype=np.intp)
+                down[lad.up[i]] = lad.src
+                col = np.bincount(t, weights=basis.norms[down[pos]] * R ** 2)
+                worst = np.maximum(worst, col.max())  # nan propagates
     return math.sqrt(worst)
 
 
@@ -593,9 +620,10 @@ def multiply(F: ChaosVector, G: ChaosVector):
     F._same(G)
     basis, p, q = F.basis, np.flatnonzero(F.coeffs), np.flatnonzero(G.coeffs)
     P, Q = np.repeat(p, len(q)), np.tile(q, len(p))
-    t, rank, gamma, w = product_terms(basis, P, Q)
+    t, _, _, gamma, w = product_terms(basis, P, Q)
     vals = F.coeffs[P[t]] * G.coeffs[Q[t]] * w
-    pos, first, inv = np.unique(rank, return_index=True, return_inverse=True)
+    pos, first, inv = np.unique(_rank(basis, gamma), return_index=True,
+                                return_inverse=True)
     acc = np.zeros(len(pos), dtype=complex)
     np.add.at(acc, inv, vals)
     out, high = np.zeros(len(basis), dtype=complex), pos >= len(basis)

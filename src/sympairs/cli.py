@@ -28,8 +28,11 @@ class UsageError(ValueError):  # one of suites.ENTRY_ERRORS
 
 def _tol(raw, name: str) -> float:
     """A finite tolerance >= 0: NaN fails every check and inf passes every
-    one; 0 makes strict checks fail, a check failure, not a usage error."""
+    one; 0 makes strict checks fail, a check failure, not a usage error.
+    A boolean (JSON true or false) is not a number here."""
     try:
+        if isinstance(raw, bool):
+            raise TypeError
         tol = float(raw)
     except OverflowError:  # an integer past the float range
         tol = math.inf
@@ -150,10 +153,7 @@ def _validate_config(config) -> dict:
         # the conversions run_entry applies to numeric params
         for key in ("d", "N", "n", "nmax"):
             suites.int_param(params, key)
-        try:
-            float(params.get("r", 0))
-        except (TypeError, ValueError, OverflowError):
-            raise UsageError(f"param 'r' is not a number: {params['r']!r}")
+        suites.float_param(params, "r")
         suites.check_expect(params.get("expect"))
         for key in ("graph", "graph_file"):
             if not isinstance(params.get(key, ""), str):

@@ -38,6 +38,14 @@ class OperatorError(ValueError):
     """Raised for malformed operators or violated preconditions."""
 
 
+def not_bool(x):
+    """``x``, or TypeError for a bool: JSON's true and false parse to one,
+    which int(), float() and complex() would read as 1 and 0."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not a number")
+    return x
+
+
 def rounding_tol(floor: float, scale: float) -> float:
     """max(floor, ROUNDING eps scale): the tolerance of a record whose
     rounding errors scale with ``scale``; ``floor`` is ``--tol``."""
@@ -128,7 +136,7 @@ class OperatorMatrix:
     def from_json(text: str) -> "OperatorMatrix":
         try:
             obj = json.loads(text) if isinstance(text, str) else text
-            rows, cols = int(obj["rows"]), int(obj["cols"])
+            rows, cols = (int(not_bool(obj[k])) for k in ("rows", "cols"))
             data = [complex(re, im) for re, im in obj["entries"]]
         except (TypeError, ValueError, KeyError, OverflowError):
             raise OperatorError("matrix JSON must be an object with integer "

@@ -28,6 +28,7 @@ from .core import (
     OperatorMatrix,
     adjoint,
     eig_space,
+    not_bool,
     realify,
 )
 
@@ -177,7 +178,7 @@ def pair_from_json(obj) -> tuple:
     A = OperatorMatrix.from_json(obj["A"])
     B = OperatorMatrix.from_json(obj["B"])
     try:
-        tol = float(obj.get("tol", DEFAULT_TOL))
+        tol = float(not_bool(obj.get("tol", DEFAULT_TOL)))
     except (TypeError, ValueError, OverflowError):
         tol = math.nan
     if not 0 <= tol < math.inf:  # NaN fails too

@@ -21,6 +21,7 @@ from .core import (
     adjoint,
     check_budget,
     compose,
+    not_bool,
     rounding_tol,
 )
 from .report import Record, Report, make_record, verdict_record
@@ -48,9 +49,10 @@ def suite_malliavin(d: int, N: int, tol: float = DEFAULT_TOL):
     if d < 1 or N < 2:  # the pair sections need degree-1 functions
         raise chaos.ChaosError("need d >= 1 and N >= 2")
     # beside four (B, d) int64 arrays (alphas, ladders, derivation_residual's
-    # down) and 1 MiB of small ones, the two pair sections hold d n2
-    # coordinate triples each (32 bytes: row, col, complex value), and
-    # check_pair's sorted copies and per-coordinate sums up to seven more
+    # per-slot down tables of a failing table) and 1 MiB of small ones, the
+    # two pair sections hold d n2 coordinate triples each (32 bytes: row,
+    # col, complex value), and check_pair's sorted copies and per-coordinate
+    # sums up to seven more
     basis_price = chaos.basis_bytes(d, N)  # refuses N >= 170 first
     B, n2 = math.comb(N + d, d), math.comb(N - 2 + d, d)
     section, what = 32 * d * n2, f"d={d}, N={N}"
@@ -58,8 +60,9 @@ def suite_malliavin(d: int, N: int, tol: float = DEFAULT_TOL):
     cheap = max(basis_price, live + 7 * section)
     check_budget(cheap, what, chaos.ChaosError)
     # the O(N) term count once that passed: per Eq 3.14 term 12 + 7 d int64
-    # or float64 entries (product_terms' t, k, gamma, rank and weights,
-    # derivation_residual's copies and sums), and the (N + 1)^3 lin table
+    # or float64 entries (product_terms' t, p, q, gamma and weights,
+    # derivation_residual's table positions, suffix products and sums, and
+    # for a failing table the terms' ranks), and the (N + 1)^3 lin table
     terms = 8 * (12 + 7 * d) * chaos.term_count(d, N) + 8 * (N + 1) ** 3
     check_budget(max(cheap, live + terms), what, chaos.ChaosError)
     basis = chaos.basis_build(d, N)
@@ -271,14 +274,24 @@ ENTRY_ERRORS = (ValueError, KeyError, np.linalg.LinAlgError)
 
 def int_param(params: dict, key: str, default=0) -> int:
     """``params[key]`` as an int: an integral number or an integer string.
-    A non-integral number raises ValueError instead of being truncated."""
+    A non-integral number raises ValueError instead of being truncated, and
+    a boolean instead of being read as 0 or 1."""
     raw = params.get(key, default)
     try:
         if isinstance(raw, float) and not raw.is_integer():
             raise ValueError
-        return int(raw)
+        return int(not_bool(raw))
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"param {key!r} is not an integer: {raw!r}") from None
+
+
+def float_param(params: dict, key: str, default=0.0) -> float:
+    """``params[key]`` as a float; a boolean raises ValueError."""
+    raw = params.get(key, default)
+    try:
+        return float(not_bool(raw))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"param {key!r} is not a number: {raw!r}") from None
 
 
 def check_expect(expect):
@@ -320,7 +333,7 @@ def run_entry(kind: str, params: dict, tol: float | None = None) -> list:
         return suite_network(network.parse_graph(params["graph"]), tol)
     if kind == "defect":
         return suite_defect(params.get("rule", "geometric"),
-                            float(params.get("r", 2.0)),
+                            float_param(params, "r", 2.0),
                             int_param(params, "nmax", 80),
                             params.get("expect"), tol)
     raise ValueError(f"unknown suite kind {kind!r}")
@@ -354,8 +367,10 @@ def _parse_rho(obj) -> np.ndarray:
     try:
         if not all(isinstance(row, list) for row in obj):
             raise TypeError
-        return np.array([[complex(c[0], c[1]) if isinstance(c, (list, tuple))
-                          else complex(c) for c in row] for row in obj],
+        return np.array([[complex(not_bool(c[0]), not_bool(c[1]))
+                          if isinstance(c, (list, tuple))
+                          else complex(not_bool(c)) for c in row]
+                         for row in obj],
                         dtype=complex)
     except (TypeError, ValueError, IndexError, OverflowError):
         raise modular.ModularError(
@@ -366,7 +381,7 @@ def _parse_rho(obj) -> np.ndarray:
 def _parse_t_list(obj) -> list:
     try:
         if isinstance(obj, list):
-            return [float(t) for t in obj]
+            return [float(not_bool(t)) for t in obj]
     except (TypeError, ValueError, OverflowError):
         pass
     raise modular.ModularError(f"t_list must be a list of numbers: {obj!r}")

@@ -564,9 +564,10 @@ def test_multiply_truncation_and_lost_against_double_degree_oracle(d, N):
     # the generator's terms of H_p * H_q, past degree N too (ranks past
     # |b| are positions in the degree-2N basis)
     for p in (0, 1, len(b) - 1):
-        t, pos, _, w = product_terms(b, np.full(len(b), p), np.arange(len(b)))
+        t, _, _, gamma, w = product_terms(b, np.full(len(b), p),
+                                          np.arange(len(b)))
         cols = np.zeros((len(big), len(b)))
-        cols[pos, t] = w
+        cols[chaos._rank(b, gamma), t] = w
         for q in range(len(b)):
             ref = multiply_monomial(big.unit(b.alphas[p]),
                                     big.unit(b.alphas[q])).coeffs
@@ -589,13 +590,20 @@ def test_product_terms_order_and_empty_input():
     # per pair, k runs over the box k <= min(p, q) with the last slot fastest
     b = basis_build(2, 4)
     p, q = position(b, (1, 2)), position(b, (2, 1))
-    t, pos, gamma, w = product_terms(b, [p, q], [q, q])
+    t, a, c, gamma, w = product_terms(b, [p, q], [q, q])
     assert t.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
     assert gamma[:4].tolist() == [[3, 3], [3, 1], [1, 3], [1, 1]]
     assert w[:4].tolist() == [1.0, 2.0, 2.0, 4.0]
-    assert np.array_equal(pos, chaos._rank(b, gamma))
-    t, pos, gamma, w = product_terms(b, [], [])
-    assert len(t) == len(pos) == len(w) == 0 and gamma.shape == (0, 2)
+    # each term carries its pair's p and q, and w is the slotwise product
+    # of lin[p_i, q_i, k_i] with k = (p + q - gamma) / 2
+    assert np.array_equal(a, b.alphas[[p, q]][t])
+    assert np.array_equal(c, b.alphas[[q, q]][t])
+    k = (a + c - gamma) // 2
+    assert np.array_equal(a + c - 2 * k, gamma) and (k >= 0).all()
+    assert np.array_equal(w, b.linearisation[a, c, k].prod(axis=1))
+    t, a, c, gamma, w = product_terms(b, [], [])
+    assert len(t) == len(w) == 0
+    assert a.shape == c.shape == gamma.shape == (0, 2)
     out, lost = multiply(zero_vector(b), b.unit((1, 0)))
     assert not out.coeffs.any() and lost == 0.0
 
@@ -840,6 +848,59 @@ def test_suite_malliavin_generates_product_terms_once(monkeypatch):
     assert all(r.passed for r in suite_malliavin(3, 5))
     # one call for every pair with deg p + deg q <= N - 1: C(N - 1 + 2d, 2d)
     assert calls == [math.comb(4 + 6, 6)]
+
+
+def test_suite_malliavin_ranks_only_for_a_surviving_residual(monkeypatch):
+    # a passing table places no Eq 3.14 term: the one _rank call is the
+    # basis ranking its multi-indices; one entry off by one adds one call,
+    # for every term at once, however many slots see it
+    from sympairs.suites import suite_malliavin
+
+    calls, real_rank, real_build = [], chaos._rank, chaos.basis_build
+
+    def counted(basis, gamma):
+        calls.append(len(gamma))
+        return real_rank(basis, gamma)
+
+    def off_by_one(d, N):
+        b = real_build(d, N)
+        lin = b.linearisation.copy()
+        lin[1, 1, 1] += 1.0
+        vars(b)["linearisation"] = lin
+        return b
+
+    monkeypatch.setattr(chaos, "_rank", counted)
+    assert all(r.passed for r in suite_malliavin(3, 5))
+    assert calls == [math.comb(5 + 3, 3)]
+    calls.clear()
+    monkeypatch.setattr(chaos, "basis_build", off_by_one)
+    rec = next(r for r in suite_malliavin(3, 5)
+               if r.check == "derivation_identity")
+    assert not rec.passed
+    assert calls == [math.comb(5 + 3, 3), chaos.term_count(3, 5)]
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf, 1e200))
+@pytest.mark.parametrize("d,N", ((1, 5), (2, 5)))
+def test_derivation_identity_fails_on_non_finite_residual(monkeypatch, d, N,
+                                                          value):
+    # max(worst, nan) keeps worst, so a nan or inf table entry read 0.0
+    # and passed; an entry of 1e200 takes a norm past the float range
+    from sympairs.suites import suite_malliavin
+
+    real = chaos.basis_build
+
+    def broken(d, N):
+        b = real(d, N)
+        lin = b.linearisation.copy()
+        lin[1, 1, 1] = value
+        vars(b)["linearisation"] = lin
+        return b
+
+    monkeypatch.setattr(chaos, "basis_build", broken)
+    rec = next(r for r in suite_malliavin(d, N)
+               if r.check == "derivation_identity")
+    assert not rec.passed and not math.isfinite(rec.residual)
 
 
 def test_each_linearisation_level_obeys_leibniz(monkeypatch):

@@ -351,6 +351,54 @@ def test_malformed_json_no_traceback(tmp_path, capsys, kind, params):
     assert_one_line_error(capsys)
 
 
+#: a pair with |B - A*| = 0.5
+HALF = {"A": UNIT, "B": {"rows": 1, "cols": 1, "entries": [[1.5, 0.0]]}}
+
+
+@pytest.mark.parametrize("entry, code", [
+    # refused by the batch's validation: exit 2
+    ({"kind": "malliavin", "params": {"d": True, "N": 4}}, 2),
+    ({"kind": "malliavin", "params": {"d": 2, "N": True}}, 2),
+    ({"kind": "modular", "params": {"n": True}}, 2),
+    ({"kind": "defect", "params": {"nmax": True}}, 2),
+    ({"kind": "defect", "params": {"r": True}}, 2),
+    ({"kind": "network", "tol": True,
+      "params": {"graph": "o a 1\na b 1\norigin o\n"}}, 2),
+    # refused while the entry runs: one suite_error record, exit 1
+    ({"kind": "modular", "params": {"n": 2, "t_list": [True]}}, 1),
+    ({"kind": "modular", "params": {"rho": [[0.5, 0], [False, 0.5]]}}, 1),
+    ({"kind": "modular", "params": {"rho": [[[0.5, False], 0], [0, 0.5]]}},
+     1),
+    ({"kind": "pair", "params": {**HALF, "tol": True}}, 1),
+    ({"kind": "pair", "params": {"A": {**UNIT, "rows": True}, "B": UNIT}}, 1),
+])
+def test_json_booleans_are_not_numbers(tmp_path, capsys, entry, code):
+    # JSON true and false parse to bools, which int(), float() and
+    # complex() read as 1 and 0: "d": true ran d = 1, and a pair file's
+    # "tol": true passed |B - A*| = 0.5
+    cfg = tmp_path / "bool.json"
+    cfg.write_text(json.dumps({"suites": [entry]}))
+    assert cli.main(["run", "-c", str(cfg)]) == code
+    if code == 2:
+        assert_one_line_error(capsys)
+    else:
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert [(r["check"], r["pass"]) for r in records] == [
+            ("suite_error", False)]
+    # check reads the same file content: a usage error
+    params, path = entry["params"], tmp_path / "in.json"
+    if entry["kind"] == "pair":
+        path.write_text(json.dumps(params))
+        argv = ["check", "pair", "-i", str(path)]
+    elif "rho" in params:
+        path.write_text(json.dumps(params["rho"]))
+        argv = ["check", "modular", "--rho", str(path)]
+    else:
+        return  # check takes these as flags, typed by argparse
+    assert cli.main(argv) == 2
+    assert_one_line_error(capsys)
+
+
 @pytest.mark.parametrize("kind,params,missing", [
     ("malliavin", {"d": 2}, "N"),
     ("malliavin", {"N": 4}, "d"),
