@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from sympairs import (
-    check_commutation,
+    check_sxs_commutes,
     conjugation_action_matrix,
     modular_data,
     modular_flow_check,
@@ -39,8 +39,9 @@ def main():
     invo = np.max(np.abs(Mj @ np.conj(Mj) - np.eye(4)))
     print(f"  J isometry {iso:.1e}, involution {invo:.1e}")
 
-    print(f"  J M J lands in the commutant: residual "
-          f"{check_commutation(md.J, sf.alg, sf.comm):.3e}")
+    sxs, jxj = check_sxs_commutes(md.S, md.J, sf.alg, sf.comm)
+    print(f"  S M S lands in the commutant: residual {sxs:.3e}")
+    print(f"  J M J lands in the commutant: residual {jxj:.3e}")
     flow = modular_flow_check(md.eig, sf.alg, [0.5, 1.0, math.pi])
     print(f"  modular flow preserves the algebra: residual {flow:.3e}")
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -26,26 +25,9 @@ class UsageError(ValueError):  # one of suites.ENTRY_ERRORS
     pass
 
 
-def _tol(raw, name: str) -> float:
-    """A finite tolerance >= 0: NaN fails every check and inf passes every
-    one; 0 makes strict checks fail, a check failure, not a usage error.
-    A boolean (JSON true or false) is not a number here."""
-    try:
-        if isinstance(raw, bool):
-            raise TypeError
-        tol = float(raw)
-    except OverflowError:  # an integer past the float range
-        tol = math.inf
-    except (TypeError, ValueError):
-        raise UsageError(f"{name} is not a number: {raw!r}")
-    if not 0 <= tol < math.inf:
-        raise UsageError(f"{name} must be finite and nonnegative")
-    return tol
-
-
 def _env_tol() -> float | None:
     raw = os.environ.get("SYMPAIR_TOL")
-    return None if raw is None else _tol(raw, "SYMPAIR_TOL")
+    return None if raw is None else suites.parse_tol(raw, "SYMPAIR_TOL")
 
 
 def _read_file(path: str) -> str:
@@ -159,7 +141,7 @@ def _validate_config(config) -> dict:
             if not isinstance(params.get(key, ""), str):
                 raise UsageError(f"param {key!r} must be a string")
         if "tol" in entry:
-            _tol(entry["tol"], "suite tol")
+            suites.parse_tol(entry["tol"], "suite tol")
     return config
 
 
@@ -171,7 +153,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else int(exc.code or 0)
     try:
         if args.command == "check":
-            tol = _tol(args.tol, "--tol") if args.tol is not None \
+            tol = suites.parse_tol(args.tol, "--tol") if args.tol is not None \
                 else _env_tol()
             start = time.perf_counter()
             report = Report(suites.run_entry(args.kind, args.params(args),

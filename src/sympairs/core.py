@@ -374,10 +374,10 @@ def cayley(T: OperatorMatrix, tol: float = DEFAULT_TOL) -> OperatorMatrix:
     return OperatorMatrix(C, LINEAR)
 
 
-def power_from_spectrum(w, U, t: float,
-                        tol: float = DEFAULT_TOL) -> np.ndarray:
+def power_from_spectrum(w, U, t, tol: float = DEFAULT_TOL) -> np.ndarray:
     """``U diag(w^{it}) U^H``: the unitary ``H^{it}`` from an
-    eigendecomposition ``(w, U)`` of a positive definite H."""
+    eigendecomposition ``(w, U)`` of a positive definite H.  ``t`` is one
+    time, or a (T, 1, 1) array of times for a (T, m, m) stack."""
     if w.size and w[0] <= tol:
         raise OperatorError(
             f"unitary_power requires positive eigenvalues, got {w[0]:.3e}"

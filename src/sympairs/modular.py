@@ -11,9 +11,10 @@ A *-algebra is held as its orthonormal basis (trace inner product), a
 read-only complex (k, m, m) stack: M of the standard form, M' and M''.
 Those three depend on n alone and are built once per n per process.
 
-Conjugate-linear compositions go through the tag algebra of the core
-module (two conjugations cancel); realification is used only for the
-conjugate-linear eigenproblem at the end.
+Conjugate-linear matrices follow the tag algebra of the core module
+(the adjoint of a conjugate-linear S is S^T, and two conjugations
+cancel); realification is used only for the conjugate-linear
+eigenproblem at the end.
 """
 
 from __future__ import annotations
@@ -27,11 +28,8 @@ from .core import (
     CONJUGATE,
     OperatorError,
     OperatorMatrix,
-    adjoint,
     check_budget,
-    compose,
     power_from_spectrum,
-    realify,
     root_from_spectrum,
     rounding_tol,
     spectrum,
@@ -188,14 +186,21 @@ def commutant(B: np.ndarray, tol: float = CLUSTER_TOL) -> np.ndarray:
 def span_residual(x, basis: np.ndarray) -> float:
     """Distance (Frobenius norm of the remainder) from an orthonormal span.
 
-    ``x`` is one matrix or a (k, m, m) stack, ``basis`` a (k, m, m)
-    stack; for several matrices the worst distance is returned.
+    ``x`` is one matrix or a stack of them, ``basis`` a (k, m, m) stack;
+    for several matrices the worst distance is returned.
     """
+    return float(np.max(_remainders(x, basis)))
+
+
+def _remainders(x, basis: np.ndarray) -> np.ndarray:
+    """Distance of each matrix of the stack ``x`` from the orthonormal
+    span ``basis``, in one projection; shape ``x.shape[:-2]``."""
     X = np.asarray(x, dtype=complex)
+    shape = X.shape[:-2]
     X = X.reshape(-1, X.shape[-1] ** 2)
     V = basis.reshape(len(basis), X.shape[1])
     rem = X - (X @ V.conj().T) @ V
-    return float(np.max(np.linalg.norm(rem, axis=1)))
+    return np.linalg.norm(rem, axis=1).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +254,16 @@ def _algebras(n: int) -> tuple:
     alg = _readonly(alg.reshape((n * n,) * 3))
     comm = commutant(alg)
     return alg, comm, commutant(comm)
+
+
+@functools.cache
+def double_commutant_residual(n: int) -> float:
+    """Distance of M from M'' at n (Thm 4.10), plus the gap between their
+    dimensions.  It reads ``_algebras(n)`` alone, so it does not depend
+    on rho and is computed once per n."""
+    _check_n(n)
+    alg, _, comm2 = _algebras(n)
+    return span_residual(alg, comm2) + abs(len(comm2) - len(alg))
 
 
 def standard_form(n: int, rho) -> StandardForm:
@@ -356,7 +371,10 @@ def modular_data(sf: StandardForm) -> ModularData:
     and PSD within ROUNDING eps m, a rounding allowance (each entry is
     off by about m eps max|Delta|), never within ``--tol``."""
     S = build_S(sf.alg, sf.xi)
-    Delta = compose(adjoint(S), S)
+    # S* = S^T for conjugate-linear S, so S* S = S^T conj(S); S^T is
+    # copied to C order, since a transposed operand can take another BLAS
+    # path and move Delta's last bits
+    Delta = OperatorMatrix(S.matrix.T.copy() @ np.conj(S.matrix))
     allowance = rounding_tol(0.0, Delta.rows)
     w, U = spectrum(Delta, allowance, return_vectors=True)
     if w.size and w[0] < -allowance * max(1.0, float(w[-1])):
@@ -367,28 +385,38 @@ def modular_data(sf: StandardForm) -> ModularData:
 
 
 def conjugation_action_matrix(rho) -> np.ndarray:
-    """Independent route to the modular operator: ``h -> rho h rho^{-1}``."""
+    """Independent route to the modular operator: ``h -> rho h rho^{-1}``,
+    the Kronecker product rho (x) rho^{-T} as one broadcast product."""
     rho = np.asarray(rho, dtype=complex)
-    return np.kron(rho, np.linalg.inv(rho).T)
+    inv_t = np.linalg.inv(rho).T
+    # entry (i k, j l) is rho[i, j] inv_t[k, l], as in np.kron
+    outer = rho[:, None, :, None] * inv_t[None, :, None, :]
+    return outer.reshape(rho.size, rho.size)
 
 
-def check_commutation(T: OperatorMatrix, alg: np.ndarray, comm_basis) -> float:
-    """Max residual of expanding T x T in the commutant basis, x over
-    the algebra basis: membership of the sandwich in M' (Eq 4.11).
+def check_commutation(ops: np.ndarray, alg: np.ndarray,
+                      comm_basis: np.ndarray) -> np.ndarray:
+    """Worst residual of expanding T x T in the commutant basis, x over
+    the algebra basis, for each conjugate-linear matrix T of the
+    (r, m, m) stack ``ops``: membership of the sandwich in M' (Eq 4.11).
 
-    For conjugate-linear T (J or S) the sandwich is linear, with matrix
-    ``Mt conj(x) conj(Mt)``.  Returns the worst trace-norm remainder.
+    For conjugate-linear T the sandwich is linear, with matrix
+    ``T conj(x) conj(T)``.  All r k sandwiches are projected onto M' at
+    once; returns the (r,) worst trace-norm remainders, one per T.
     """
-    Mt = T.matrix
-    sandwich = Mt @ np.conj(alg) @ np.conj(Mt)
-    return span_residual(sandwich, comm_basis)
+    ops = np.asarray(ops)
+    sandwich = ops[:, None] @ np.conj(alg) @ np.conj(ops)[:, None]
+    return _remainders(sandwich, comm_basis).max(axis=1)
 
 
-def check_sxs_commutes(S: OperatorMatrix, alg: np.ndarray,
-                       comm_basis: np.ndarray) -> float:
-    """``check_commutation`` for S: x -> S x S maps M into M'; kept as a
-    name of its own because perfbench's metrics name it."""
-    return check_commutation(S, alg, comm_basis)
+def check_sxs_commutes(S: OperatorMatrix, J: OperatorMatrix, alg: np.ndarray,
+                       comm_basis: np.ndarray) -> tuple:
+    """(S x S, J x J) residuals in M' from one ``check_commutation``:
+    x -> S x S (Eq 4.11) and x -> J x J (Thm 4.10) map M into M'.  Kept
+    as a name of its own because perfbench's metrics name it."""
+    sxs, jxj = check_commutation(np.stack([S.matrix, J.matrix]), alg,
+                                 comm_basis)
+    return float(sxs), float(jxj)
 
 
 #: largest |t| accepted by modular_flow_check.  The flow residual grows
@@ -399,20 +427,39 @@ def check_sxs_commutes(S: OperatorMatrix, alg: np.ndarray,
 MAX_FLOW_T = 1e3
 
 
+#: entries of one flowed stack: modular_flow_check takes the times in
+#: blocks of at most this many (k, m, m) entries, or one time at a time
+#: where one stack is larger
+FLOW_BLOCK = 2**16
+
+
 def modular_flow_check(eig, alg: np.ndarray, t_list) -> float:
     """Max residual of expanding Delta^{it} x Delta^{-it} in the algebra,
     from Delta's eigendecomposition ``eig = (w, U)`` (``ModularData.eig``);
-    Delta^{it} needs w > 0, which modular_J already checked."""
+    Delta^{it} needs w > 0, which modular_J already checked.
+
+    The times go in blocks: for a block of T times one (2T, m, m) stack
+    holds Delta^{it} and Delta^{-it}, and the (T, k, m, m) flowed stack
+    is projected onto M at once.  A block holds at most
+    max(k m^2, FLOW_BLOCK) entries, so any number of times fits in the
+    memory of a few such stacks.
+    """
     if not np.isfinite(t_list).all():
         raise ModularError(f"modular flow times must be finite: {t_list}")
     if np.any(np.abs(t_list) > MAX_FLOW_T):
         raise ModularError(
             f"modular flow times must satisfy |t| <= {MAX_FLOW_T:g}: {t_list}")
     w, U = eig
+    times = np.asarray(t_list, dtype=float).reshape(-1)
+    step = max(1, FLOW_BLOCK // alg.size)
     worst = 0.0
-    for t in t_list:
-        flowed = (power_from_spectrum(w, U, float(t), 0.0) @ alg
-                  @ power_from_spectrum(w, U, -float(t), 0.0))
+    for start in range(0, len(times), step):
+        t = times[start:start + step]
+        # Delta^{-it} from the phases of -t itself, not from conjugate
+        # phases: the bits of one time at a time
+        both = np.concatenate([t, -t])[:, None, None]
+        unitaries = power_from_spectrum(w, U, both, 0.0)[:, None]
+        flowed = unitaries[:len(t)] @ alg @ unitaries[len(t):]
         worst = max(worst, span_residual(flowed, alg))
     return worst
 
@@ -433,13 +480,17 @@ def antilinear_defect_dimension(F: OperatorMatrix, alg: np.ndarray, xi,
     xi = np.asarray(xi, dtype=complex)
     V = np.concatenate([alg - Bh, 1j * (alg + Bh)]) @ xi
     V = V[np.linalg.norm(V, axis=1) >= 1e-14]
-    R = np.vstack([
-        # z = a + ib, F* z = C conj(z): real system for C conj(z) + z = 0
-        realify(adjoint(F)) + np.eye(2 * F.rows),
-        # <v, z> = 0: real and imaginary parts as rows over (a, b)
-        np.hstack([V.real, V.imag]),
-        np.hstack([-V.imag, V.real]),
-    ])
+    # z = a + ib and F* z = C conj(z) with C = F^T: the real system of
+    # C conj(z) + z = 0 over (a, b), then <v, z> = 0 as two rows per v
+    N, p, C = F.rows, len(V), F.matrix.T
+    R = np.zeros((2 * N + 2 * p, 2 * N))
+    np.fill_diagonal(R[:2 * N], 1.0)
+    R[:N, :N] += C.real
+    R[:N, N:] += C.imag
+    R[N:2 * N, :N] += C.imag
+    R[N:2 * N, N:] -= C.real
+    R[2 * N:2 * N + p, :N], R[2 * N:2 * N + p, N:] = V.real, V.imag
+    R[2 * N + p:, :N], R[2 * N + p:, N:] = -V.imag, V.real
     s = np.linalg.svd(R, compute_uv=False)
     scale = s[0] if s.size and s[0] > 0 else 1.0
     rank = int(np.sum(s > tol * scale))

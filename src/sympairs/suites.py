@@ -20,7 +20,6 @@ from .core import (
     DEFAULT_TOL,
     adjoint,
     check_budget,
-    compose,
     not_bool,
     rounding_tol,
 )
@@ -118,19 +117,18 @@ def suite_modular(n: int, rho, t_list, tol: float = DEFAULT_TOL):
     tol_1, tol_rho, tol_delta = (rounding_tol(tol, scale) for scale in
                                  (1.0, cond_delta ** 0.5, cond_delta))
     cyc, sep = modular.cyclic_separating(alg, sf.xi)
-    # double commutant returns the algebra
-    double = (modular.span_residual(alg, sf.comm2)
-              + abs(len(sf.comm2) - len(alg)))
+    sxs, jxj = modular.check_sxs_commutes(S, md.J, alg, sf.comm)
     pair_res = pairs.check_pair(pairs.SymmetricPairSpec(S, F))
     oracle = modular.conjugation_action_matrix(sf.rho)
     checks = [
         ("cyclic_separating", "Def 4.2", 0.0 if (cyc and sep) else 1.0, 0.5,
          f"cyclic={cyc} separating={sep}"),
-        ("double_commutant", "Thm 4.10", double, tol_1, ""),
+        ("double_commutant", "Thm 4.10",
+         modular.double_commutant_residual(n), tol_1, ""),
         ("pair_identity", "Thm 4.6", pair_res, tol_rho,
          f"solve_cond={cond:.1e}"),
         ("involution_squares", "Thm 4.10",
-         abs(compose(S, S).matrix - eye).max(), tol_rho, ""),
+         abs(S.matrix @ np.conj(S.matrix) - eye).max(), tol_rho, ""),
         ("polar_reconstruction", "Eq (4.9)",
          abs(S.matrix - Mj @ np.conj(md.root.matrix)).max(), tol_delta, ""),
         ("conjugation_isometry", "Remark 2.8",
@@ -139,10 +137,8 @@ def suite_modular(n: int, rho, t_list, tol: float = DEFAULT_TOL):
          abs(Mj @ np.conj(Mj) - eye).max(), tol_delta, ""),
         ("delta_conjugation_oracle", "Eq (4.8)",
          abs(md.Delta.matrix - oracle).max(), tol_delta, ""),
-        ("sandwich_commutes", "Eq (4.11)",
-         modular.check_sxs_commutes(S, alg, sf.comm), tol_rho, ""),
-        ("conjugation_swaps_commutant", "Thm 4.10",
-         modular.check_commutation(md.J, alg, sf.comm), tol_delta, ""),
+        ("sandwich_commutes", "Eq (4.11)", sxs, tol_rho, ""),
+        ("conjugation_swaps_commutant", "Thm 4.10", jxj, tol_delta, ""),
     ]
     if t_list:
         # Delta^{it} carries a phase error of about eps |t| cond(Delta):
@@ -294,6 +290,23 @@ def float_param(params: dict, key: str, default=0.0) -> float:
         raise ValueError(f"param {key!r} is not a number: {raw!r}") from None
 
 
+def parse_tol(raw, name: str) -> float:
+    """``raw`` as a finite tolerance >= 0, or ValueError naming ``name``:
+    NaN fails every check and inf passes every one; 0 makes strict checks
+    fail, a check failure, not an input error.  A boolean (JSON true or
+    false) is not a number here, and an integer past the float range is
+    refused."""
+    try:
+        tol = float(not_bool(raw))
+    except OverflowError:  # an integer past the float range
+        tol = math.inf
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} is not a number: {raw!r}") from None
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return tol
+
+
 def check_expect(expect):
     """Refuse (ValueError) a defect ``expect`` other than None,
     CONVERGES or DIVERGES."""
@@ -343,16 +356,19 @@ def run_suite(config: dict, default_tol: float | None = None) -> Report:
     """Run every configured entry; bad input becomes a failed record.
 
     ``default_tol`` (SYMPAIR_TOL) is the tolerance of entries without
-    their own ``tol``; see ``run_entry``.
+    their own ``tol``; see ``run_entry``.  The tolerance an entry uses
+    must pass ``parse_tol``, or the entry gives one ``suite_error``.
     """
     report = Report()
     start = time.perf_counter()
     for entry in config.get("suites", []):
         kind = entry.get("kind")
-        tol = entry.get("tol", default_tol)
+        tol, name = (entry["tol"], "suite tol") if "tol" in entry \
+            else (default_tol, "default tol")
         try:
             report.extend(run_entry(kind, entry.get("params", {}),
-                                    None if tol is None else float(tol)))
+                                    None if tol is None
+                                    else parse_tol(tol, name)))
         except ENTRY_ERRORS as exc:
             report.records.append(
                 Record(str(kind), "suite_error", "-", 1.0, 0.0, False,

@@ -312,7 +312,7 @@ def test_criterion_06_modular_suite():
     recon = float(np.max(np.abs(
         md.S.matrix - Mj @ np.conj(sqrt_psd(md.Delta).matrix)
     )))
-    jmj = modular.check_commutation(md.J, sf.alg, comm)
+    _, jmj = modular.check_sxs_commutes(md.S, md.J, sf.alg, comm)
     flow = modular.modular_flow_check(md.eig, sf.alg, [0.5, 1.0, math.pi])
     adj_dev = float(np.max(np.abs(adjoint(md.F).matrix - md.S.matrix)))
     # tracial state: Delta is the identity and J is the adjoint map

@@ -399,6 +399,54 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, entry, code):
     assert_one_line_error(capsys)
 
 
+def refuse_constant(name):
+    raise AssertionError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize("where", ["entry", "default"])
+@pytest.mark.parametrize("raw, message", [
+    (True, "tol is not a number: True"),  # read as 1.0, passed HALF
+    (float("nan"), "tol must be finite and nonnegative"),  # tol NaN records
+    (-1, "tol must be finite and nonnegative"),  # failed every record
+    pytest.param(10**400, "tol must be finite and nonnegative",
+                 id="int-past-float"),  # raised OverflowError
+    (float("inf"), "tol must be finite and nonnegative"),
+])
+def test_run_suite_takes_the_cli_tol_rule(where, raw, message):
+    # a library caller's tolerance, an entry's own or the batch default,
+    # is refused as the CLI refuses it: one suite_error record
+    entry = {"kind": "pair", "params": HALF}
+    if where == "entry":
+        report = run_suite({"suites": [{**entry, "tol": raw}]})
+    else:
+        report = run_suite({"suites": [entry]}, raw)
+    [rec] = report.records
+    assert (rec.check, rec.passed) == ("suite_error", False)
+    prefix = "suite" if where == "entry" else "default"
+    assert rec.message.startswith(prefix) and rec.message.endswith(
+        message), rec.message
+    json.loads(emit(report, "json"), parse_constant=refuse_constant)
+
+
+def test_run_suite_keeps_good_tols_and_their_precedence():
+    # |B - A*| = 0.5: an entry's tol beats the batch default
+    entry = {"kind": "pair", "params": HALF}
+    verdicts = [
+        run_suite({"suites": [{**entry, "tol": tol}]}, default).all_passed
+        for tol, default in ((0.6, None), (0.4, 0.6), (0.6, -1))]
+    assert verdicts == [True, False, True]
+    assert run_suite({"suites": [entry]}, 0.6).all_passed
+    assert not run_suite({"suites": [entry]}, 0).all_passed
+
+
+@pytest.mark.parametrize("raw", ["true", "NaN", "-1", "1e400"])
+def test_cli_keeps_exit_2_for_a_bad_entry_tol(tmp_path, capsys, raw):
+    cfg = tmp_path / "tol.json"
+    cfg.write_text('{"suites": [{"kind": "defect", "tol": %s}]}' % raw)
+    assert cli.main(["run", "-c", str(cfg)]) == 2
+    assert_one_line_error(capsys)
+
+
 @pytest.mark.parametrize("kind,params,missing", [
     ("malliavin", {"d": 2}, "N"),
     ("malliavin", {"N": 4}, "d"),

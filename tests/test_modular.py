@@ -211,9 +211,12 @@ def test_check_commutation_and_sxs():
         sf = standard_form(2, rho)
         md = modular_data(sf)
         comm = commutant(sf.alg)
-        assert check_commutation(md.J, sf.alg, comm) < 1e-9
-        assert check_sxs_commutes(md.S, sf.alg, comm) < 1e-9
+        sxs, jxj = check_sxs_commutes(md.S, md.J, sf.alg, comm)
+        assert max(sxs, jxj) < 1e-9
         assert sxs_oracle(md.S, sf.alg) < 1e-9
+        # one stack of S and J gives each operator's own worst residual
+        stack = np.stack([md.S.matrix, md.J.matrix])
+        assert list(check_commutation(stack, sf.alg, comm)) == [sxs, jxj]
 
 
 def test_modular_flow_examples():
@@ -579,15 +582,16 @@ def test_batched_checks_match_loop_oracles():
                        - span_residual_oracle(b, sf.comm)) <= 1e-12
         # S x S lies in M': a projection onto it, and the commutators
         # with M on their own path, both read rounding level
+        sxs, jxj = check_sxs_commutes(md.S, md.J, sf.alg, sf.comm)
         Ms = md.S.matrix
         ref = max(span_residual_oracle(Ms @ np.conj(x) @ np.conj(Ms),
                                        sf.comm) for x in sf.alg)
-        assert abs(check_sxs_commutes(md.S, sf.alg, sf.comm) - ref) <= 1e-12
+        assert abs(sxs - ref) <= 1e-12
         assert sxs_oracle(md.S, sf.alg) <= 1e-12
         Mj = md.J.matrix
         ref = max(span_residual_oracle(Mj @ np.conj(x) @ np.conj(Mj),
                                        sf.comm) for x in sf.alg)
-        assert abs(check_commutation(md.J, sf.alg, sf.comm) - ref) <= 1e-12
+        assert abs(jxj - ref) <= 1e-12
 
 
 def test_standard_form_carries_commutants_and_modular_data_cond():
@@ -634,6 +638,94 @@ def test_modular_flow_time_cap():
     for t in (np.nextafter(MAX_FLOW_T, np.inf), -1e6):
         with pytest.raises(ModularError, match=r"\|t\|"):
             modular_flow_check(md.eig, sf.alg, [0.5, t])
+
+
+@pytest.mark.parametrize("t_list, message", [
+    ([0.5, np.nan], "modular flow times must be finite: [0.5, nan]"),
+    ([0.5, -np.inf], "modular flow times must be finite: [0.5, -inf]"),
+    ([0.5, 1001.0],
+     "modular flow times must satisfy |t| <= 1000: [0.5, 1001.0]"),
+])
+def test_flow_refusals_keep_their_messages(capsys, t_list, message):
+    sf = standard_form(2, np.diag([0.7, 0.3]))
+    md = modular_data(sf)
+    with pytest.raises(ModularError) as info:
+        modular_flow_check(md.eig, sf.alg, t_list)
+    assert str(info.value) == message
+    from sympairs import cli
+
+    assert cli.main(["check", "modular", "--t",
+                     ",".join(map(str, t_list))]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# the flow takes its times in stacked blocks
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_flow_stack_matches_the_per_time_oracle(monkeypatch, n):
+    sf = standard_form(n, random_rho(np.random.default_rng(50 + n), n))
+    md = modular_data(sf)
+    t_list = [0.5, 1.0, 3.0, -7.25, 250.0]
+    ref = 0.0
+    for t in t_list:
+        up, down = (power_from_spectrum(*md.eig, s) for s in (t, -t))
+        ref = max(ref, *(span_residual_oracle(up @ x @ down, sf.alg)
+                         for x in sf.alg))
+    assert abs(modular_flow_check(md.eig, sf.alg, t_list) - ref) <= 1e-12
+    # blocks of one, two and all five times
+    for per_block in (1, 2, 5):
+        monkeypatch.setattr(modular, "FLOW_BLOCK", per_block * sf.alg.size)
+        assert abs(modular_flow_check(md.eig, sf.alg, t_list) - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("per_block", [1, 2, None])
+def test_flow_mutation_at_the_middle_time_alone_fails(monkeypatch,
+                                                      per_block):
+    # Delta^{it} off by 1e-8 relative at t = 1 only, the middle of three
+    # times: with one time per block, the middle closing a block of two,
+    # and all three in one block
+    rho, t_list = rotated_rho(np.random.default_rng(36), 3, 3.0), [0.5, 1, 3]
+    if per_block:
+        monkeypatch.setattr(modular, "FLOW_BLOCK", per_block * 9**3)
+    real = modular.power_from_spectrum
+
+    def mutated(w, U, t, tol=DEFAULT_TOL):
+        out = real(w, U, t, tol)
+        hit = np.reshape(t, -1) == t_list[1]
+        return np.where(hit[:, None, None], out @ perturbed(1e-8, 37, 9), out)
+
+    good = {r.check: r for r in suite_modular(3, rho, t_list)}
+    monkeypatch.setattr(modular, "power_from_spectrum", mutated)
+    recs = {r.check: r for r in suite_modular(3, rho, t_list)}
+    assert good["modular_flow"].passed
+    assert not recs["modular_flow"].passed, recs["modular_flow"]
+    # the times around it alone still flow M into M
+    assert all(r.passed for r in suite_modular(3, rho, [0.5, 3]))
+
+
+@pytest.mark.parametrize("n, count", [(3, 5000), (6, 100)])
+def test_flow_takes_many_times_in_bounded_blocks(n, count):
+    import tracemalloc
+
+    sf = standard_form(n, random_rho(np.random.default_rng(60 + n), n))
+    md = modular_data(sf)
+    t_list = list(np.linspace(-MAX_FLOW_T, MAX_FLOW_T, count))
+    modular_flow_check(md.eig, sf.alg, t_list[:2])
+    tracemalloc.start()
+    try:
+        flow = modular_flow_check(md.eig, sf.alg, t_list)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block holds at most max(one (k, m, m) stack, FLOW_BLOCK) complex
+    # entries, 1 MiB at n = 3 and at n = 6, and the peak is a few blocks;
+    # every stack at once would be 56 MiB (n = 3) or 71 MiB (n = 6)
+    block = 16 * max(sf.alg.size, modular.FLOW_BLOCK)
+    assert peak < 5 * block < 16 * count * sf.alg.size / 10, peak
+    w = md.eig[0]
+    assert flow <= rounding_tol(DEFAULT_TOL, MAX_FLOW_T * w[-1] / w[0])
 
 
 def ill_conditioned_rho(seed):
@@ -960,6 +1052,32 @@ def test_sandwich_check_catches_a_perturbed_S(monkeypatch):
     # on the true S and flag the perturbed one
     assert sxs_oracle(S, sf.alg) <= 1e-14
     assert sxs_oracle(bad, sf.alg) > 1e-9
+
+
+def test_sandwich_maxima_stay_per_operator(monkeypatch):
+    # S and J share one projection onto M'; each record reads the worst
+    # remainder of its own operator: a perturbed J moves only its record,
+    # a perturbed S only the other
+    rho = rotated_rho(np.random.default_rng(36), 3, 3.0)
+    good = {r.check: r for r in suite_modular(3, rho, [0.5])}
+    real_j, real_data = modular.modular_J, modular.modular_data
+    monkeypatch.setattr(modular, "modular_J", lambda *a: OperatorMatrix(
+        real_j(*a).matrix @ perturbed(1e-8, 37, 9), CONJUGATE))
+    recs = {r.check: r for r in suite_modular(3, rho, [0.5])}
+    assert not recs["conjugation_swaps_commutant"].passed
+    assert recs["sandwich_commutes"] == good["sandwich_commutes"]
+    monkeypatch.setattr(modular, "modular_J", real_j)
+
+    def bad_s(sf):  # J, Delta and its root stay those of the true S
+        md = real_data(sf)
+        return replace(md, S=OperatorMatrix(
+            md.S.matrix @ perturbed(1e-8, 37, 9), CONJUGATE))
+
+    monkeypatch.setattr(modular, "modular_data", bad_s)
+    recs = {r.check: r for r in suite_modular(3, rho, [0.5])}
+    assert not recs["sandwich_commutes"].passed
+    assert recs["conjugation_swaps_commutant"] == \
+        good["conjugation_swaps_commutant"]
 
 
 def test_suite_modular_takes_no_span_matrix_svd(monkeypatch):
