@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import CooOperator, check_budget
+from .core import CooOperator, Immutable, check_budget, readonly
 
 
 class ChaosError(ValueError):
@@ -45,12 +45,7 @@ class Ladders:
     top_weight: np.ndarray
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-class ChaosBasis:
+class ChaosBasis(Immutable):
     """Immutable multi-indexed Hermite basis of degree <= N in d variables;
     ``alphas`` lists its multi-indices in (degree, lex) order, read-only."""
 
@@ -62,22 +57,16 @@ class ChaosBasis:
             raise ChaosError("need d >= 1 and N >= 0")
         check_budget(basis_bytes(d, N), f"basis d={d}, N={N}", ChaosError)
         B = math.comb(N + d, d)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "N", N)
+        self._fill(d=d, N=N)
         # alpha_j is the j-th gap of d bars in N + d slots, put at its _rank
         bars = np.fromiter(itertools.chain.from_iterable(
             itertools.combinations(range(N + d), d)), np.intp, B * d)
         gaps = np.diff(bars.reshape(B, d), axis=1, prepend=-1) - 1
         alphas = np.empty_like(gaps)
         alphas[_rank(self, gaps)] = gaps
-        object.__setattr__(self, "alphas", _frozen(alphas))
         fact = np.array([math.factorial(n) for n in range(N + 1)], object)
-        object.__setattr__(self, "norms", _frozen(  # exact, rounded once
-            fact[alphas].prod(axis=1).astype(float)))
-        object.__setattr__(self, "degrees", _frozen(alphas.sum(axis=1)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChaosBasis is immutable")
+        norms = fact[alphas].prod(axis=1).astype(float)  # exact, rounded once
+        self._fill(alphas=alphas, norms=norms, degrees=alphas.sum(axis=1))
 
     def __len__(self):
         return len(self.alphas)
@@ -92,7 +81,7 @@ class ChaosBasis:
     @cached_property
     def binom(self) -> np.ndarray:
         """``binom[s, r] = C(s + r, r)`` for s <= 2N, r <= d."""
-        return _frozen(np.array([[math.comb(s + r, r) for r in range(
+        return readonly(np.array([[math.comb(s + r, r) for r in range(
             self.d + 1)] for s in range(2 * self.N + 1)], dtype=np.int64))
 
     @cached_property
@@ -116,7 +105,7 @@ class ChaosBasis:
             exact[over] = 0
             lin[m, m:, :m + 1] = lin[m:, m, :m + 1] = np.where(
                 over, math.inf, exact.astype(float))
-        return _frozen(lin)
+        return readonly(lin)
 
     @cached_property
     def ladders(self) -> Ladders:
@@ -138,7 +127,7 @@ class ChaosBasis:
         lad = Ladders(src, up, self.alphas[src].T + 1.0, top,
                       self.norms[top] * (self.alphas[top].T + 1.0))
         for arr in vars(lad).values():
-            _frozen(arr)
+            readonly(arr)
         return lad
 
     @cached_property
@@ -147,7 +136,7 @@ class ChaosBasis:
         T holds one ladder entry, so the product is diagonal, and slot by
         slot, in slot order, ``up`` gains its T* entry times the rank."""
         lad = self.ladders
-        return _frozen(np.bincount(lad.up.ravel(), minlength=len(self),
+        return readonly(np.bincount(lad.up.ravel(), minlength=len(self),
                                    weights=(_adjoint_entries(self)
                                             * lad.rank).ravel()))
 

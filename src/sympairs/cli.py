@@ -14,10 +14,12 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 
 from . import network, suites
+from .core import parse_tol
 from .report import FORMATS, Report, emit
 
 
@@ -27,7 +29,7 @@ class UsageError(ValueError):  # one of suites.ENTRY_ERRORS
 
 def _env_tol() -> float | None:
     raw = os.environ.get("SYMPAIR_TOL")
-    return None if raw is None else suites.parse_tol(raw, "SYMPAIR_TOL")
+    return None if raw is None else parse_tol(raw, "SYMPAIR_TOL")
 
 
 def _read_file(path: str) -> str:
@@ -68,6 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(params=lambda a: {"d": a.d, "N": a.N})
 
     p = kinds.add_parser("modular", help="modular-theory suite")
+    # argparse takes an argument that starts with a minus sign for an option
+    # unless it matches this pattern, by default a lone number, so "--t
+    # -1,0.5" failed; here "-" before a digit or ".digit" starts a value.
+    # The attribute is private; Python 3.10 and 3.11 read it alike.
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.add_argument("--rho", metavar="rho.json",
                    help="density matrix file (default: tracial)")
     p.add_argument("--n", type=int, default=2,
@@ -125,23 +132,8 @@ def _validate_config(config) -> dict:
         config.get("suites", []), list
     ):
         raise UsageError("config must be an object with a 'suites' list")
-    valid = {"pair", "malliavin", "modular", "network", "defect"}
     for entry in config.get("suites", []):
-        if not isinstance(entry, dict) or entry.get("kind") not in valid:
-            raise UsageError(f"bad suite entry: {entry!r}")
-        params = entry.get("params", {})
-        if not isinstance(params, dict):
-            raise UsageError(f"suite params must be an object: {params!r}")
-        # the conversions run_entry applies to numeric params
-        for key in ("d", "N", "n", "nmax"):
-            suites.int_param(params, key)
-        suites.float_param(params, "r")
-        suites.check_expect(params.get("expect"))
-        for key in ("graph", "graph_file"):
-            if not isinstance(params.get(key, ""), str):
-                raise UsageError(f"param {key!r} must be a string")
-        if "tol" in entry:
-            suites.parse_tol(entry["tol"], "suite tol")
+        suites.check_entry(entry)
     return config
 
 
@@ -153,7 +145,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else int(exc.code or 0)
     try:
         if args.command == "check":
-            tol = suites.parse_tol(args.tol, "--tol") if args.tol is not None \
+            tol = parse_tol(args.tol, "--tol") if args.tol is not None \
                 else _env_tol()
             start = time.perf_counter()
             report = Report(suites.run_entry(args.kind, args.params(args),

@@ -11,6 +11,7 @@ every function here is pure: inputs are never mutated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,23 @@ def not_bool(x):
     return x
 
 
+def parse_tol(raw, name: str) -> float:
+    """``raw`` as a finite tolerance >= 0, or ValueError naming ``name``:
+    NaN fails every check and inf passes every one; 0 makes strict checks
+    fail, a check failure, not an input error.  A boolean (JSON true or
+    false) is not a number here, and an integer past the float range is
+    refused."""
+    try:
+        tol = float(not_bool(raw))
+    except OverflowError:  # an integer past the float range
+        tol = math.inf
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} is not a number: {raw!r}") from None
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return tol
+
+
 def rounding_tol(floor: float, scale: float) -> float:
     """max(floor, ROUNDING eps scale): the tolerance of a record whose
     rounding errors scale with ``scale``; ``floor`` is ``--tol``."""
@@ -68,13 +86,73 @@ def check_budget(nbytes: int, what: str, error: type) -> None:
         raise error(f"{what} refused: needs {size} (limit {limit})")
 
 
-class OperatorMatrix:
+def readonly(arr: np.ndarray) -> np.ndarray:
+    """``arr``, marked read-only: only for an array its caller built or
+    copied itself, never one it was given."""
+    arr.setflags(write=False)
+    return arr
+
+
+class Immutable:
+    """Base of the immutable values: ``_fill`` sets each field once, and
+    any later assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def _fill(self, **fields):
+        """Set ``fields``, marking each array among them read-only: pass
+        only arrays this object built or copied itself."""
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                readonly(value)
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class _Tagged(Immutable):
+    """What both operator storages share: the linearity tag, the shape
+    and the check of the vector or block that ``apply`` takes."""
+
+    __slots__ = ()
+
+    def _fill(self, linearity, **fields):
+        if linearity not in (LINEAR, CONJUGATE):
+            raise OperatorError(f"unknown linearity tag {linearity!r}")
+        super()._fill(linearity=linearity, **fields)
+
+    @property
+    def rows(self) -> int:
+        return self.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.shape[1]
+
+    @property
+    def is_linear(self) -> bool:
+        return self.linearity == LINEAR
+
+    def _operand(self, v) -> np.ndarray:
+        """``v`` as a complex (cols,) vector or (cols, k) block, conjugated
+        when the operator is conjugate-linear."""
+        v = np.asarray(v, dtype=complex)
+        if v.ndim not in (1, 2) or v.shape[0] != self.cols:
+            raise OperatorError(
+                f"dimension mismatch: operator is {self.rows}x{self.cols}, "
+                f"vector has shape {v.shape}"
+            )
+        return v if self.is_linear else np.conj(v)
+
+
+class OperatorMatrix(_Tagged):
     """A dense matrix tagged as linear or conjugate-linear.
 
     Immutable: the wrapped ndarray is marked read-only on construction.
     """
 
-    __slots__ = ("matrix", "linearity")
+    __slots__ = ("matrix", "shape", "linearity")
 
     def __init__(self, matrix, linearity: str = LINEAR):
         m = np.array(matrix, dtype=complex)
@@ -82,39 +160,12 @@ class OperatorMatrix:
             raise OperatorError("operator matrix must be 2-dimensional")
         if not np.all(np.isfinite(m)):
             raise OperatorError("operator matrix has non-finite entries")
-        if linearity not in (LINEAR, CONJUGATE):
-            raise OperatorError(f"unknown linearity tag {linearity!r}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "linearity", linearity)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperatorMatrix is immutable")
-
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def is_linear(self) -> bool:
-        return self.linearity == LINEAR
+        self._fill(linearity, matrix=m, shape=m.shape)
 
     def apply(self, v):
         """Apply the operator to a (cols,) vector or the columns of a
         (cols, k) block, honoring the linearity tag."""
-        v = np.asarray(v, dtype=complex)
-        if v.ndim not in (1, 2) or v.shape[0] != self.cols:
-            raise OperatorError(
-                f"dimension mismatch: operator is {self.rows}x{self.cols}, "
-                f"vector has shape {v.shape}"
-            )
-        if self.is_linear:
-            return self.matrix @ v
-        return self.matrix @ np.conj(v)
+        return self.matrix @ self._operand(v)
 
     def __repr__(self):
         return f"OperatorMatrix({self.rows}x{self.cols}, {self.linearity})"
@@ -149,7 +200,7 @@ class OperatorMatrix:
         return OperatorMatrix(data, obj.get("linearity", LINEAR))
 
 
-class CooOperator:
+class CooOperator(_Tagged):
     """An operator held as coordinate triples, tagged like OperatorMatrix.
 
     Entry ``(row[t], col[t])`` holds ``vals[t]``; repeated coordinates
@@ -172,42 +223,12 @@ class CooOperator:
             raise OperatorError(f"a coordinate lies outside {shape}")
         if not np.all(np.isfinite(vals)):
             raise OperatorError("operator has non-finite entries")
-        if linearity not in (LINEAR, CONJUGATE):
-            raise OperatorError(f"unknown linearity tag {linearity!r}")
-        self._fill(row, col, vals, shape, linearity)
-
-    def _fill(self, *fields):
-        for name, value in zip(self.__slots__, fields):
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CooOperator is immutable")
-
-    @property
-    def rows(self) -> int:
-        return self.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.shape[1]
-
-    @property
-    def is_linear(self) -> bool:
-        return self.linearity == LINEAR
+        self._fill(linearity, row=row, col=col, vals=vals, shape=shape)
 
     def apply(self, v):
         """Apply the operator to a (cols,) vector or the columns of a
         (cols, k) block, honoring the linearity tag."""
-        v = np.asarray(v, dtype=complex)
-        if v.ndim not in (1, 2) or v.shape[0] != self.cols:
-            raise OperatorError(
-                f"dimension mismatch: operator is {self.rows}x{self.cols}, "
-                f"vector has shape {v.shape}"
-            )
-        if not self.is_linear:
-            v = np.conj(v)
+        v = self._operand(v)
         vals = self.vals if v.ndim == 1 else self.vals[:, None]
         out = np.zeros((self.rows, *v.shape[1:]), dtype=complex)
         np.add.at(out, self.row, vals * v[self.col])
@@ -216,10 +237,11 @@ class CooOperator:
     def adjoint(self) -> "CooOperator":
         """Adjoint with the same tag, as ``adjoint``: rows and cols swap,
         and the entries are conjugated only when linear."""
-        out = object.__new__(CooOperator)  # valid already: no second check
-        out._fill(self.col, self.row,
-                  self.vals.conj() if self.is_linear else self.vals,
-                  self.shape[::-1], self.linearity)
+        # valid already: of the fields, _fill checks only the tag again
+        out = object.__new__(CooOperator)
+        out._fill(self.linearity, row=self.col, col=self.row,
+                  vals=self.vals.conj() if self.is_linear else self.vals,
+                  shape=self.shape[::-1])
         return out
 
     def to_dense(self) -> np.ndarray:

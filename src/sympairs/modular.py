@@ -30,6 +30,7 @@ from .core import (
     OperatorMatrix,
     check_budget,
     power_from_spectrum,
+    readonly,
     root_from_spectrum,
     rounding_tol,
     spectrum,
@@ -38,12 +39,6 @@ from .core import (
 
 class ModularError(OperatorError):
     pass
-
-
-def _readonly(stack: np.ndarray) -> np.ndarray:
-    """A freshly computed stack, marked read-only."""
-    stack.setflags(write=False)
-    return stack
 
 
 def _hs_orthonormalize(stack: np.ndarray, tol=1e-10) -> np.ndarray:
@@ -83,7 +78,7 @@ def algebra_from_generators(generators, tol: float = 1e-10) -> np.ndarray:
         if len(new) == len(current):
             break
         current = new
-    return _readonly(current)
+    return readonly(current)
 
 
 #: relative tolerance of the structural commutant: eigenvalue gaps of the
@@ -180,7 +175,7 @@ def commutant(B: np.ndarray, tol: float = CLUSTER_TOL) -> np.ndarray:
         raise ModularError(
             f"commutant: structure check failed (block dimension {dim} "
             f"vs algebra {len(B)}, commutator {worst:.1e})")
-    return _readonly(X)
+    return readonly(X)
 
 
 def span_residual(x, basis: np.ndarray) -> float:
@@ -251,7 +246,7 @@ def _algebras(n: int) -> tuple:
     # vec(x a) = (x kron I) vec(a), and (E_ij kron I)[ak, bl] = d_ia d_jb d_kl
     eye = np.eye(n, dtype=complex)
     alg = np.einsum("ia,jb,kl->ijakbl", eye, eye, eye / np.sqrt(n))
-    alg = _readonly(alg.reshape((n * n,) * 3))
+    alg = readonly(alg.reshape((n * n,) * 3))
     comm = commutant(alg)
     return alg, comm, commutant(comm)
 

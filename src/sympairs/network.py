@@ -22,14 +22,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import check_budget
+from .core import Immutable, check_budget, readonly
 
 
 class NetworkError(ValueError):
     pass
 
 
-class FiniteNetwork:
+class FiniteNetwork(Immutable):
     """Connected weighted graph with a distinguished origin, built from
     its edge list ``(x, y, c)``.
 
@@ -98,16 +98,8 @@ class FiniteNetwork:
         cond = np.zeros((n, n))
         cond[iu, ju] = c
         cond[ju, iu] = c
-        for arr in (iu, ju, c, cond):
-            arr.setflags(write=False)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "cond", cond)
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "edges", (iu, ju, c))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteNetwork is immutable")
+        self._fill(vertices=vertices, index=index, cond=cond, origin=origin,
+                   edges=tuple(map(readonly, (iu, ju, c))))
 
     def __len__(self):
         return len(self.vertices)
@@ -115,9 +107,7 @@ class FiniteNetwork:
     @cached_property
     def laplacian_matrix(self) -> np.ndarray:
         """Read-only ``diag(c(x)) - cond``."""
-        L = np.diag(self.cond.sum(axis=1)) - self.cond
-        L.setflags(write=False)
-        return L
+        return readonly(np.diag(self.cond.sum(axis=1)) - self.cond)
 
     @cached_property
     def kernel_matrix(self) -> np.ndarray:
@@ -135,25 +125,21 @@ class FiniteNetwork:
                 "singular pinned Laplacian on a connected network "
                 "(internal inconsistency)"
             ) from exc
-        K.setflags(write=False)
-        return K
+        return readonly(K)
 
     @cached_property
     def laplacian_kernel(self) -> np.ndarray:
         """Read-only ``laplacian_matrix @ kernel_matrix``: column x is
         Delta v_x, which the pair and kernel checks both read."""
-        LK = self.laplacian_matrix @ self.kernel_matrix
-        LK.setflags(write=False)
-        return LK
+        return readonly(self.laplacian_matrix @ self.kernel_matrix)
 
     @cached_property
     def kernel_delta_gram(self) -> np.ndarray:
         """Read-only energy Gram ``energy_gram(K, P)`` of the kernel matrix
         against the pinned Dirac masses: entry (x, y) is <v_x, delta_y>_E.
         The reproducing, Dirac-pairing and pair checks all read it."""
-        G = energy_gram(self, self.kernel_matrix, self.delta_matrix())
-        G.setflags(write=False)
-        return G
+        return readonly(energy_gram(self, self.kernel_matrix,
+                                    self.delta_matrix()))
 
     def delta(self, x) -> "EnergyVector":
         """Dirac mass at x as an energy-space representative."""
@@ -184,8 +170,7 @@ class EnergyVector:
         if vals.shape != (len(self.network),):
             raise NetworkError("value vector length mismatch")
         vals -= vals[self.network.index[self.network.origin]]
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", readonly(vals))
 
     def __call__(self, x) -> float:
         return float(self.values[self.network.index[x]])

@@ -14,7 +14,6 @@ network module instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .core import (
     OperatorMatrix,
     adjoint,
     eig_space,
-    not_bool,
+    parse_tol,
     realify,
 )
 
@@ -177,11 +176,5 @@ def pair_from_json(obj) -> tuple:
         raise PairError("pair JSON must be an object with matrices A and B")
     A = OperatorMatrix.from_json(obj["A"])
     B = OperatorMatrix.from_json(obj["B"])
-    try:
-        tol = float(not_bool(obj.get("tol", DEFAULT_TOL)))
-    except (TypeError, ValueError, OverflowError):
-        tol = math.nan
-    if not 0 <= tol < math.inf:  # NaN fails too
-        raise PairError(f"pair tol is not a finite number >= 0: "
-                        f"{obj['tol']!r}")
+    tol = parse_tol(obj.get("tol", DEFAULT_TOL), "pair tol")
     return SymmetricPairSpec(A, B), tol

@@ -21,6 +21,7 @@ from .core import (
     adjoint,
     check_budget,
     not_bool,
+    parse_tol,
     rounding_tol,
 )
 from .report import Record, Report, make_record, verdict_record
@@ -290,29 +291,35 @@ def float_param(params: dict, key: str, default=0.0) -> float:
         raise ValueError(f"param {key!r} is not a number: {raw!r}") from None
 
 
-def parse_tol(raw, name: str) -> float:
-    """``raw`` as a finite tolerance >= 0, or ValueError naming ``name``:
-    NaN fails every check and inf passes every one; 0 makes strict checks
-    fail, a check failure, not an input error.  A boolean (JSON true or
-    false) is not a number here, and an integer past the float range is
-    refused."""
-    try:
-        tol = float(not_bool(raw))
-    except OverflowError:  # an integer past the float range
-        tol = math.inf
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} is not a number: {raw!r}") from None
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"{name} must be finite and nonnegative")
-    return tol
-
-
 def check_expect(expect):
     """Refuse (ValueError) a defect ``expect`` other than None,
     CONVERGES or DIVERGES."""
     if expect not in (None, network.CONVERGES, network.DIVERGES):
         raise ValueError(f"param 'expect' must be {network.CONVERGES} or "
                          f"{network.DIVERGES}: {expect!r}")
+
+
+def check_entry(entry) -> None:
+    """Refuse (ValueError) a batch entry that is not an object of a known
+    kind with params of the right types and a valid ``tol``: ``sympairs
+    run`` checks every entry before it runs any.  A missing param is left
+    to ``run_entry``, a failed record."""
+    valid = ("pair", "malliavin", "modular", "network", "defect")
+    if not isinstance(entry, dict) or entry.get("kind") not in valid:
+        raise ValueError(f"bad suite entry: {entry!r}")
+    params = entry.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"suite params must be an object: {params!r}")
+    # the conversions run_entry applies to numeric params
+    for key in ("d", "N", "n", "nmax"):
+        int_param(params, key)
+    float_param(params, "r")
+    check_expect(params.get("expect"))
+    for key in ("graph", "graph_file"):
+        if not isinstance(params.get(key, ""), str):
+            raise ValueError(f"param {key!r} must be a string")
+    if "tol" in entry:
+        parse_tol(entry["tol"], "suite tol")
 
 
 def run_entry(kind: str, params: dict, tol: float | None = None) -> list:
@@ -356,16 +363,18 @@ def run_suite(config: dict, default_tol: float | None = None) -> Report:
     """Run every configured entry; bad input becomes a failed record.
 
     ``default_tol`` (SYMPAIR_TOL) is the tolerance of entries without
-    their own ``tol``; see ``run_entry``.  The tolerance an entry uses
-    must pass ``parse_tol``, or the entry gives one ``suite_error``.
+    their own ``tol``; see ``run_entry``.  An entry that ``check_entry``
+    refuses, or whose tolerance fails ``parse_tol``, gives one
+    ``suite_error``.
     """
     report = Report()
     start = time.perf_counter()
     for entry in config.get("suites", []):
-        kind = entry.get("kind")
-        tol, name = (entry["tol"], "suite tol") if "tol" in entry \
-            else (default_tol, "default tol")
+        kind = entry.get("kind") if isinstance(entry, dict) else None
         try:
+            check_entry(entry)
+            tol, name = (entry["tol"], "suite tol") if "tol" in entry \
+                else (default_tol, "default tol")
             report.extend(run_entry(kind, entry.get("params", {}),
                                     None if tol is None
                                     else parse_tol(tol, name)))

@@ -349,6 +349,9 @@ def test_ladders_are_lazy_and_kept():
     assert b.ladders is lad
     for arr in vars(lad).values():
         assert not arr.flags.writeable
+    for name, value in (("ladders", lad), ("N", 5), ("norms", b.norms)):
+        with pytest.raises(AttributeError, match="ChaosBasis is immutable"):
+            setattr(b, name, value)
 
 
 def test_number_diagonal_cached_per_basis():
@@ -667,7 +670,9 @@ def test_basis_matches_sorted_enumeration_oracle():
     sizes += [(d, 0) for d in range(1, 6)] + [(2, N) for N in range(29, 33)]
     for d, N in sizes:
         b, ref = basis_build(d, N), oracle_indices(d, N)
-        assert b.alphas.dtype == np.intp and not b.alphas.flags.writeable
+        assert b.alphas.dtype == np.intp
+        for arr in (b.alphas, b.norms, b.degrees, b.binom):
+            assert not arr.flags.writeable
         assert b.alphas.tolist() == [list(a) for a in ref]
         assert b.degrees.tolist() == [sum(a) for a in ref]
         norms = [float(math.prod(map(math.factorial, a))) for a in ref]

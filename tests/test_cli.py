@@ -170,6 +170,25 @@ def test_run_suite_error_becomes_failed_record():
     assert rep.records[0].check == "suite_error"
 
 
+@pytest.mark.parametrize("entry", [
+    {"kind": "modular", "params": [1]},
+    {"kind": "defect", "params": [1]},
+    {"kind": "malliavin", "params": "dN"},
+    "modular",
+    {"kind": ["a"]},
+    {"kind": "network", "params": {"graph": 5}},
+])
+def test_run_suite_refuses_what_run_refuses(tmp_path, capsys, entry):
+    # these raised AttributeError or TypeError out of run_suite; now each
+    # is one suite_error record carrying the message `run` exits 2 with
+    [rec] = run_suite({"suites": [entry]}).records
+    assert (rec.check, rec.passed) == ("suite_error", False)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"suites": [entry]}))
+    assert cli.main(["run", "-c", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {rec.message}\n"
+
+
 def test_run_suite_bad_kind_rejected_by_cli(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"suites": [{"kind": "bogus"}]}))
@@ -581,6 +600,10 @@ def parity_cases(tmp_path):
         "modular_rho": (
             ["modular", "--rho", str(tmp_path / "rho.json"), "--t", "0.5,3"],
             {"kind": "modular", "params": {"rho": rho, "t_list": [0.5, 3]}}),
+        # a time list that starts with a minus sign is a value, not a flag
+        "modular_negative_t": (
+            ["modular", "--n", "2", "--t", "-1,0.5"],
+            {"kind": "modular", "params": {"n": 2, "t_list": [-1, 0.5]}}),
         "network": (["network", "-g", str(tmp_path / "g.txt")],
                     {"kind": "network", "params": {"graph": graph}}),
         "defect": (["defect", "--rule", "constant", "--r", "1", "--nmax",
@@ -595,8 +618,8 @@ def parity_cases(tmp_path):
 
 
 @pytest.mark.parametrize("name", [
-    "pair", "malliavin", "modular_tracial", "modular_rho", "network",
-    "defect", "defect_mismatch"])
+    "pair", "malliavin", "modular_tracial", "modular_rho",
+    "modular_negative_t", "network", "defect", "defect_mismatch"])
 def test_check_is_a_one_entry_run(tmp_path, capsys, monkeypatch, name):
     monkeypatch.delenv("SYMPAIR_TOL", raising=False)
     argv, entry = parity_cases(tmp_path)[name]
@@ -636,6 +659,8 @@ def test_pair_tol_precedence_is_shared(tmp_path, capsys, monkeypatch,
                                      "params": {"n": 2,
                                                 "t_list": ["0.5", "abc"]}}),
     (["modular", "--n", "9"], {"kind": "modular", "params": {"n": 9}}),
+    # still a number, so still a size for --n
+    (["modular", "--n", "-3"], {"kind": "modular", "params": {"n": -3}}),
     (["defect", "--nmax", "2"], {"kind": "defect", "params": {"nmax": 2}}),
 ])
 def test_bad_input_same_message_from_both_doors(tmp_path, capsys, argv,

@@ -34,7 +34,7 @@ def test_operator_matrix_validation():
 
 def test_operator_matrix_immutable():
     T = OperatorMatrix(np.eye(2))
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="OperatorMatrix is immutable"):
         T.linearity = CONJUGATE
     with pytest.raises(ValueError):
         T.matrix[0, 0] = 5.0
@@ -368,7 +368,7 @@ def test_coo_is_immutable_and_owns_its_arrays():
     T = CooOperator(row, [1, 0], [1.0, 2.0], (2, 2))
     row[0] = 1
     assert T.row.tolist() == [0, 1]
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="CooOperator is immutable"):
         T.vals = np.zeros(2)
     for arr in (T.row, T.col, T.vals, T.adjoint().vals):
         assert not arr.flags.writeable

@@ -492,10 +492,11 @@ def test_network_data_is_lazy_cached_and_read_only():
     assert net.laplacian_kernel is net.laplacian_kernel
     assert net.kernel_delta_gram is net.kernel_delta_gram
     for arr in (iu, ju, c, net.cond, K, net.laplacian_matrix,
-                net.laplacian_kernel, net.kernel_delta_gram):
+                net.laplacian_kernel, net.kernel_delta_gram,
+                net.delta("a").values):
         with pytest.raises(ValueError):
             arr[0] = 1
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="FiniteNetwork is immutable"):
         net.kernel_matrix = K
     P = net.delta_matrix()
     for x in net.vertices:
