@@ -180,18 +180,17 @@ def term_count(d: int, N: int) -> int:
                * math.comb(3 * d + N - 1 - j, 3 * d) for j in range(N))
 
 
-@dataclass(frozen=True)
-class ChaosVector:
-    """Coefficient vector over a chaos basis (an element of H1 truncated)."""
+class ChaosVector(Immutable):
+    """Coefficient vector over a chaos basis (an element of H1 truncated);
+    immutable, and ``coeffs`` is a read-only copy of the array given."""
 
-    basis: ChaosBasis
-    coeffs: np.ndarray
+    __slots__ = ("basis", "coeffs")
 
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (len(self.basis),):
+    def __init__(self, basis: ChaosBasis, coeffs):
+        c = np.array(coeffs, dtype=complex)
+        if c.shape != (len(basis),):
             raise ChaosError("coefficient length does not match basis")
-        object.__setattr__(self, "coeffs", c)
+        self._fill(basis=basis, coeffs=c)
 
     def __add__(self, other):
         self._same(other)
@@ -385,8 +384,7 @@ def exp_vector(k, basis: ChaosBasis):
     coeffs = slots[:, 0].copy()
     for i in range(1, basis.d):  # slot by slot, in slot order
         coeffs *= slots[:, i]
-    return ChaosVector(basis, coeffs.astype(complex)), \
-        exp_tail(float(k @ k), basis.N)
+    return ChaosVector(basis, coeffs), exp_tail(float(k @ k), basis.N)
 
 
 def exp_tail(x: float, N: int) -> float:

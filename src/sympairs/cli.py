@@ -89,15 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", "--graph", required=True, metavar="graph.txt")
     p.set_defaults(params=lambda a: {"graph": _read_file(a.graph)})
 
+    # only the flags given are passed on: run_entry holds the defaults
     p = kinds.add_parser("defect", help="half-line defect recurrence")
-    p.add_argument("--rule", choices=("geometric", "constant"),
-                   default="geometric")
-    p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--nmax", type=int, default=80)
+    p.add_argument("--rule", choices=("geometric", "constant"))
+    p.add_argument("--r", type=float)
+    p.add_argument("--nmax", type=int)
     p.add_argument("--expect", choices=(network.CONVERGES, network.DIVERGES),
                    help="fail unless the verdict matches")
-    p.set_defaults(params=lambda a: {"rule": a.rule, "r": a.r,
-                                     "nmax": a.nmax, "expect": a.expect})
+    p.set_defaults(params=lambda a: {
+        key: getattr(a, key) for key in ("rule", "r", "nmax", "expect")
+        if getattr(a, key) is not None})
 
     for sp in kinds.choices.values():
         sp.add_argument("--format", choices=FORMATS, default="human")
@@ -128,11 +129,8 @@ def _deliver(report: Report, fmt: str, output: str | None) -> int:
 
 
 def _validate_config(config) -> dict:
-    if not isinstance(config, dict) or not isinstance(
-        config.get("suites", []), list
-    ):
-        raise UsageError("config must be an object with a 'suites' list")
-    for entry in config.get("suites", []):
+    """``config``, once its shape and every entry pass, before any runs."""
+    for entry in suites.config_entries(config):
         suites.check_entry(entry)
     return config
 

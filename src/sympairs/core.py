@@ -188,7 +188,11 @@ class OperatorMatrix(_Tagged):
         try:
             obj = json.loads(text) if isinstance(text, str) else text
             rows, cols = (int(not_bool(obj[k])) for k in ("rows", "cols"))
-            data = [complex(re, im) for re, im in obj["entries"]]
+            # complex() reads JSON's true and false as 1 and 0: a pair
+            # holding one goes to complex(None), which raises TypeError
+            data = [complex(re, im) if type(re) is not bool
+                    and type(im) is not bool else complex(None)
+                    for re, im in obj["entries"]]
         except (TypeError, ValueError, KeyError, OverflowError):
             raise OperatorError("matrix JSON must be an object with integer "
                                 "rows, cols and [re, im] entries") from None
@@ -234,16 +238,6 @@ class CooOperator(_Tagged):
         np.add.at(out, self.row, vals * v[self.col])
         return out
 
-    def adjoint(self) -> "CooOperator":
-        """Adjoint with the same tag, as ``adjoint``: rows and cols swap,
-        and the entries are conjugated only when linear."""
-        # valid already: of the fields, _fill checks only the tag again
-        out = object.__new__(CooOperator)
-        out._fill(self.linearity, row=self.col, col=self.row,
-                  vals=self.vals.conj() if self.is_linear else self.vals,
-                  shape=self.shape[::-1])
-        return out
-
     def to_dense(self) -> np.ndarray:
         """The dense matrix, an oracle form: repeated coordinates are
         summed in listed order."""
@@ -265,13 +259,21 @@ class PartialIsometry:
     final_projection: OperatorMatrix
 
 
-def adjoint(T: OperatorMatrix) -> OperatorMatrix:
-    """Adjoint with the same linearity tag.
+def adjoint(T):
+    """Adjoint with the same linearity tag and the same storage.
 
     Linear case: conjugate transpose, satisfying ``<Tu, v> = <u, T*v>``.
     Conjugate-linear case: plain transpose (no conjugation), satisfying
-    ``<Tu, v> = conj(<u, T*v>)``.
+    ``<Tu, v> = conj(<u, T*v>)``.  A CooOperator's rows and cols swap,
+    and its entries are conjugated only when linear.
     """
+    if isinstance(T, CooOperator):
+        # valid already: of the fields, _fill checks only the tag again
+        out = object.__new__(CooOperator)
+        out._fill(T.linearity, row=T.col, col=T.row,
+                  vals=T.vals.conj() if T.is_linear else T.vals,
+                  shape=T.shape[::-1])
+        return out
     if T.is_linear:
         return OperatorMatrix(T.matrix.conj().T, LINEAR)
     return OperatorMatrix(T.matrix.T, CONJUGATE)

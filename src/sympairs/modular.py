@@ -372,9 +372,7 @@ def modular_data(sf: StandardForm) -> ModularData:
     Delta = OperatorMatrix(S.matrix.T.copy() @ np.conj(S.matrix))
     allowance = rounding_tol(0.0, Delta.rows)
     w, U = spectrum(Delta, allowance, return_vectors=True)
-    if w.size and w[0] < -allowance * max(1.0, float(w[-1])):
-        raise ModularError(f"S* S is not PSD: smallest eigenvalue {w[0]:.3e}")
-    root = OperatorMatrix(root_from_spectrum(w, U))
+    root = OperatorMatrix(root_from_spectrum(w, U, allowance))
     return ModularData(S, build_F(sf.comm, sf.xi), Delta,
                        modular_J(S, root, w), (w, U), root)
 

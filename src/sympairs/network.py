@@ -154,23 +154,22 @@ class FiniteNetwork(Immutable):
         return P
 
 
-@dataclass(frozen=True)
-class EnergyVector:
+class EnergyVector(Immutable):
     """Function on the vertices, pinned to vanish at the origin.
 
     Pinning picks the representative modulo constants; all energy inner
     products are invariant under re-pinning at a different vertex.
+    Immutable: ``values`` is a read-only, pinned copy of the array given.
     """
 
-    network: FiniteNetwork
-    values: np.ndarray
+    __slots__ = ("network", "values")
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).copy()
-        if vals.shape != (len(self.network),):
+    def __init__(self, network: FiniteNetwork, values):
+        vals = np.array(values, dtype=float)
+        if vals.shape != (len(network),):
             raise NetworkError("value vector length mismatch")
-        vals -= vals[self.network.index[self.network.origin]]
-        object.__setattr__(self, "values", readonly(vals))
+        vals -= vals[network.index[network.origin]]
+        self._fill(network=network, values=vals)
 
     def __call__(self, x) -> float:
         return float(self.values[self.network.index[x]])

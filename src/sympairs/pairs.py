@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    CONJUGATE,
     DEFAULT_TOL,
     LINEAR,
     CooOperator,
@@ -79,13 +78,10 @@ def check_pair(spec: SymmetricPairSpec) -> float:
     On CooOperator pairs the same entries come from the two coordinate
     lists, and an entry listed on one side only is compared with zero.
     """
-    if isinstance(spec.A, CooOperator):
-        return _coo_residual(spec.A.adjoint(), spec.B)
-    B = spec.B.matrix
-    if spec.linearity == CONJUGATE:
-        B = np.conj(B)  # |conj(B) - A^H| = |B - A^T|, and A* = A^T here
-    residual = np.max(np.abs(spec.A.matrix.conj().T - B), initial=0.0)
-    return float(residual)
+    Astar = adjoint(spec.A)
+    if isinstance(Astar, CooOperator):
+        return _coo_residual(Astar, spec.B)
+    return float(np.max(np.abs(spec.B.matrix - Astar.matrix), initial=0.0))
 
 
 def _coo_residual(Astar: CooOperator, B: CooOperator) -> float:

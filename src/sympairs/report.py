@@ -37,16 +37,6 @@ def make_record(suite, check, anchor, residual, tol, message="") -> Record:
     return Record(suite, check, anchor, residual, tol, residual <= tol, message)
 
 
-def verdict_record(suite, check, anchor, verdict, expected=None,
-                   message="") -> Record:
-    """A pass/fail record for checks whose outcome is a verdict string."""
-    ok = verdict == expected if expected is not None else True
-    msg = f"verdict={verdict}" + (f" expected={expected}" if expected else "")
-    if message:
-        msg += f" {message}"
-    return Record(suite, check, anchor, 0.0 if ok else 1.0, 0.5, ok, msg)
-
-
 @dataclass
 class Report:
     records: list = field(default_factory=list)

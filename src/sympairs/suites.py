@@ -24,7 +24,7 @@ from .core import (
     parse_tol,
     rounding_tol,
 )
-from .report import Record, Report, make_record, verdict_record
+from .report import Record, Report, make_record
 
 
 def suite_pair(spec: pairs.SymmetricPairSpec, tol: float = DEFAULT_TOL):
@@ -205,13 +205,15 @@ def suite_defect(rule: str, r: float, nmax: int, expect: str | None = None,
         f"l2_psi={result.l2_psi:.3e} l2_lap_psi={result.l2_lap_psi:.3e}"
         if not result.overflow else "overflow"
     )
+    expected = f" expected={expect}" if expect else ""
     return [
         make_record("defect", "recurrence_residual", "Eq (5.14)",
                     0.0 if result.overflow else result.rel_residual,
                     rounding_tol(tol, 1.0),  # already relative: scale 1
                     message=f"overflow={result.overflow}"),
-        verdict_record("defect", "energy_verdict", "Thm 5.18",
-                       result.verdict, expect, message=msg),
+        make_record("defect", "energy_verdict", "Thm 5.18",
+                    0.0 if expect in (None, result.verdict) else 1.0, 0.5,
+                    message=f"verdict={result.verdict}{expected} {msg}"),
     ]
 
 
@@ -299,6 +301,15 @@ def check_expect(expect):
                          f"{network.DIVERGES}: {expect!r}")
 
 
+def config_entries(config) -> list:
+    """The entries of a batch config, or ValueError for a config that is
+    not an object with a ``suites`` list."""
+    entries = config.get("suites", []) if isinstance(config, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError("config must be an object with a 'suites' list")
+    return entries
+
+
 def check_entry(entry) -> None:
     """Refuse (ValueError) a batch entry that is not an object of a known
     kind with params of the right types and a valid ``tol``: ``sympairs
@@ -363,13 +374,18 @@ def run_suite(config: dict, default_tol: float | None = None) -> Report:
     """Run every configured entry; bad input becomes a failed record.
 
     ``default_tol`` (SYMPAIR_TOL) is the tolerance of entries without
-    their own ``tol``; see ``run_entry``.  An entry that ``check_entry``
-    refuses, or whose tolerance fails ``parse_tol``, gives one
-    ``suite_error``.
+    their own ``tol``; see ``run_entry``.  A config that ``config_entries``
+    refuses gives one ``suite_error``, as does an entry that ``check_entry``
+    refuses or whose tolerance fails ``parse_tol``.
     """
     report = Report()
     start = time.perf_counter()
-    for entry in config.get("suites", []):
+    try:
+        entries = config_entries(config)
+    except ValueError as exc:
+        entries = []
+        report.records.append(_error_record("config", exc))
+    for entry in entries:
         kind = entry.get("kind") if isinstance(entry, dict) else None
         try:
             check_entry(entry)
@@ -379,12 +395,14 @@ def run_suite(config: dict, default_tol: float | None = None) -> Report:
                                     None if tol is None
                                     else parse_tol(tol, name)))
         except ENTRY_ERRORS as exc:
-            report.records.append(
-                Record(str(kind), "suite_error", "-", 1.0, 0.0, False,
-                       str(exc))
-            )
+            report.records.append(_error_record(str(kind), exc))
     report.wall_time = time.perf_counter() - start
     return report
+
+
+def _error_record(suite: str, exc: Exception) -> Record:
+    """The failed record that bad batch input gives in place of checks."""
+    return Record(suite, "suite_error", "-", 1.0, 0.0, False, str(exc))
 
 
 def _parse_rho(obj) -> np.ndarray:

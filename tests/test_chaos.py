@@ -352,6 +352,15 @@ def test_ladders_are_lazy_and_kept():
     for name, value in (("ladders", lad), ("N", 5), ("norms", b.norms)):
         with pytest.raises(AttributeError, match="ChaosBasis is immutable"):
             setattr(b, name, value)
+    # a vector owns a read-only copy of its coefficients
+    c = np.zeros(len(b))
+    F = ChaosVector(b, c)
+    c[0] = 1.0
+    assert not F.coeffs.any()
+    with pytest.raises(ValueError):
+        F.coeffs[0] = 1.0
+    with pytest.raises(AttributeError, match="ChaosVector is immutable"):
+        F.basis = b
 
 
 def test_number_diagonal_cached_per_basis():

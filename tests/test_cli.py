@@ -189,6 +189,17 @@ def test_run_suite_refuses_what_run_refuses(tmp_path, capsys, entry):
     assert capsys.readouterr().err == f"error: {rec.message}\n"
 
 
+@pytest.mark.parametrize("config", [[], {"suites": 5}, "x"])
+def test_run_suite_refuses_a_config_run_refuses(tmp_path, capsys, config):
+    # these raised AttributeError or TypeError out of run_suite
+    [rec] = run_suite(config).records
+    assert (rec.check, rec.passed) == ("suite_error", False)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["run", "-c", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {rec.message}\n"
+
+
 def test_run_suite_bad_kind_rejected_by_cli(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"suites": [{"kind": "bogus"}]}))
@@ -390,6 +401,8 @@ HALF = {"A": UNIT, "B": {"rows": 1, "cols": 1, "entries": [[1.5, 0.0]]}}
      1),
     ({"kind": "pair", "params": {**HALF, "tol": True}}, 1),
     ({"kind": "pair", "params": {"A": {**UNIT, "rows": True}, "B": UNIT}}, 1),
+    ({"kind": "pair", "params": {"A": {**UNIT, "entries": [[True, False]]},
+                                 "B": UNIT}}, 1),
 ])
 def test_json_booleans_are_not_numbers(tmp_path, capsys, entry, code):
     # JSON true and false parse to bools, which int(), float() and

@@ -498,6 +498,8 @@ def test_network_data_is_lazy_cached_and_read_only():
             arr[0] = 1
     with pytest.raises(AttributeError, match="FiniteNetwork is immutable"):
         net.kernel_matrix = K
+    with pytest.raises(AttributeError, match="EnergyVector is immutable"):
+        net.delta("a").values = K[0]
     P = net.delta_matrix()
     for x in net.vertices:
         assert np.array_equal(P[:, net.index[x]], net.delta(x).values)
