@@ -32,17 +32,9 @@ def _env_tol() -> float | None:
     return None if raw is None else parse_tol(raw, "SYMPAIR_TOL")
 
 
-def _read_file(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
-
-
 def _load_json(path: str):
     try:
-        return json.loads(_read_file(path))
+        return json.loads(suites.read_text(path))
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON in {path}: {exc}")
 
@@ -87,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = kinds.add_parser("network", help="finite-network identity suite")
     p.add_argument("-g", "--graph", required=True, metavar="graph.txt")
-    p.set_defaults(params=lambda a: {"graph": _read_file(a.graph)})
+    p.set_defaults(params=lambda a: {"graph_file": a.graph})
 
     # only the flags given are passed on: run_entry holds the defaults
     p = kinds.add_parser("defect", help="half-line defect recurrence")
@@ -152,13 +144,7 @@ def main(argv=None) -> int:
         else:
             raw = suites.default_config() if args.config == "default" \
                 else _load_json(args.config)
-            config = _validate_config(raw)
-            # graph params may point at files; inline them before dispatch
-            for entry in config.get("suites", []):
-                params = entry.get("params", {})
-                if entry["kind"] == "network" and "graph_file" in params:
-                    params["graph"] = _read_file(params["graph_file"])
-            report = suites.run_suite(config, _env_tol())
+            report = suites.run_suite(_validate_config(raw), _env_tol())
         return _deliver(report, args.format, args.output)
     except suites.ENTRY_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -326,7 +326,7 @@ def _self_adjoint(T: OperatorMatrix, op_name: str, tol: float,
     return M
 
 
-def polar_decompose(T: OperatorMatrix, tol: float = 1e-12):
+def polar_decompose(T: OperatorMatrix):
     """Polar factorization ``T = V P`` with ``P = (T*T)^{1/2}`` PSD.
 
     V is the partial isometry vanishing on ker T; its initial projection
@@ -336,7 +336,7 @@ def polar_decompose(T: OperatorMatrix, tol: float = 1e-12):
     _require_linear(T, "polar_decompose")
     u, s, vh = np.linalg.svd(T.matrix, full_matrices=False)
     smax = s[0] if s.size else 0.0
-    r = int(np.sum(s > tol * smax)) if smax > 0 else 0
+    r = int(np.sum(s > 1e-12 * smax)) if smax > 0 else 0
     P = vh.conj().T @ (s[:, None] * vh)
     ur, vr = u[:, :r], vh[:r, :]
     V = OperatorMatrix(ur @ vr, LINEAR)
@@ -345,27 +345,24 @@ def polar_decompose(T: OperatorMatrix, tol: float = 1e-12):
     return PartialIsometry(V, P1, P2), OperatorMatrix(P, LINEAR)
 
 
-def spectrum(H: OperatorMatrix, tol: float = DEFAULT_TOL, return_vectors=False):
-    """Real eigenvalues of a self-adjoint operator, ascending.
+def spectrum(H: OperatorMatrix, tol: float = DEFAULT_TOL):
+    """``(w, U)``: the real eigenvalues of a self-adjoint operator,
+    ascending, and the orthonormal eigenvector columns.
 
     Raises if H deviates from self-adjointness by more than
-    ``tol * (1 + max|H|)``.  With ``return_vectors=True`` also returns
-    the orthonormal eigenvector columns.
+    ``tol * (1 + max|H|)``.
     """
     M = _self_adjoint(H, "spectrum", tol,
                       "matrix is not self-adjoint within tolerance")
-    w, U = np.linalg.eigh(M)
-    if return_vectors:
-        return w, U
-    return w
+    return np.linalg.eigh(M)
 
 
 def root_from_spectrum(w, U, tol: float = DEFAULT_TOL) -> np.ndarray:
     """``U diag(sqrt w) U^H``: the PSD square root from an eigendecomposition.
 
-    ``(w, U)`` is ``spectrum(P, return_vectors=True)`` of a self-adjoint
-    P.  Eigenvalues in ``[-tol, 0)`` (scaled by the largest eigenvalue)
-    are clamped to zero; anything more negative is an error, not a clamp.
+    ``(w, U)`` is ``spectrum(P)`` of a self-adjoint P.  Eigenvalues in
+    ``[-tol, 0)`` (scaled by the largest eigenvalue) are clamped to zero;
+    anything more negative is an error, not a clamp.
     """
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     if w.size and w[0] < -tol * scale:
@@ -375,10 +372,9 @@ def root_from_spectrum(w, U, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (U * np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T
 
 
-def sqrt_psd(P: OperatorMatrix, tol: float = DEFAULT_TOL) -> OperatorMatrix:
+def sqrt_psd(P: OperatorMatrix) -> OperatorMatrix:
     """Positive semidefinite square root of a PSD self-adjoint operator."""
-    w, U = spectrum(P, tol=tol, return_vectors=True)
-    return OperatorMatrix(root_from_spectrum(w, U, tol), LINEAR)
+    return OperatorMatrix(root_from_spectrum(*spectrum(P)), LINEAR)
 
 
 def cayley(T: OperatorMatrix, tol: float = DEFAULT_TOL) -> OperatorMatrix:
@@ -410,10 +406,9 @@ def power_from_spectrum(w, U, t, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (U * phases) @ U.conj().T
 
 
-def unitary_power(H: OperatorMatrix, t: float, tol: float = DEFAULT_TOL) -> OperatorMatrix:
+def unitary_power(H: OperatorMatrix, t: float) -> OperatorMatrix:
     """The unitary ``H^{it}`` for positive definite self-adjoint H."""
-    w, U = spectrum(H, tol=tol, return_vectors=True)
-    return OperatorMatrix(power_from_spectrum(w, U, t, tol), LINEAR)
+    return OperatorMatrix(power_from_spectrum(*spectrum(H), t), LINEAR)
 
 
 def _fix_phases(basis: np.ndarray) -> np.ndarray:

@@ -41,26 +41,31 @@ class ModularError(OperatorError):
     pass
 
 
-def _hs_orthonormalize(stack: np.ndarray, tol=1e-10) -> np.ndarray:
+#: relative rank threshold of the span SVDs in algebra_from_generators,
+#: and the bound of its closure test
+SPAN_TOL = 1e-10
+
+
+def _hs_orthonormalize(stack: np.ndarray) -> np.ndarray:
     """Orthonormal basis (trace inner product) of the span of a stack."""
     k, m = stack.shape[:2]
     # SVD-based row space extraction keeps the result reproducible
     u, s, vh = np.linalg.svd(stack.reshape(k, m * m), full_matrices=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+    rank = int(np.sum(s > SPAN_TOL * s[0])) if s.size and s[0] > 0 else 0
     return vh[:rank].reshape(rank, m, m)
 
 
-def algebra_from_generators(generators, tol: float = 1e-10) -> np.ndarray:
+def algebra_from_generators(generators) -> np.ndarray:
     """Read-only basis of the *-algebra generated by ``generators``: their
     span with 1, closed under adjoints and products.  No suite calls it;
     it builds algebras such as direct sums from their generators.
 
     Each round forms every product of the current basis and first tests
     whether the span is already closed.  A projection residual of
-    Frobenius norm <= tol bounds every new singular value of the stacked
-    span and products below the SVD rank threshold ``tol * s[0]``
-    (``s[0] >= 1``), so the SVD would add nothing; it runs only when the
-    residual is larger.
+    Frobenius norm <= SPAN_TOL bounds every new singular value of the
+    stacked span and products below the SVD rank threshold ``SPAN_TOL *
+    s[0]`` (``s[0] >= 1``), so the SVD would add nothing; it runs only
+    when the residual is larger.
     """
     gens = np.array(generators, dtype=complex)
     if not len(gens):
@@ -68,13 +73,13 @@ def algebra_from_generators(generators, tol: float = 1e-10) -> np.ndarray:
     m = gens.shape[1]
     current = _hs_orthonormalize(np.concatenate(
         [np.eye(m, dtype=complex)[None], gens, gens.conj().transpose(0, 2, 1)]
-    ), tol)
+    ))
     while True:
         products = (current[:, None] @ current[None]).reshape(-1, m, m)
         P, V = products.reshape(-1, m * m), current.reshape(-1, m * m)
-        if np.linalg.norm(P - (P @ V.conj().T) @ V) <= tol:
+        if np.linalg.norm(P - (P @ V.conj().T) @ V) <= SPAN_TOL:
             break
-        new = _hs_orthonormalize(np.concatenate([current, products]), tol)
+        new = _hs_orthonormalize(np.concatenate([current, products]))
         if len(new) == len(current):
             break
         current = new
@@ -98,7 +103,7 @@ GAP_FLOOR = 1e-3
 MAX_DRAWS = 16
 
 
-def commutant(B: np.ndarray, tol: float = CLUSTER_TOL) -> np.ndarray:
+def commutant(B: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the commutant of the *-algebra with basis
     ``B``, as a read-only complex (k, m, m) stack like ``B``.
 
@@ -129,7 +134,7 @@ def commutant(B: np.ndarray, tol: float = CLUSTER_TOL) -> np.ndarray:
         C, K = np.tensordot(c, B, axes=1)
         w, V = np.linalg.eigh((C + C.conj().T) / 2)
         gap, scale = np.diff(w), max(abs(w[0]), abs(w[-1]))
-        cuts = np.flatnonzero(gap > tol * scale)
+        cuts = np.flatnonzero(gap > CLUSTER_TOL * scale)
         if not len(cuts) or gap[cuts].min() >= GAP_FLOOR * scale:
             break
     else:
@@ -141,7 +146,7 @@ def commutant(B: np.ndarray, tol: float = CLUSTER_TOL) -> np.ndarray:
     KV = V.conj().T @ K @ V
     couple = np.add.reduceat(np.add.reduceat(abs(KV) ** 2, starts, axis=0),
                              starts, axis=1) ** 0.5
-    linked = couple > tol * np.linalg.norm(K)
+    linked = couple > CLUSTER_TOL * np.linalg.norm(K)
     seen = np.zeros(len(starts), dtype=bool)
     dim, out = 0, []  # dim: sum of p^2, the algebra the blocks span
     for root in range(len(starts)):
@@ -170,7 +175,7 @@ def commutant(B: np.ndarray, tol: float = CLUSTER_TOL) -> np.ndarray:
     # commuting with the whole algebra, adjoints included
     worst = np.max(np.linalg.norm(B[:, None] @ X - X @ B[:, None],
                                   axis=(2, 3)))
-    if dim != len(B) or not worst <= tol * np.max(np.linalg.norm(
+    if dim != len(B) or not worst <= CLUSTER_TOL * np.max(np.linalg.norm(
             B, axis=(1, 2))):
         raise ModularError(
             f"commutant: structure check failed (block dimension {dim} "
@@ -205,7 +210,7 @@ def _remainders(x, basis: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class StandardForm:
     n: int
-    rho: np.ndarray
+    rho: np.ndarray  # rho and xi are read-only arrays of their own
     xi: np.ndarray
     # read-only orthonormal bases, shared by every standard form at this n
     alg: np.ndarray  # M: E_ij (x) 1 / sqrt(n)
@@ -271,7 +276,8 @@ def standard_form(n: int, rho) -> StandardForm:
     separating (``m xi = 0`` for algebra m forces m = 0).
     """
     _check_n(n)
-    rho = np.asarray(rho, dtype=complex)
+    # a copy: a later write to the caller's array cannot reach sf.rho
+    rho = readonly(np.array(rho, dtype=complex))
     if rho.shape != (n, n):
         raise ModularError(f"rho must be {n}x{n}")
     # finiteness first, so inf - inf never reaches the Hermitian test
@@ -289,7 +295,7 @@ def standard_form(n: int, rho) -> StandardForm:
         raise ModularError(f"ill-conditioned rho: cond(rho) = "
                            f"{w[-1] / w[0]:.1e} > {MAX_COND_RHO:g}")
     root = (U * np.sqrt(w)) @ U.conj().T
-    return StandardForm(n, rho, root.reshape(-1), *_algebras(n))
+    return StandardForm(n, rho, readonly(root.reshape(-1)), *_algebras(n))
 
 
 def tracial_rho(n: int) -> np.ndarray:
@@ -297,11 +303,11 @@ def tracial_rho(n: int) -> np.ndarray:
     return np.eye(n) / n
 
 
-def cyclic_separating(alg: np.ndarray, xi, tol: float = 1e-10):
+def cyclic_separating(alg: np.ndarray, xi):
     """(cyclic, separating) from one rank of the orbit {b xi : b in alg}:
     xi is cyclic iff the orbit spans the ambient space, and separating
     iff b -> b xi is injective on the algebra."""
-    rank = np.linalg.matrix_rank(alg @ xi, tol=tol)
+    rank = np.linalg.matrix_rank(alg @ xi, tol=1e-10)
     return rank == alg.shape[1], rank == len(alg)
 
 
@@ -371,7 +377,7 @@ def modular_data(sf: StandardForm) -> ModularData:
     # path and move Delta's last bits
     Delta = OperatorMatrix(S.matrix.T.copy() @ np.conj(S.matrix))
     allowance = rounding_tol(0.0, Delta.rows)
-    w, U = spectrum(Delta, allowance, return_vectors=True)
+    w, U = spectrum(Delta, allowance)
     root = OperatorMatrix(root_from_spectrum(w, U, allowance))
     return ModularData(S, build_F(sf.comm, sf.xi), Delta,
                        modular_J(S, root, w), (w, U), root)
@@ -457,8 +463,8 @@ def modular_flow_check(eig, alg: np.ndarray, t_list) -> float:
     return worst
 
 
-def antilinear_defect_dimension(F: OperatorMatrix, alg: np.ndarray, xi,
-                                tol: float = 1e-8) -> int:
+def antilinear_defect_dimension(F: OperatorMatrix, alg: np.ndarray,
+                                xi) -> int:
     """Real dimension of the graph-defect space of the pair (S, F).
 
     A defect vector z must satisfy the conjugate-linear eigenvalue
@@ -486,5 +492,5 @@ def antilinear_defect_dimension(F: OperatorMatrix, alg: np.ndarray, xi,
     R[2 * N + p:, :N], R[2 * N + p:, N:] = -V.imag, V.real
     s = np.linalg.svd(R, compute_uv=False)
     scale = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > tol * scale))
+    rank = int(np.sum(s > 1e-8 * scale))
     return 2 * F.rows - rank

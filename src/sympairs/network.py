@@ -352,12 +352,15 @@ def defect_recurrence(seq: ConductanceSequence, nmax: int,
     seq.c(nmax - 1)  # refuse an overflowing nmax before allocating
     psi = np.zeros(nmax + 1)
     psi[0] = psi0
+    # each c(n) read once; the loop takes them as the Python floats c(n)
+    # gave, whose 1 / 0 raises ZeroDivisionError and 1 / 5e-324 is inf
+    c = np.fromiter(map(seq.c, range(nmax)), float, nmax)
     overflow = False
     with np.errstate(over="raise", invalid="raise"):
         try:
-            psi[1] = psi[0] * (1.0 + 1.0 / seq.c(0))
+            psi[1] = psi[0] * (1.0 + 1.0 / c.item(0))
             for n in range(1, nmax):
-                cn, cp = seq.c(n), seq.c(n - 1)
+                cn, cp = c.item(n), c.item(n - 1)
                 psi[n + 1] = (
                     psi[n] + (cp / cn) * (psi[n] - psi[n - 1]) + psi[n] / cn
                 )
@@ -368,15 +371,14 @@ def defect_recurrence(seq: ConductanceSequence, nmax: int,
     # the raw residual picks up c(n) times rounding noise, so each node
     # is judged relative to the magnitudes of the terms actually summed;
     # c(-1) = 0 and psi(-1) = psi(0) turn node 0 into the boundary node
-    cn = np.array([seq.c(n) for n in range(nmax)])
-    cp, prev = np.r_[0.0, cn[:-1]], np.r_[psi[0], psi[:nmax - 1]]
+    cp, prev = np.r_[0.0, c[:-1]], np.r_[psi[0], psi[:nmax - 1]]
     here, nxt = psi[:nmax], psi[1:]
     residuals, scales = np.zeros(nmax + 1), np.ones(nmax + 1)
     # inf/nan residuals are judged below; an inf scale leaves a node unjudged
     with np.errstate(over="ignore", invalid="ignore"):
-        residuals[:nmax] = cp * (here - prev) + cn * (here - nxt) + here
+        residuals[:nmax] = cp * (here - prev) + c * (here - nxt) + here
         scales[:nmax] = (1.0 + cp * (abs(here) + abs(prev))
-                         + cn * (abs(here) + abs(nxt)) + abs(here))
+                         + c * (abs(here) + abs(nxt)) + abs(here))
     if overflow or not np.all(np.isfinite(residuals[:nmax])):
         rel_residual = float("nan")
     else:
@@ -385,7 +387,7 @@ def defect_recurrence(seq: ConductanceSequence, nmax: int,
         )
     # inf or nan (0 * inf) energy is a DIVERGES verdict
     with np.errstate(over="ignore", invalid="ignore"):
-        increments = cn * np.diff(psi) ** 2
+        increments = c * np.diff(psi) ** 2
         partials = np.cumsum(increments)
     thresholds = {
         "tail_ratio": TAIL_RATIO,
@@ -454,8 +456,7 @@ def harmonic_flux(seq: ConductanceSequence, flux: float, W: int):
     return h, energy(h, h)
 
 
-def royden_project(u: EnergyVector, h: EnergyVector | None,
-                   tol: float = 1e-12):
+def royden_project(u: EnergyVector, h: EnergyVector | None):
     """Split u into its finitely-supported and harmonic parts.
 
     ``h`` spans the harmonic component (pass None on genuinely finite
@@ -466,7 +467,7 @@ def royden_project(u: EnergyVector, h: EnergyVector | None,
         return u, 0.0 * u, 0.0
     u._same(h)
     eh = energy(h, h)
-    if eh < tol:
+    if eh < 1e-12:
         raise NetworkError("harmonic direction has vanishing energy")
     coeff = energy(h, u) / eh
     harm = coeff * h

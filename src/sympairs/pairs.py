@@ -128,20 +128,20 @@ def symmetry_defect(L: OperatorMatrix) -> float:
     return float(np.max(np.abs(M - Ms))) if M.size else 0.0
 
 
-def deficiency(spec: SymmetricPairSpec, tol: float = DEFAULT_TOL) -> tuple:
+def deficiency(spec: SymmetricPairSpec) -> tuple:
     """Defect spaces ``(def_plus, def_minus)`` of L as the +-i
     eigenspaces of L*, each a list of basis vectors.
 
-    Requires L symmetric within tol.  A conjugate-linear L* is first
-    realified (``realify``), a real symmetric matrix for a symmetric L:
-    its complexification has no +-i eigenvalues, so again (0, 0).
+    Requires L symmetric within DEFAULT_TOL.  A conjugate-linear L* is
+    first realified (``realify``), a real symmetric matrix for a symmetric
+    L: its complexification has no +-i eigenvalues, so again (0, 0).
     """
-    if symmetry_defect(build_L(spec)) > tol:
+    if symmetry_defect(build_L(spec)) > DEFAULT_TOL:
         raise PairError("L is not symmetric within tolerance")
     lstar = build_Lstar(spec)
     if not lstar.is_linear:
         lstar = OperatorMatrix(realify(lstar), LINEAR)
-    return eig_space(lstar, 1j, tol), eig_space(lstar, -1j, tol)
+    return eig_space(lstar, 1j), eig_space(lstar, -1j)
 
 
 def defect_flip(v, split) -> np.ndarray:
@@ -155,11 +155,12 @@ def defect_flip(v, split) -> np.ndarray:
     return out
 
 
-def is_maximal(spec: SymmetricPairSpec, tol: float = DEFAULT_TOL):
+def is_maximal(spec: SymmetricPairSpec):
     """Maximality B = A* as (verdict, |A-B*|, |B-A*|), both deviations being
-    the check_pair residual; kept because perfbench's metrics name it."""
+    the check_pair residual, judged against DEFAULT_TOL; kept because
+    perfbench's metrics name it."""
     res = check_pair(spec)
-    return res < tol, res, res
+    return res < DEFAULT_TOL, res, res
 
 
 def pair_from_json(obj) -> tuple:

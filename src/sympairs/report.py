@@ -62,19 +62,14 @@ class Report:
         return self.failed == 0
 
     def to_dict(self) -> dict:
+        records = []
+        for r in self.records:
+            record = dict(vars(r))
+            # "pass" is a Python keyword, so the field is named passed
+            record["pass"] = record.pop("passed")
+            records.append(record)
         return {
-            "records": [
-                {
-                    "suite": r.suite,
-                    "check": r.check,
-                    "anchor": r.anchor,
-                    "residual": r.residual,
-                    "tol": r.tol,
-                    "pass": r.passed,
-                    "message": r.message,
-                }
-                for r in self.records
-            ],
+            "records": records,
             "summary": {
                 "total": self.total,
                 "passed": self.passed,

@@ -10,6 +10,7 @@ a failed record.
 from __future__ import annotations
 
 import math
+import os
 import time
 
 import numpy as np
@@ -310,11 +311,12 @@ def config_entries(config) -> list:
     return entries
 
 
-def check_entry(entry) -> None:
+def check_entry(entry) -> float | None:
     """Refuse (ValueError) a batch entry that is not an object of a known
     kind with params of the right types and a valid ``tol``: ``sympairs
     run`` checks every entry before it runs any.  A missing param is left
-    to ``run_entry``, a failed record."""
+    to ``run_entry``, a failed record.  Returns the entry's ``tol``,
+    parsed, or None when it has none."""
     valid = ("pair", "malliavin", "modular", "network", "defect")
     if not isinstance(entry, dict) or entry.get("kind") not in valid:
         raise ValueError(f"bad suite entry: {entry!r}")
@@ -329,8 +331,17 @@ def check_entry(entry) -> None:
     for key in ("graph", "graph_file"):
         if not isinstance(params.get(key, ""), str):
             raise ValueError(f"param {key!r} must be a string")
-    if "tol" in entry:
-        parse_tol(entry["tol"], "suite tol")
+    return parse_tol(entry["tol"], "suite tol") if "tol" in entry else None
+
+
+def read_text(path: str) -> str:
+    """The text of the file at ``path``, or ValueError naming it; a path
+    that is not a string is a TypeError, never a file descriptor."""
+    try:
+        with open(os.fspath(path), "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
 
 
 def run_entry(kind: str, params: dict, tol: float | None = None) -> list:
@@ -338,8 +349,11 @@ def run_entry(kind: str, params: dict, tol: float | None = None) -> list:
 
     ``tol`` is an explicit tolerance (entry ``tol``, ``--tol`` or
     SYMPAIR_TOL); with None a pair uses its file's ``tol`` and every
-    other kind DEFAULT_TOL.  Bad input raises one of ENTRY_ERRORS.
+    other kind DEFAULT_TOL.  A network without ``graph`` reads its
+    ``graph_file``.  Bad input raises one of ENTRY_ERRORS.
     """
+    if kind == "network" and "graph" not in params and "graph_file" in params:
+        params = {**params, "graph": read_text(params["graph_file"])}
     required = REQUIRED.get(kind, ())
     if kind == "modular" and params.get("rho", "tracial") != "tracial":
         required = ()
@@ -388,12 +402,10 @@ def run_suite(config: dict, default_tol: float | None = None) -> Report:
     for entry in entries:
         kind = entry.get("kind") if isinstance(entry, dict) else None
         try:
-            check_entry(entry)
-            tol, name = (entry["tol"], "suite tol") if "tol" in entry \
-                else (default_tol, "default tol")
-            report.extend(run_entry(kind, entry.get("params", {}),
-                                    None if tol is None
-                                    else parse_tol(tol, name)))
+            tol = check_entry(entry)
+            if tol is None and default_tol is not None:
+                tol = parse_tol(default_tol, "default tol")
+            report.extend(run_entry(kind, entry.get("params", {}), tol))
         except ENTRY_ERRORS as exc:
             report.records.append(_error_record(str(kind), exc))
     report.wall_time = time.perf_counter() - start

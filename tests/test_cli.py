@@ -492,6 +492,26 @@ def test_missing_param_names_suite_and_param(kind, params, missing):
     assert rec.message == f"{kind}: missing param {missing!r}"
 
 
+def test_run_suite_reads_a_graph_file(tmp_path):
+    graph = "p q 1\nq r 2\nr p 1\norigin q\n"
+    path, missing = tmp_path / "g.txt", tmp_path / "none.txt"
+    path.write_text(graph)
+
+    def records(params):
+        entry = {"kind": "network", "params": params}
+        return run_suite({"suites": [entry]}).records
+
+    by_text = records({"graph": graph})
+    assert records({"graph_file": str(path)}) == by_text
+    assert len(by_text) == 5 and all(r.passed for r in by_text)
+    [rec] = records({"graph_file": str(missing)})
+    assert rec.check == "suite_error" and not rec.passed
+    assert rec.message.startswith(f"cannot read {missing}: ")
+    # never a file descriptor: run_suite refuses a non-string path first
+    with pytest.raises(TypeError):
+        suites.run_entry("network", {"graph_file": 0})
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "defect", "--r", "2", "--nmax", "1023"],
     ["check", "defect", "--r", "0.5", "--nmax", "3000"],
@@ -619,6 +639,9 @@ def parity_cases(tmp_path):
             {"kind": "modular", "params": {"n": 2, "t_list": [-1, 0.5]}}),
         "network": (["network", "-g", str(tmp_path / "g.txt")],
                     {"kind": "network", "params": {"graph": graph}}),
+        "network_file": (["network", "-g", str(tmp_path / "g.txt")],
+                         {"kind": "network",
+                          "params": {"graph_file": str(tmp_path / "g.txt")}}),
         "defect": (["defect", "--rule", "constant", "--r", "1", "--nmax",
                     "60", "--expect", "DIVERGES"],
                    {"kind": "defect",
@@ -632,7 +655,8 @@ def parity_cases(tmp_path):
 
 @pytest.mark.parametrize("name", [
     "pair", "malliavin", "modular_tracial", "modular_rho",
-    "modular_negative_t", "network", "defect", "defect_mismatch"])
+    "modular_negative_t", "network", "network_file", "defect",
+    "defect_mismatch"])
 def test_check_is_a_one_entry_run(tmp_path, capsys, monkeypatch, name):
     monkeypatch.delenv("SYMPAIR_TOL", raising=False)
     argv, entry = parity_cases(tmp_path)[name]
@@ -675,6 +699,9 @@ def test_pair_tol_precedence_is_shared(tmp_path, capsys, monkeypatch,
     # still a number, so still a size for --n
     (["modular", "--n", "-3"], {"kind": "modular", "params": {"n": -3}}),
     (["defect", "--nmax", "2"], {"kind": "defect", "params": {"nmax": 2}}),
+    # an unreadable graph file: exit 2 from check, a record from run
+    (["network", "-g", "no-such-dir/g.txt"],
+     {"kind": "network", "params": {"graph_file": "no-such-dir/g.txt"}}),
 ])
 def test_bad_input_same_message_from_both_doors(tmp_path, capsys, argv,
                                                 entry):

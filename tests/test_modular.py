@@ -756,7 +756,7 @@ def test_modular_flow_tolerance_scales_with_t_and_cond(monkeypatch, seed, t):
     D = OperatorMatrix(modular_data(standard_form(2, rho)).Delta.matrix
                        + E.matrix)
     monkeypatch.setattr(modular, "modular_flow_check", lambda eig, *a: real(
-        modular.spectrum(D, return_vectors=True), *a))
+        modular.spectrum(D), *a))
     [bad] = [r for r in suite_modular(2, rho, [t])
              if r.check == "modular_flow"]
     assert not bad.passed and bad.residual > 4 * bad.tol
@@ -842,11 +842,19 @@ def test_shared_decomposition_matches_core_bit_for_bit(n):
 
 
 def test_bases_are_read_only_stacks():
-    sf = standard_form(3, random_rho(np.random.default_rng(31), 3))
+    rho = random_rho(np.random.default_rng(31), 3)
+    sf = standard_form(3, rho)
     comm = commutant(sf.alg)
     for stack in (sf.alg, comm):
         assert stack.shape == (9, 9, 9) and stack.dtype == complex
         assert not stack.flags.writeable
+    # rho and xi are read-only copies: the caller's later write stays out
+    kept = rho.copy()
+    rho[0, 0] += 1.0
+    assert np.array_equal(sf.rho, kept)
+    for arr in (sf.rho, sf.xi):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
     # the basis is the left multiplications E_ij (x) 1, scaled to unit norm
     eye = np.eye(3)
     assert np.array_equal(sf.alg, [

@@ -659,8 +659,17 @@ def residual_oracle(seq, psi, nmax):
     constant_halfline(1.0), constant_halfline(3.0),
 ])
 @pytest.mark.parametrize("nmax", [3, 10, 80])
-def test_defect_residuals_match_loop_oracle(seq, nmax):
+def test_defect_residuals_match_loop_oracle(monkeypatch, seq, nmax):
+    calls, c = [], ConductanceSequence.c
+
+    def counted(self, n):
+        calls.append(n)
+        return c(self, n)
+
+    monkeypatch.setattr(ConductanceSequence, "c", counted)
     res = defect_recurrence(seq, nmax, psi0=1.5)
+    # each c(n) read once, after the overflow check reads c(nmax - 1)
+    assert len(calls) <= nmax + 1
     residuals, scales = residual_oracle(seq, res.psi, nmax)
     assert np.array_equal(res.residuals, residuals)
     if not res.overflow:
