@@ -377,7 +377,7 @@ def modular_data(sf: StandardForm) -> ModularData:
     # path and move Delta's last bits
     Delta = OperatorMatrix(S.matrix.T.copy() @ np.conj(S.matrix))
     allowance = rounding_tol(0.0, Delta.rows)
-    w, U = spectrum(Delta, allowance)
+    w, U = map(readonly, spectrum(Delta, allowance))
     root = OperatorMatrix(root_from_spectrum(w, U, allowance))
     return ModularData(S, build_F(sf.comm, sf.xi), Delta,
                        modular_J(S, root, w), (w, U), root)

@@ -3,10 +3,10 @@
 Finite networks get exact linear-solve machinery (energy form, graph
 Laplacian, energy kernel) with the quotient by constants realized by
 pinning the representative to vanish at the origin.  A network is built
-from its edge list in one pass, which yields the read-only edge arrays
-and conductance matrix; it caches the Laplacian, the kernel matrix (one
-pinned-Laplacian solve), the Laplacian of the kernel and the
-kernel-Dirac energy Gram on first use.  Energy is only ever the
+from its edge list in one pass into read-only edge arrays, its one copy
+of the graph; it caches the Laplacian (assembled from them), the kernel
+matrix (one pinned-Laplacian solve), the Laplacian of the kernel and
+the kernel-Dirac energy Gram on first use.  Energy is only ever the
 incidence form ``energy_gram`` (or its diagonal ``energy_diagonal``)
 over the edges, never the Laplacian, so identities pairing the two
 compare independent computations.  The half-line recurrence machinery
@@ -36,12 +36,11 @@ class FiniteNetwork(Immutable):
     One pass over the edges validates them (known vertices, no self-loop,
     finite c > 0, no edge given twice in either orientation) and yields
     the read-only ``edges`` arrays ``(iu, ju, c)``, one entry per edge
-    iu < ju in row-major order, and the symmetric conductance matrix
-    ``cond``, zero on the diagonal.  Every vertex has positive net
+    iu < ju in row-major order.  Every vertex has positive net
     conductance.
     """
 
-    __slots__ = ("vertices", "index", "cond", "origin",
+    __slots__ = ("vertices", "index", "origin",
                  "__dict__")  # __dict__ holds edges and cached properties
 
     def __init__(self, vertices, edges, origin):
@@ -52,10 +51,10 @@ class FiniteNetwork(Immutable):
         if len(index) != len(vertices):
             raise NetworkError("duplicate vertex ids")
         n = len(vertices)
-        # before any n x n array: suite_network holds twelve float64 ones
-        # (cond, L, the pinned block and its identity, K, LK, the kernel-
-        # Dirac Gram, P, expect and energy_gram's block differences)
-        check_budget(12 * 8 * n * n, f"{n} vertices", NetworkError)
+        # before any n x n array: suite_network holds ten float64 ones
+        # (L, the pinned block and its identity, K, LK, the kernel-Dirac
+        # Gram, P and energy_gram's block differences)
+        check_budget(10 * 8 * n * n, f"{n} vertices", NetworkError)
         # one pass over the edge list: validate, then collect each edge as
         # an index pair lo < hi with its conductance, and adjacency lists
         lo, hi, cs, given = [], [], [], set()
@@ -95,10 +94,7 @@ class FiniteNetwork(Immutable):
         lo, hi = np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)
         order = np.lexsort((hi, lo))
         iu, ju, c = lo[order], hi[order], np.array(cs, dtype=float)[order]
-        cond = np.zeros((n, n))
-        cond[iu, ju] = c
-        cond[ju, iu] = c
-        self._fill(vertices=vertices, index=index, cond=cond, origin=origin,
+        self._fill(vertices=vertices, index=index, origin=origin,
                    edges=tuple(map(readonly, (iu, ju, c))))
 
     def __len__(self):
@@ -106,8 +102,12 @@ class FiniteNetwork(Immutable):
 
     @cached_property
     def laplacian_matrix(self) -> np.ndarray:
-        """Read-only ``diag(c(x)) - cond``."""
-        return readonly(np.diag(self.cond.sum(axis=1)) - self.cond)
+        """Read-only Laplacian: -c off the diagonal, 0 - (row sum) on it."""
+        iu, ju, c = self.edges
+        L = np.zeros((len(self), len(self)))
+        L[iu, ju] = L[ju, iu] = -c
+        L[np.diag_indices(len(self))] -= L.sum(axis=1)
+        return readonly(L)
 
     @cached_property
     def kernel_matrix(self) -> np.ndarray:
@@ -413,8 +413,8 @@ def defect_recurrence(seq: ConductanceSequence, nmax: int,
         l2_psi = float(np.sqrt(np.sum(psi[:nmax] ** 2)))
         l2_lap = float(np.sqrt(np.sum(lap_vals**2)))
     return DefectResult(
-        psi, residuals, rel_residual, partials, verdict, overflow,
-        l2_psi, l2_lap, thresholds,
+        readonly(psi), readonly(residuals), rel_residual, readonly(partials),
+        verdict, overflow, l2_psi, l2_lap, thresholds,
     )
 
 
@@ -492,12 +492,25 @@ def lemma_dual_pairing(net: FiniteNetwork, x, h: EnergyVector) -> float:
     return float(direct)
 
 
+#: what str.splitlines splits at ("\r\n" is one break)
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def parse_graph(text: str) -> FiniteNetwork:
     """Parse the edge-list format: lines ``x y c``, plus ``origin x``.
 
     Blank lines and ``#`` comments are ignored; the origin defaults to
     the first vertex mentioned.
     """
+    # before splitting a line: the edge phase (this parse and the pass of
+    # FiniteNetwork over its edges) peaks near 380 bytes a line on
+    # complete graphs, 490 where each line brings a vertex, plus up to
+    # three copies of each character (the line, its part before any '#',
+    # the names), at 4 bytes each in a non-ASCII text
+    lines = 1 + sum(map(text.count, LINE_BREAKS)) - text.count("\r\n")
+    width = 1 if text.isascii() else 4
+    check_budget(500 * lines + 3 * width * len(text),
+                 f"graph of {lines} lines", NetworkError)
     edges = []
     origin = None
     order = {}  # vertices in order of first mention

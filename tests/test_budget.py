@@ -10,15 +10,38 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sympairs import chaos, core, modular, network, suites
+from sympairs import chaos, core, modular, network, pairs, suites
 from sympairs.chaos import ChaosError, basis_build, term_count
 from sympairs.modular import ModularError
 from sympairs.network import NetworkError
+from sympairs.pairs import PairError
 
 
 def path(n):
     """Edge list of the unit path on n vertices."""
     return "".join(f"{i} {i + 1} 1\n" for i in range(n - 1))
+
+
+def complete(n, name=str):
+    """Edge list of the complete graph on n vertices, unit conductances."""
+    return "".join(f"{name(i)} {name(j)} 1\n"
+                   for i in range(n) for j in range(i + 1, n))
+
+
+def long_name(i):
+    """A 40-character vertex name."""
+    return f"{'v' * 32}{i:08d}"
+
+
+def pair(n1, n2):
+    """Params of a real symmetric pair: A is n2 x n1 and B = A^T."""
+    A = np.arange(n1 * n2, dtype=float).reshape(n2, n1)
+
+    def entries(M):
+        return {"rows": M.shape[0], "cols": M.shape[1],
+                "entries": [[x, 0.0] for x in M.reshape(-1).tolist()]}
+
+    return {"A": entries(A), "B": entries(A.T)}
 
 
 def spy_prices(monkeypatch):
@@ -63,6 +86,10 @@ SWEEP = [
     ("modular", {"n": 8}),
     ("network", {"graph": path(1000)}),
     ("defect", {"rule": "constant", "r": 1.0, "nmax": 10**6}),
+    # the edge phase of a dense graph sets its peak
+    ("network", {"graph": complete(300)}),
+    ("pair", pair(1, 1000)),
+    ("pair", pair(300, 300)),
 ]
 
 
@@ -71,7 +98,8 @@ SWEEP = [
                               "malliavin-3-16", "malliavin-5-9",
                               "malliavin-8-8", "malliavin-64-3", "modular-6",
                               "modular-7", "modular-8", "network-1000",
-                              "defect-1e6"])
+                              "defect-1e6", "network-K300", "pair-1-1000",
+                              "pair-300-300"])
 def test_price_bounds_the_measured_peak(monkeypatch, kind, params):
     prices = spy_prices(monkeypatch)
     modular._algebras.cache_clear()  # the modular price is the cold build's
@@ -101,11 +129,12 @@ def verdict(monkeypatch, kind, params):
     monkeypatch.setattr(chaos, "basis_build", admit)
     monkeypatch.setattr(modular, "_algebras", admit)
     monkeypatch.setattr(network.np, "zeros", admit)
+    monkeypatch.setattr(pairs.np, "zeros", admit)
     try:
         suites.run_entry(kind, params)
     except Admitted:
         return "admitted"
-    except (ChaosError, ModularError, NetworkError) as exc:
+    except (ChaosError, ModularError, NetworkError, PairError) as exc:
         return str(exc)
     finally:
         monkeypatch.undo()
@@ -123,6 +152,11 @@ def verdict(monkeypatch, kind, params):
     ("defect", {"rule": "constant", "r": 1.0, "nmax": 10**6}),
     ("defect", {"rule": "constant", "r": 1.0, "nmax": 9_151_207}),
     *(("malliavin", {"d": d, "N": N}) for d, N in ((8, 8), (64, 3))),
+    # the largest path; the benchmark's desk and sweep pairs, and the
+    # largest pair
+    ("network", {"graph": path(3172)}),
+    *(("pair", pair(n1, n2)) for n1, n2 in (
+        (20, 40), (40, 20), (30, 30), (25, 35), (150, 150), (1, 3171))),
 ])
 def test_sizes_in_use_stay_admitted(monkeypatch, kind, params):
     assert verdict(monkeypatch, kind, params) == "admitted"
@@ -136,15 +170,46 @@ def test_sizes_in_use_stay_admitted(monkeypatch, kind, params):
     ("malliavin", {"d": 10**6, "N": 2}, "2.98e+10 GiB"),
     ("modular", {"n": 9}, "1.33 GiB"),
     # within 0.1% of the limit: MiB, tenths rounded up
-    ("network", {"graph": path(2897)}, "768.4 MiB"),
+    ("network", {"graph": path(3173)}, "768.2 MiB"),
     ("defect", {"rule": "constant", "r": 1.0, "nmax": 9_151_208},
      "768.1 MiB"),
+    # the smallest pair refused, and a 1 x 4000 pair
+    ("pair", pair(1, 3172), "768.2 MiB"),
+    ("pair", pair(1, 4000), "1.193 GiB"),
 ])
 def test_oversized_refused_before_any_large_array(monkeypatch, kind, params,
                                                    size):
     message = verdict(monkeypatch, kind, params)
     limit = "768.0 MiB" if size.endswith("MiB") else "0.75 GiB"
     assert message.endswith(f"refused: needs {size} (limit {limit})")
+
+
+@pytest.mark.parametrize("limit_mib", [4, 10])
+def test_graph_peak_stays_under_the_budget(monkeypatch, limit_mib):
+    # under a small budget every graph peaks at or under it: admitted, or
+    # refused for its vertex count after an edge phase priced under the
+    # budget, or refused for its edge phase before any line is split
+    monkeypatch.setattr(core, "MAX_BYTES", limit_mib * 2**20)
+    texts = [*(complete(n) for n in (100, 200, 300)),
+             *(path(n) for n in (200, 300, 400)),
+             *(complete(n, long_name) for n in (60, 150)),
+             "".join(f"{long_name(i)} {long_name(i + 1)} 1\n"
+                     for i in range(250))]
+    verdicts = []
+    for text in texts:
+        tracemalloc.start()
+        try:
+            suites.run_entry("network", {"graph": text})
+            verdicts.append("admitted")
+        except NetworkError as exc:
+            verdicts.append(str(exc).split(" refused")[0].split()[-1])
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak <= core.MAX_BYTES, (verdicts[-1], peak)
+        if verdicts[-1] == "lines":
+            assert peak < 2**16, peak
+    assert set(verdicts) == {"admitted", "vertices", "lines"}
 
 
 def test_cheaper_price_first(monkeypatch):

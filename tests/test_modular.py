@@ -169,6 +169,14 @@ def test_modular_delta_tracial_is_identity():
     assert np.max(np.abs(Delta.matrix - np.eye(4))) < 1e-10
 
 
+def test_modular_data_eig_is_read_only():
+    # the (w, U) of Delta that root, J and the flow share cannot be edited
+    md = modular_data(standard_form(2, np.diag([0.7, 0.3])))
+    for arr in md.eig:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 def test_modular_delta_spectrum_is_eigenvalue_ratios():
     rng = np.random.default_rng(21)
     for n in (2, 3, 4):

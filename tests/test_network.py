@@ -47,11 +47,20 @@ def cycle4():
     return parse_graph("a b 1\nb c 2\nc d 1\nd a 2\n")
 
 
+def conductance_matrix(net):
+    """The symmetric conductance matrix of ``net``, built here from its
+    edge arrays, zero on the diagonal."""
+    iu, ju, c = net.edges
+    cond = np.zeros((len(net), len(net)))
+    cond[iu, ju] = cond[ju, iu] = c
+    return cond
+
+
 def test_parse_graph_examples():
     net = path3()
     assert net.vertices == ("a", "b", "c")
     assert net.origin == "a"
-    assert net.cond[net.index["b"]].sum() == 2.0
+    assert conductance_matrix(net)[net.index["b"]].sum() == 2.0
     # origin defaults to the first vertex mentioned
     net = parse_graph("x y 0.5\n")
     assert net.origin == "x"
@@ -265,7 +274,7 @@ def test_twosided_window_network_shape():
     net = twosided_window_network(twosided_geometric(2.0), 3)
     assert len(net) == 7
     assert net.origin == 0
-    assert net.cond[net.index[2], net.index[3]] == 4.0
+    assert conductance_matrix(net)[net.index[2], net.index[3]] == 4.0
     with pytest.raises(NetworkError):
         twosided_window_network(geometric_halfline(2.0), 3)
 
@@ -388,8 +397,10 @@ def test_construction_matches_per_edge_oracle(graph):
         return
     net = FiniteNetwork(vertices, edges, origin)
     cond, ref_edges = ref
-    assert net.cond.dtype == cond.dtype
-    assert net.cond.tobytes() == cond.tobytes()  # bit for bit
+    with np.errstate(over="ignore"):  # a row sum may overflow to inf
+        want, got = np.diag(cond.sum(axis=1)) - cond, net.laplacian_matrix
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()  # bit for bit
     for got, want in zip(net.edges, ref_edges):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -404,7 +415,7 @@ def energy_oracle(net, u, v):
     matrix, and the same sum of absolute terms (the rounding scale)."""
     du = u[:, None] - u[None, :]
     dv = v[:, None] - v[None, :]
-    terms = net.cond * du * dv
+    terms = conductance_matrix(net) * du * dv
     return 0.5 * np.sum(terms), 0.5 * np.sum(np.abs(terms))
 
 
@@ -414,7 +425,8 @@ def kernel_oracle(net, x):
     vals = np.zeros(len(net))
     if net.index[x] == o:
         return vals
-    L = np.diag(net.cond.sum(axis=1)) - net.cond
+    cond = conductance_matrix(net)
+    L = np.diag(cond.sum(axis=1)) - cond
     keep = [i for i in range(len(net)) if i != o]
     rhs = np.zeros(len(net))
     rhs[net.index[x]] = 1.0
@@ -482,8 +494,11 @@ def test_kernel_matrix_and_suite_on_random_networks(net_rng):
 def test_network_data_is_lazy_cached_and_read_only():
     net = cycle4()
     assert energy(net.delta("a"), net.delta("b")) == -1.0
-    # the energy form needs only the edge arrays, never the solve
-    assert "edges" in net.__dict__ and "kernel_matrix" not in net.__dict__
+    # the energy form needs only the edge arrays, never the solve or the
+    # Laplacian; the edge arrays are the network's one copy of the graph
+    assert "edges" in net.__dict__ and not hasattr(net, "cond")
+    assert "kernel_matrix" not in net.__dict__
+    assert "laplacian_matrix" not in net.__dict__
     iu, ju, c = net.edges
     assert np.all(iu < ju) and len(c) == 4
     K = net.kernel_matrix
@@ -491,7 +506,7 @@ def test_network_data_is_lazy_cached_and_read_only():
     assert net.laplacian_matrix is net.laplacian_matrix
     assert net.laplacian_kernel is net.laplacian_kernel
     assert net.kernel_delta_gram is net.kernel_delta_gram
-    for arr in (iu, ju, c, net.cond, K, net.laplacian_matrix,
+    for arr in (iu, ju, c, K, net.laplacian_matrix,
                 net.laplacian_kernel, net.kernel_delta_gram,
                 net.delta("a").values):
         with pytest.raises(ValueError):
@@ -593,10 +608,12 @@ def test_network_scan_kernel_column_mutation_fails(scale, edges):
 def test_network_scan_conductance_row_mutation_fails(scale, edges):
     # at scale 1e-6, 1e-9 c(x) is about 1e-15: no floor above --tol hides it
     net = network_of(edges)
-    net.laplacian_kernel, net.kernel_delta_gram  # solved from the true cond
-    cond = net.cond.copy()
-    cond[np.argmax(cond.sum(axis=1))] *= 1 + 1e-9  # c(x) off by 1e-9
-    object.__setattr__(net, "cond", cond)
+    net.laplacian_kernel, net.kernel_delta_gram  # solved from the true L
+    L = net.laplacian_matrix.copy()
+    x = np.argmax(L.diagonal())
+    L[x, x] *= 1 + 1e-9  # c(x) off by 1e-9
+    L.setflags(write=False)
+    net.__dict__["laplacian_matrix"] = L
     recs = {r.check: r for r in suite_network(net, 1e-16)}
     assert not recs["dirac_energy"].passed
 
@@ -618,9 +635,11 @@ def test_tight_tol_catches_an_error_of_1e_11_relative(target):
         record = "kernel_laplacian"
     else:  # c(x) off by 1e-11, after every solve
         net.laplacian_kernel, net.kernel_delta_gram
-        cond = net.cond.copy()
-        cond[np.argmax(cond.sum(axis=1))] *= 1 + 1e-11
-        object.__setattr__(net, "cond", cond)
+        L = net.laplacian_matrix.copy()
+        x = np.argmax(L.diagonal())
+        L[x, x] *= 1 + 1e-11
+        L.setflags(write=False)
+        net.__dict__["laplacian_matrix"] = L
         record = "dirac_energy"
     recs = {r.check: r for r in suite_network(net, 1e-13)}
     assert not recs[record].passed, recs[record]
@@ -715,28 +734,39 @@ def test_network_vertex_cap(monkeypatch, tmp_path, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("n x n array allocated before the byte check")
 
-    # the memory budget prices twelve n x n float64 arrays: a path of
-    # 2,896 vertices is the largest admitted, and refusing 2,897 comes
-    # before any n x n array
+    # the memory budget prices ten n x n float64 arrays: a path of 3,172
+    # vertices is the largest admitted, and refusing 3,173 comes before
+    # any n x n array; an admitted network builds its first one, the
+    # Laplacian, on first use
     monkeypatch.setattr(network.np, "zeros", refuse)
-    path = "".join(f"v{i} v{i + 1} 1\n" for i in range(2896))
+    path = "".join(f"v{i} v{i + 1} 1\n" for i in range(3172))
     with pytest.raises(NetworkError,
-                       match=r"2897 vertices refused: needs 768\.4 MiB"):
+                       match=r"3173 vertices refused: needs 768\.2 MiB"):
         parse_graph(path)
+    net = parse_graph(path[:path.rindex("v3171 ")])
     with pytest.raises(AssertionError, match="allocated"):
-        parse_graph(path[:path.rindex("v2895 ")])
+        net.laplacian_matrix
     monkeypatch.undo()
-    monkeypatch.setattr(core, "MAX_BYTES", 12 * 8 * 3 * 3)
-    with pytest.raises(NetworkError, match="4 vertices refused"):
-        parse_graph("a b 1\nb c 1\nc d 1\n")
-    assert len(parse_graph("a b 1\nb c 1\n")) == 3
+    # a budget of 30 vertices: their edge phase is priced below it
+    monkeypatch.setattr(core, "MAX_BYTES", 10 * 8 * 30 * 30)
+    path = "".join(f"v{i} v{i + 1} 1\n" for i in range(30))
+    with pytest.raises(NetworkError, match="31 vertices refused"):
+        parse_graph(path)
+    assert len(parse_graph(path[:path.rindex("v29 ")])) == 30
     graph = tmp_path / "g.txt"
-    graph.write_text("a b 1\nb c 1\nc d 1\n")
+    graph.write_text(path)
     assert cli.main(["check", "network", "-g", str(graph)]) == 2
-    assert "4 vertices refused" in capsys.readouterr().err
+    assert "31 vertices refused" in capsys.readouterr().err
     rec, = run_suite({"suites": [{"kind": "network", "params": {
         "graph": graph.read_text()}}]}).records
     assert rec.check == "suite_error" and not rec.passed
+
+
+def test_defect_result_arrays_are_read_only():
+    res = defect_recurrence(geometric_halfline(2.0), 10)
+    for arr in (res.psi, res.residuals, res.energy_partials):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_defect_nmax_cap(monkeypatch):
